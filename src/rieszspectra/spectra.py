@@ -26,6 +26,7 @@ from .intervals import Endpoint
 from .precision import ambiguity_threshold, workprec
 
 DEFAULT_BETA_FLOOR = Fraction(1, 64)
+_HALF = mpmath.mpf("0.5")  # exact at any precision
 
 
 @dataclass(frozen=True)
@@ -54,15 +55,15 @@ class AvdoninFilter:
         else:
             with workprec():
                 bm = beta.mpf()
+                threshold = ambiguity_threshold()
                 lo_m = mpmath.mpf(r_lo.numerator) / r_lo.denominator
                 hi_m = mpmath.mpf(r_hi.numerator) / r_hi.denominator
-                half = mpmath.mpf("0.5")
-                n_lo = int(mpmath.floor(bm * (lo_m - half))) - 2
-                n_hi = int(mpmath.ceil(bm * (hi_m + half))) + 2
-            for n in range(n_lo, n_hi + 1):
-                r = _round_ratio_half_up(n, beta)
-                if r_lo <= r <= r_hi:
-                    out.append(r + self.phase)
+                n_lo = int(mpmath.floor(bm * (lo_m - _HALF))) - 2
+                n_hi = int(mpmath.ceil(bm * (hi_m + _HALF))) + 2
+                for n in range(n_lo, n_hi + 1):
+                    r = _round_ratio_half_up(n, bm, threshold)
+                    if r_lo <= r <= r_hi:
+                        out.append(r + self.phase)
         # rounded image is strictly increasing, dedupe defensively
         return sorted(set(out))
 
@@ -73,15 +74,19 @@ class AvdoninFilter:
         return {"avdonin": {"beta": beta_str, "phase": self.phase}}
 
 
-def _round_ratio_half_up(n: int, beta: Endpoint) -> int:
-    """round_half_up(n / beta) with an ambiguity guard at working precision."""
-    with workprec():
-        shifted = mpmath.mpf(n) / beta.mpf() + mpmath.mpf("0.5")
-        if abs(shifted - mpmath.nint(shifted)) < ambiguity_threshold():
-            raise AmbiguousEndpoint(
-                f"rounding of {n}/beta is a tie at working precision"
-            )
-        return int(mpmath.floor(shifted))
+def _round_ratio_half_up(n: int, bm: mpmath.mpf, threshold: mpmath.mpf) -> int:
+    """round_half_up(n / beta) for beta = bm, raising AmbiguousEndpoint when
+    n / beta + 1/2 lies within threshold of an integer.
+
+    Call inside workprec(), with bm = beta.mpf() and threshold =
+    ambiguity_threshold() computed once per enumeration.
+    """
+    shifted = mpmath.mpf(n) / bm + _HALF
+    if abs(shifted - mpmath.nint(shifted)) < threshold:
+        raise AmbiguousEndpoint(
+            f"rounding of {n}/beta is a tie at working precision"
+        )
+    return int(mpmath.floor(shifted))
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,217 @@
+"""Fast paths against their slow oracles: the real sinc Gram against the
+complex Gram, the Avdonin rounding loop against the per-element formula, and
+the one-enumeration density check against per-window enumeration."""
+
+import math
+from fractions import Fraction
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rieszspectra.verify as verify
+from rieszspectra import (
+    AmbiguousEndpoint,
+    AvdoninFilter,
+    CosetTerm,
+    EmptyWindow,
+    Endpoint,
+    IntervalSet,
+    InvalidInput,
+    Spectrum,
+    avdonin_interval_spectrum,
+    density_check,
+    gram_matrix,
+    integer_lattice,
+    riesz_bounds_estimate,
+)
+from rieszspectra.precision import ambiguity_threshold, hp_sqrt, workprec
+
+F = Fraction
+ROOTS = (2, 3, 5, 7)
+HALF = IntervalSet([(0, F(1, 2))])
+SETTINGS = settings(max_examples=40, deadline=None)
+
+
+def sqrt_multiple(p: int, c: Fraction) -> Endpoint:
+    return Endpoint(0, hp_sqrt(p)) * c
+
+
+@st.composite
+def endpoints(draw):
+    """A rational k/64 in [0, 1), plus c*sqrt(p) with c <= 2/5 half the time."""
+    value = Endpoint(F(draw(st.integers(0, 63)), 64))
+    if draw(st.booleans()):
+        p = draw(st.sampled_from(ROOTS))
+        value = value + sqrt_multiple(p, F(draw(st.integers(1, 40)), 100))
+    return value
+
+
+@st.composite
+def single_intervals(draw):
+    left = draw(endpoints())
+    width = draw(endpoints()) + F(1, 64)
+    return IntervalSet([(left, left + width)])
+
+
+@st.composite
+def irrational_betas(draw):
+    p = draw(st.sampled_from(ROOTS))
+    return sqrt_multiple(p, F(draw(st.integers(1, 37)), 100))  # in (0, 1)
+
+
+@st.composite
+def spectra(draw):
+    """Lattice cosets or a single-interval Avdonin generator, at scale 1 or 1/2."""
+    if draw(st.booleans()):
+        q = draw(st.integers(1, 4))
+        offsets = draw(st.sets(st.integers(0, q - 1), min_size=1))
+        spec = Spectrum(F(1), tuple(CosetTerm(q, o) for o in sorted(offsets)))
+    else:
+        if draw(st.booleans()):
+            beta = F(draw(st.integers(16, 63)), 64)
+        else:
+            beta = Endpoint(F(1, 4)) + sqrt_multiple(
+                draw(st.sampled_from(ROOTS)), F(draw(st.integers(1, 20)), 100)
+            )
+        spec = avdonin_interval_spectrum(beta)
+    if draw(st.booleans()):
+        spec = spec.dilate(F(1, 2))
+    return spec
+
+
+# -- single-interval Gram: real sinc kernel vs complex Gram -----------------
+
+@SETTINGS
+@given(spec=spectra(), S=single_intervals(), T=st.integers(2, 100))
+def test_sinc_gram_is_unitarily_similar_to_gram(spec, S, T):
+    G = gram_matrix(spec, S, T)
+    R = verify._sinc_gram(spec, S, T)
+    assert R.dtype == np.float64 and R.shape == G.shape
+    bound = F(T) / spec.scale
+    ms = np.asarray(spec.enumerate_integers(-bound, bound), dtype=np.int64)
+    ((left, right),) = S.pieces
+    center = (left + right) * F(1, 2)
+    d = np.exp(2j * np.pi * verify._phase_floats(center * spec.scale, ms))
+    assert np.max(np.abs(d[:, None] * R * d.conj()[None, :] - G)) <= 1e-12
+    eg = np.linalg.eigvalsh(G)
+    er = np.linalg.eigvalsh(R)
+    assert abs(eg[0] - er[0]) <= 1e-10
+    assert abs(eg[-1] - er[-1]) <= 1e-10
+
+
+@SETTINGS
+@given(spec=spectra(), S=single_intervals(), T=st.integers(2, 50))
+def test_single_interval_bounds_match_complex_oracle(spec, S, T):
+    rep = riesz_bounds_estimate(spec, S, [T, 2 * T])
+    for (window, lo, hi), W in zip(rep.history, (T, 2 * T)):
+        vals = np.linalg.eigvalsh(gram_matrix(spec, S, W))
+        assert window == float(W)
+        assert abs(lo - vals[0]) <= 1e-10
+        assert abs(hi - vals[-1]) <= 1e-10
+    assert rep.count == len(vals)
+
+
+def test_single_interval_path_skips_complex_gram(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("complex Gram built for a single interval")
+
+    monkeypatch.setattr(verify, "gram_matrix", refuse)
+    # criterion 11: the over-complete control still fails on the real path
+    rep = riesz_bounds_estimate(integer_lattice(), HALF, [8, 16, 32, 64])
+    assert rep.status == "FAIL_TREND"
+    assert rep.lower_est < 1e-4
+
+
+def test_interval_union_keeps_complex_gram(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return gram_matrix(*args)
+
+    monkeypatch.setattr(verify, "gram_matrix", counted)
+    S = IntervalSet([(0, F(1, 3)), (F(2, 3), 1)])
+    riesz_bounds_estimate(integer_lattice(), S, [8, 16])
+    assert calls == [8, 16]
+
+
+def test_single_interval_bounds_keep_input_checks():
+    with pytest.raises(InvalidInput):
+        riesz_bounds_estimate(integer_lattice(), IntervalSet.empty(), [8])
+    with pytest.raises(EmptyWindow):
+        riesz_bounds_estimate(Spectrum(F(1), (CosetTerm(100, 7),)), HALF, [3])
+    with pytest.raises(InvalidInput):
+        riesz_bounds_estimate(integer_lattice(), HALF, [16, 8])
+
+
+# -- Avdonin rounding loop vs the per-element formula -----------------------
+
+def _rounded_oracle(beta: Endpoint, phase: int, lo: Fraction, hi: Fraction):
+    """Filtered values r + phase in [lo, hi], one guarded rounding per n."""
+    r_lo, r_hi = lo - phase, hi - phase
+    b = float(beta)
+    out = []
+    for n in range(math.floor(b * (r_lo - 1)) - 2, math.ceil(b * (r_hi + 1)) + 3):
+        with workprec():
+            shifted = mpmath.mpf(n) / beta.mpf() + mpmath.mpf("0.5")
+            assert abs(shifted - mpmath.nint(shifted)) >= ambiguity_threshold()
+            r = int(mpmath.floor(shifted))
+        if r_lo <= r <= r_hi:
+            out.append(r + phase)
+    return out
+
+
+@SETTINGS
+@given(
+    beta=irrational_betas(),
+    phase=st.integers(-5, 5),
+    lo=st.fractions(min_value=-300, max_value=300, max_denominator=4),
+    span=st.integers(0, 600),
+)
+def test_elements_in_matches_per_element_rounding(beta, phase, lo, span):
+    hi = lo + span
+    got = AvdoninFilter(beta=beta, phase=phase).elements_in(lo, hi)
+    assert got == _rounded_oracle(beta, phase, lo, hi)
+
+
+def test_elements_in_tie_still_ambiguous():
+    # 1/0.4 + 1/2 = 3 up to the rounding of the decimal base
+    filt = AvdoninFilter(beta=Endpoint.coerce("0.4"))
+    with pytest.raises(AmbiguousEndpoint):
+        filt.elements_in(F(0), F(5))
+
+
+# -- density check: one enumeration vs per-window enumeration ---------------
+
+window_values = st.integers(0, 300) | st.fractions(
+    min_value=0, max_value=300, max_denominator=6
+)
+
+
+@SETTINGS
+@given(spec=spectra(), windows=st.lists(window_values, min_size=1, max_size=5))
+def test_density_rows_match_per_window_enumeration(spec, windows):
+    S = IntervalSet([(0, F(1, 3)), (F(1, 2), F(3, 4))])
+    meas = float(S.measure_mpf())
+    rep = density_check(spec, S, windows, tolerance=1.0)
+    expect = []
+    for T in windows:
+        count = len(spec.enumerate(T))
+        expected = 2.0 * float(T) * meas
+        expect.append((float(T), count, expected, count - expected))
+    assert list(rep.rows) == expect
+    assert rep.passed == all(abs(r[3]) <= 1.0 for r in expect)
+
+
+def test_density_negative_window_raises():
+    for windows in ([-1], [4, -F(1, 2), 16]):
+        with pytest.raises(InvalidInput):
+            density_check(integer_lattice(), HALF, windows)
+
+
+def test_density_empty_window_list():
+    rep = density_check(integer_lattice(), HALF, [])
+    assert rep.rows == () and rep.passed

@@ -174,6 +174,24 @@ def test_extreme_eigenvalues_iterative_path(monkeypatch):
     assert abs(hi - dense[-1]) < 1e-8
 
 
+def test_extreme_eigenvalues_iterative_path_converges_repeatedly(monkeypatch):
+    # the lower end of this window is a cluster of eigenvalues at rounding
+    # level, where ARPACK with its default 20 Lanczos vectors stalled on
+    # about one start in fifteen
+    import rieszspectra.verify as verify_mod
+
+    S = IntervalSet([(F(1, 16), F(5, 8))])
+    G = gram_matrix(integer_lattice(), S, 24)
+    R = verify_mod._sinc_gram(integer_lattice(), S, 24)
+    monkeypatch.setattr(verify_mod, "DENSE_EIG_LIMIT", 4)
+    for M in (G, R):
+        dense = np.linalg.eigvalsh(M)
+        for _ in range(10):
+            lo, hi = verify_mod._extreme_eigenvalues(M)
+            assert abs(lo - dense[0]) < 1e-8
+            assert abs(hi - dense[-1]) < 1e-8
+
+
 # -- density -----------------------------------------------------------------
 
 def test_density_orthonormal():
