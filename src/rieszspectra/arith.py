@@ -49,20 +49,14 @@ class PrimeSearchResult:
         }
 
 
-def _coerce_endpoint_lists(a: Sequence, b: Sequence):
+def interval_chain(a: Sequence, b: Sequence):
+    """Coerce left and right endpoints and check 0 < a_1 < b_1 < ... < b_L < 1."""
     a = [Endpoint.coerce(x) for x in a]
     b = [Endpoint.coerce(x) for x in b]
     if len(a) != len(b) or not a:
         raise InvalidInput("need equally many left and right endpoints, at least one pair")
-    chain = []
-    for x, y in zip(a, b):
-        chain.extend((x, y))
-    prev = Endpoint(0)
-    for e in chain:
-        if not prev < e:
-            raise InvalidInput("endpoints must satisfy 0 < a_1 < b_1 < ... < b_L < 1")
-        prev = e
-    if not chain[-1] < Endpoint(1):
+    chain = [Endpoint(0), *(e for pair in zip(a, b) for e in pair), Endpoint(1)]
+    if not all(p < q for p, q in zip(chain, chain[1:])):
         raise InvalidInput("endpoints must satisfy 0 < a_1 < b_1 < ... < b_L < 1")
     return a, b
 
@@ -77,7 +71,7 @@ def ordering_primes(
 ) -> Iterator[PrimeSearchResult]:
     """Yield every prime N <= prime_limit passing the fractional-part
     ordering chain, the grid separation test, and 2L+1 <= N."""
-    a, b = _coerce_endpoint_lists(a, b)
+    a, b = interval_chain(a, b)
     L = len(a)
     if not skip_relation_probe:
         relation = rational_relation_probe(list(a) + list(b), probe_max_coeff)

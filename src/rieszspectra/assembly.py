@@ -1,9 +1,10 @@
 """Level-spectrum combination and the two main constructions.
 
-combine_level_spectra assembles a spectrum for S out of spectra for the
-nested fiber-count sets by shifting level n by n (consecutive shifts);
-combine_level_spectra_permuted allows arbitrary distinct shifts when N is
-prime.  construct_hierarchy builds the full hierarchical family for a union
+combine_level_spectra_permuted assembles a spectrum for S out of spectra for
+the nested fiber-count sets by shifting level n by shifts[n-1], a
+permutation of 1..N, when N is prime; combine_level_spectra is its
+consecutive-shift view (level n shifted by n - 1 + base_shift), valid for
+any N.  construct_hierarchy builds the full hierarchical family for a union
 of intervals with rationally independent endpoints; complement_integer_
 spectrum extends the integer spectrum of [0,1) across extra intervals in
 [1,N) by frequencies from (1/N)Z \\ Z.
@@ -16,7 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arith import PrimeSearchResult, ordering_primes, rational_relation_probe
+from .arith import (
+    PrimeSearchResult,
+    interval_chain,
+    ordering_primes,
+    rational_relation_probe,
+)
 from .errors import (
     ConstructionError,
     DegenerateCoverage,
@@ -29,7 +35,7 @@ from .errors import (
     NotPrime,
     UnsupportedASet,
 )
-from .intervals import Endpoint, IntervalSet, a_geq_all
+from .intervals import Endpoint, IntervalSet, fold_pattern, geq_levels
 from .minors import _is_prime
 from .spectra import (
     Spectrum,
@@ -42,11 +48,26 @@ from .spectra import (
 DEFAULT_CHECK_WINDOW = 2048
 
 
-def _require_level_in_lattice(N: int, level: Spectrum, n: int, window: int) -> None:
-    if level.is_empty:
-        return
-    if not level.subset_of_lattice(N, window):
-        raise LevelNotInNZ(f"level {n} spectrum is not contained in {N}Z")
+def _combine_levels(
+    N: int, levels: Sequence[Spectrum], shifts: Sequence[int], check_window: int
+) -> Spectrum:
+    """Union of (level_n + shifts[n-1]) over n = 1..N.
+
+    Levels must be subsets of N*Z; with shifts distinct mod N the shifted
+    levels occupy distinct residues, so the union is disjoint.
+    """
+    if len(levels) != N:
+        raise InvalidInput(f"need exactly {N} level spectra")
+    terms = []
+    for n, (level, shift) in enumerate(zip(levels, shifts), start=1):
+        if level.is_empty:
+            continue
+        if not level.subset_of_lattice(N, check_window):
+            raise LevelNotInNZ(f"level {n} spectrum is not contained in {N}Z")
+        terms.extend(level.shift(shift).terms)
+    result = Spectrum(Fraction(1), tuple(terms))
+    result.enumerate_integers(-check_window, check_window)  # raises on overlap
+    return result
 
 
 def combine_level_spectra(
@@ -56,25 +77,10 @@ def combine_level_spectra(
     *,
     check_window: int = DEFAULT_CHECK_WINDOW,
 ) -> Spectrum:
-    """Union of (level_n + n - 1 + base_shift) over n = 1..N.
-
-    Levels must be subsets of N*Z; the shifted levels then occupy distinct
-    residues mod N, so the union is automatically disjoint.
-    """
-    if len(levels) != N:
-        raise InvalidInput(f"need exactly {N} level spectra")
+    """Union of (level_n + n - 1 + base_shift) over n = 1..N, for any N."""
     if base_shift not in (0, 1):
         raise InvalidInput("base_shift must be 0 or 1")
-    terms = []
-    for n, level in enumerate(levels, start=1):
-        _require_level_in_lattice(N, level, n, check_window)
-        if level.is_empty:
-            continue
-        shifted = level.shift(n - 1 + base_shift)
-        terms.extend(shifted.terms)
-    result = Spectrum(Fraction(1), tuple(terms))
-    result.enumerate_integers(-check_window, check_window)  # raises on overlap
-    return result
+    return _combine_levels(N, levels, range(base_shift, N + base_shift), check_window)
 
 
 def combine_level_spectra_permuted(
@@ -88,20 +94,9 @@ def combine_level_spectra_permuted(
     valid as a basis combination only for prime N."""
     if not _is_prime(N):
         raise NotPrime(f"{N} is not prime")
-    if len(levels) != N:
-        raise InvalidInput(f"need exactly {N} level spectra")
     if sorted(shifts) != list(range(1, N + 1)):
         raise NotPermutation("shifts must be a permutation of 1..N")
-    terms = []
-    for n, level in enumerate(levels, start=1):
-        _require_level_in_lattice(N, level, n, check_window)
-        if level.is_empty:
-            continue
-        shifted = level.shift(shifts[n - 1])
-        terms.extend(shifted.terms)
-    result = Spectrum(Fraction(1), tuple(terms))
-    result.enumerate_integers(-check_window, check_window)
-    return result
+    return _combine_levels(N, levels, shifts, check_window)
 
 
 @dataclass(frozen=True)
@@ -126,12 +121,7 @@ class HierarchyPlan:
 
     def level_blocks(self) -> list[range]:
         """Full-cell level indices owned by each interval, in block order."""
-        blocks = []
-        start = 1
-        for K_l in self.K_ell:
-            blocks.append(range(start, start + K_l))
-            start += K_l
-        return blocks
+        return _level_blocks(self.K_ell)
 
     def full_union(self) -> Spectrum:
         out = Spectrum(Fraction(1), ())
@@ -177,19 +167,51 @@ class HierarchyPlan:
         )
 
 
-def _validate_interval_chain(a: Sequence, b: Sequence):
-    a = [Endpoint.coerce(x) for x in a]
-    b = [Endpoint.coerce(x) for x in b]
-    if len(a) != len(b) or not a:
-        raise InvalidInput("need equally many left and right endpoints")
-    prev = Endpoint(0)
-    for x, y in zip(a, b):
-        if not (prev < x and x < y):
-            raise InvalidInput("endpoints must satisfy 0 < a_1 < b_1 < ... < b_L < 1")
-        prev = y
-    if not b[-1] < Endpoint(1):
-        raise InvalidInput("endpoints must satisfy 0 < a_1 < b_1 < ... < b_L < 1")
-    return a, b
+def _level_blocks(K_ell: Sequence[int]) -> list[range]:
+    blocks = []
+    start = 1
+    for K_l in K_ell:
+        blocks.append(range(start, start + K_l))
+        start += K_l
+    return blocks
+
+
+def _fiber_levels(N: int, S: IntervalSet):
+    """The N fiber-count sets of S and its full-cell count, the smallest
+    fiber count: exactly the levels 1..K are the whole cell [0, 1/N)."""
+    pattern = fold_pattern(N, S)
+    return tuple(geq_levels(N, pattern)), min(len(ks) for _, _, ks in pattern)
+
+
+def _level_pattern(N: int, a: Sequence, b: Sequence, ells: Sequence[int], K: int):
+    """Fiber-count sets of the union of the intervals ells (1-based), checked
+    against the hierarchy pattern: K full cells, then the boundary piece
+    [{N a}/N, {N b}/N) of each interval in order, then empty levels.
+
+    Returns the N sets and the boundary widths {N b} - {N a}.
+    """
+    S = IntervalSet((a[ell - 1], b[ell - 1]) for ell in ells)
+    a_sets, K_S = _fiber_levels(N, S)
+    if K_S != K:
+        raise DegenerateCoverage(
+            f"full-cell count mismatch at N={N}: pattern gives {K_S}, intervals give {K}"
+        )
+    if K + len(ells) > N:
+        raise ConstructionError("level pattern exceeds N levels")
+    cell = Fraction(1, N)
+    betas = []
+    for n, ell in enumerate(ells, start=K + 1):
+        fa = (a[ell - 1] * N).frac()
+        fb = (b[ell - 1] * N).frac()
+        if a_sets[n - 1] != IntervalSet([(fa * cell, fb * cell)]):
+            raise ConstructionError(
+                f"level {n} does not match the boundary piece of interval {ell}"
+            )
+        betas.append(fb - fa)
+    n = K + len(ells) + 1
+    if n <= N and not a_sets[n - 1].is_empty:
+        raise ConstructionError(f"level {n} should be empty")
+    return a_sets, betas
 
 
 def construct_hierarchy(
@@ -208,7 +230,7 @@ def construct_hierarchy(
     intervals in contiguous blocks, and attaches a rounded-subsequence
     generator to each interval's fractional level.
     """
-    a, b = _validate_interval_chain(a, b)
+    a, b = interval_chain(a, b)
     relation = rational_relation_probe(list(a) + list(b), probe_max_coeff)
     if relation is not None:
         raise IndependenceSuspect(relation)
@@ -237,7 +259,7 @@ def construct_hierarchy_with_prime(
     Skips the ordering scan, so the fiber-count pattern may be degenerate;
     raises DegenerateCoverage when an interval contributes no full cell.
     """
-    a, b = _validate_interval_chain(a, b)
+    a, b = interval_chain(a, b)
     if not _is_prime(N):
         raise NotPrime(f"{N} is not prime")
     chain = [(x * N).frac() for x in a] + [(y * N).frac() for y in reversed(b)]
@@ -255,14 +277,6 @@ def _build_plan(
 ) -> HierarchyPlan:
     N = witness.N
     L = len(a)
-    cell = Fraction(1, N)
-    S = IntervalSet(zip(a, b))
-    full_cell = IntervalSet([(0, cell)])
-
-    a_sets = tuple(a_geq_all(N, S))
-    K = 0
-    while K < N and a_sets[K] == full_cell:
-        K += 1
 
     # per-interval full-cell counts: interior cells plus the one cell's worth
     # contributed jointly by the two boundary fragments
@@ -274,51 +288,21 @@ def _build_plan(
                 f"interval [{float(x):.6g},{float(y):.6g}) spans no grid point at N={N}"
             )
         K_ell.append(interior + 1)
-    if sum(K_ell) != K:
-        raise DegenerateCoverage(
-            f"full-cell count mismatch at N={N}: pattern gives {K}, intervals give {sum(K_ell)}"
-        )
-    if K + L > N:
-        raise ConstructionError("level pattern exceeds N levels")
+    K = sum(K_ell)
+    a_sets, betas = _level_pattern(N, a, b, range(1, L + 1), K)
 
-    # fractional levels K+1..K+L must be the nested boundary pieces
-    betas = []
-    for ell in range(1, L + 1):
-        fa = (a[ell - 1] * N).frac()
-        fb = (b[ell - 1] * N).frac()
-        expected = IntervalSet([(fa * cell, fb * cell)])
-        if a_sets[K + ell - 1] != expected:
-            raise ConstructionError(
-                f"level {K + ell} does not match the boundary piece of interval {ell}"
-            )
-        betas.append(fb - fa)
-    for n in range(K + L, N):
-        if not a_sets[n].is_empty:
-            raise ConstructionError(f"level {n + 1} should be empty")
-
-    level_spectra: list[Spectrum] = []
-    level_interval: list[Optional[int]] = []
-    blocks = []
-    start = 1
-    for K_l in K_ell:
-        blocks.append(range(start, start + K_l))
-        start += K_l
-    owner_of_level = {}
-    for ell, block in enumerate(blocks, start=1):
-        for n in block:
-            owner_of_level[n] = ell
-    for n in range(1, N + 1):
-        if n <= K:
-            level_spectra.append(integer_lattice(N, 0))
-            level_interval.append(owner_of_level[n])
-        elif n <= K + L:
-            ell = n - K
-            gen = avdonin_interval_spectrum(betas[ell - 1]).scale_integers(N)
-            level_spectra.append(gen)
-            level_interval.append(ell)
-        else:
-            level_spectra.append(empty_spectrum())
-            level_interval.append(None)
+    # levels: K full cells in interval blocks, L boundary pieces, then empty
+    blocks = _level_blocks(K_ell)
+    level_spectra: list[Spectrum] = (
+        [integer_lattice(N, 0)] * K
+        + [avdonin_interval_spectrum(beta).scale_integers(N) for beta in betas]
+        + [empty_spectrum()] * (N - K - L)
+    )
+    level_interval: list[Optional[int]] = (
+        [ell for ell, block in enumerate(blocks, start=1) for _ in block]
+        + list(range(1, L + 1))
+        + [None] * (N - K - L)
+    )
 
     lambda_ell = []
     for ell in range(1, L + 1):
@@ -332,7 +316,7 @@ def _build_plan(
         N=N,
         a=tuple(a),
         b=tuple(b),
-        S=S,
+        S=IntervalSet(zip(a, b)),
         a_sets=a_sets,
         level_spectra=tuple(level_spectra),
         level_interval=tuple(level_interval),
@@ -406,7 +390,6 @@ def subset_spectrum(
     if any(not 1 <= ell <= plan.L for ell in J):
         raise InvalidInput(f"J must be a subset of 1..{plan.L}")
     N = plan.N
-    cell = Fraction(1, N)
     blocks = plan.level_blocks()
     K_J = sum(plan.K_ell[ell - 1] for ell in J)
 
@@ -428,29 +411,8 @@ def subset_spectrum(
         raise ConstructionError("omega shifts collide mod N")
 
     # independent recomputation of the fiber-count sets of the sub-union
-    S_J = IntervalSet((plan.a[ell - 1], plan.b[ell - 1]) for ell in J)
-    M = len(J)
-    full_cell = IntervalSet([(0, cell)])
-    levels_J = a_geq_all(N, S_J)
-    for n in range(1, N + 1):
-        target = levels_J[n - 1]
-        if n <= K_J:
-            if target != full_cell:
-                raise ConstructionError(f"sub-union level {n} is not the full cell")
-        elif n <= K_J + M:
-            ell = J[n - K_J - 1]
-            fa = (plan.a[ell - 1] * N).frac()
-            fb = (plan.b[ell - 1] * N).frac()
-            if target != IntervalSet([(fa * cell, fb * cell)]):
-                raise ConstructionError(
-                    f"sub-union level {n} does not match interval {ell}'s boundary piece"
-                )
-        else:
-            if not target.is_empty:
-                raise ConstructionError(f"sub-union level {n} should be empty")
-    for n, spec in enumerate(unshifted, start=1):
-        if n <= K_J:
-            continue
+    levels_J, _ = _level_pattern(N, plan.a, plan.b, J, K_J)
+    for n, spec in enumerate(unshifted[K_J:], start=K_J + 1):
         # fractional levels must carry the generator of the right density
         target = levels_J[n - 1]
         dens = spec.density()
@@ -575,16 +537,11 @@ def complement_integer_spectrum(
     if not b[-1] <= Endpoint(N):
         raise InvalidInput("endpoints must satisfy 1 <= a_1 < b_1 < ... <= N")
 
-    cell = Fraction(1, N)
     inv = Fraction(1, N)
     pairs = [(Endpoint(0), Endpoint(1))] + list(zip(a, b))
     S = IntervalSet((l * inv, r * inv) for l, r in pairs)
 
-    a_sets = a_geq_all(N, S)
-    full_cell = IntervalSet([(0, cell)])
-    M = 0
-    while M < N and a_sets[M] == full_cell:
-        M += 1
+    a_sets, M = _fiber_levels(N, S)
     if M < 1:
         raise ConstructionError("the unit interval must fill the first level")
 

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .intervals import Endpoint, IntervalSet
 from .minors import chebotarev_check
-from .precision import set_precision_bits
+from .precision import precision_bits, set_precision_bits
 from .spectra import Spectrum
 from .verify import density_check, folding_probe, riesz_bounds_estimate
 
@@ -287,9 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.precision_bits:
-        set_precision_bits(args.precision_bits)
+    previous_bits = precision_bits()
     try:
+        if args.precision_bits is not None:
+            set_precision_bits(args.precision_bits)
         return args.func(args)
     except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
@@ -312,6 +313,9 @@ def main(argv=None) -> int:
         print(f"failure: {exc}", file=sys.stderr)
         _write_report(args, {"error": str(exc)}, "FAIL")
         return EXIT_FAIL
+    finally:
+        if precision_bits() != previous_bits:
+            set_precision_bits(previous_bits)
 
 
 if __name__ == "__main__":

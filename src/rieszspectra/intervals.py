@@ -415,38 +415,36 @@ def fold_pattern(N: int, S: IntervalSet):
     Returns a list of (left, right, ks) triples covering [0, 1/N), where ks
     is the sorted tuple of offsets k such that t + k/N lies in S for every t
     in [left, right).
+
+    Closed form: with u = N*t in [0, 1), t + k/N lies in [a, b) exactly when
+    ceil(N*a - u) <= k < ceil(N*b - u), and ceil(N*x - u) = floor(N*x) +
+    [u < {N*x}].  So the hit set changes only at the cuts {N*x} over the
+    endpoints x of S, and between two cuts it is a union of integer ranges.
     """
     if N < 1:
         raise InvalidInput("N must be a positive integer")
     _check_subset_of_unit(S)
+    scaled = [x * N for piece in S.pieces for x in piece]
+    floors = [x.floor() for x in scaled]
+    fracs = [x - f for x, f in zip(scaled, floors)]
+    # distinct cuts in increasing order; rank[i] is the index of fracs[i]
+    cuts = [_ZERO]
+    rank = [0] * len(fracs)
+    for i in sorted(range(len(fracs)), key=lambda i: _cmp_key(fracs[i])):
+        if cuts[-1]._cmp(fracs[i]) < 0:
+            cuts.append(fracs[i])
+        rank[i] = len(cuts) - 1
     cell = Fraction(1, N)
-    events = []
-    for k in range(N):
-        lo = Endpoint(k * cell)
-        hi = Endpoint((k + 1) * cell)
-        piece = S.intersect(IntervalSet([(lo, hi)])).shift(-k * cell)
-        for left, right in piece.pieces:
-            events.append((left, k, +1))
-            events.append((right, k, -1))
-    events.append((Endpoint(0), -1, 0))
-    events.append((Endpoint(cell), -1, 0))
-    events.sort(key=lambda ev: _cmp_key(ev[0]))
+    bounds = [c * cell for c in cuts] + [Endpoint(cell)]
     out = []
-    active: set = set()
-    prev = None
-    i = 0
-    while i < len(events):
-        point = events[i][0]
-        if prev is not None and prev._cmp(point) < 0:
-            out.append((prev, point, tuple(sorted(active))))
-        while i < len(events) and events[i][0]._cmp(point) == 0:
-            _, k, delta = events[i]
-            if delta > 0:
-                active.add(k)
-            elif delta < 0:
-                active.discard(k)
-            i += 1
-        prev = point
+    for piece in range(len(cuts)):
+        # on [cuts[piece], cuts[piece + 1]), u < {N*x} iff rank > piece
+        ks = []
+        for i in range(0, len(fracs), 2):
+            lo = floors[i] + (rank[i] > piece)
+            hi = floors[i + 1] + (rank[i + 1] > piece)
+            ks.extend(range(lo, hi))
+        out.append((bounds[piece], bounds[piece + 1], tuple(ks)))
     return out
 
 
@@ -456,9 +454,8 @@ def fold_counts(N: int, S: IntervalSet):
     Returned as a list of (left, right, count) pieces partitioning [0, 1/N),
     with equal-count neighbors merged.
     """
-    pattern = fold_pattern(N, S)
     out = []
-    for left, right, ks in pattern:
+    for left, right, ks in fold_pattern(N, S):
         count = len(ks)
         if out and out[-1][2] == count:
             out[-1] = (out[-1][0], right, count)
@@ -476,13 +473,24 @@ def a_geq(N: int, S: IntervalSet, n: int) -> IntervalSet:
     )
 
 
+def geq_levels(N: int, pattern) -> list[IntervalSet]:
+    """The N nested sets a_geq(n), n = 1..N, of one fold pattern.
+
+    A set changes only after a count that occurs, so each distinct set is
+    built once and shared by the levels it covers.
+    """
+    out: list[IntervalSet] = []
+    for c in sorted({len(ks) for _, _, ks in pattern}):
+        if c > len(out):
+            level = IntervalSet((l, r) for l, r, ks in pattern if len(ks) >= c)
+            out.extend([level] * (c - len(out)))
+    out.extend([IntervalSet.empty()] * (N - len(out)))
+    return out
+
+
 def a_geq_all(N: int, S: IntervalSet) -> list[IntervalSet]:
     """All N nested fiber-count sets from a single folding pass."""
-    pattern = fold_pattern(N, S)
-    return [
-        IntervalSet((l, r) for l, r, ks in pattern if len(ks) >= n)
-        for n in range(1, N + 1)
-    ]
+    return geq_levels(N, fold_pattern(N, S))
 
 
 def a_exact(N: int, S: IntervalSet, n: int) -> IntervalSet:

@@ -196,8 +196,6 @@ class Spectrum:
             filt = t.filter
             if filt is not None and carry:
                 filt = AvdoninFilter(beta=filt.beta, phase=filt.phase + carry)
-            elif filt is None:
-                filt = None
             new_terms.append(CosetTerm(t.modulus, off, filt))
         return Spectrum(self.scale, tuple(new_terms))
 

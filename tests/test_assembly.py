@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import rieszspectra as rs
+import rieszspectra.assembly as assembly
 from rieszspectra import (
     CosetTerm,
     DegenerateCoverage,
@@ -24,6 +25,7 @@ from rieszspectra import (
     construct_hierarchy,
     construct_hierarchy_with_prime,
     empty_spectrum,
+    find_ordering_prime,
     integer_lattice,
     subset_spectrum,
 )
@@ -80,6 +82,57 @@ def test_permuted_requires_prime_and_permutation():
     lat5 = integer_lattice(5, 0)
     with pytest.raises(NotPermutation):
         combine_level_spectra_permuted(5, [lat5] * 5, [1, 1, 2, 3, 4])
+
+
+@pytest.mark.parametrize("N", [4, 6])
+@pytest.mark.parametrize("base_shift", [0, 1])
+def test_combine_non_prime_is_the_core_with_consecutive_shifts(N, base_shift):
+    lat = integer_lattice(N, 0)
+    levels = [lat, lat] + [empty_spectrum()] * (N - 2)
+    out = combine_level_spectra(N, levels, base_shift=base_shift)
+    core = assembly._combine_levels(N, levels, range(base_shift, N + base_shift), 2048)
+    assert out == core
+    assert out.enumerate_integers(-60, 60) == [
+        m for m in range(-60, 61) if m % N in (base_shift % N, (base_shift + 1) % N)
+    ]
+    with pytest.raises(InvalidInput):
+        combine_level_spectra(N, levels, base_shift=2)
+
+
+def test_permuted_checks_survive_the_merge():
+    lat6 = integer_lattice(6, 0)
+    with pytest.raises(NotPrime):
+        combine_level_spectra_permuted(6, [lat6] * 6, [1, 2, 3, 4, 5, 6])
+    lat5 = integer_lattice(5, 0)
+    with pytest.raises(NotPermutation):
+        combine_level_spectra_permuted(5, [lat5] * 5, [0, 1, 2, 3, 4])
+    with pytest.raises(InvalidInput):
+        combine_level_spectra_permuted(5, [lat5] * 4, [1, 2, 3, 4, 5])
+
+
+MALFORMED_CHAINS = {
+    "unequal lengths": ([F(1, 4), F(1, 2)], [F(3, 8)]),
+    "empty": ([], []),
+    "non-increasing pair": ([F(1, 4)], [F(1, 4)]),
+    "overlapping intervals": ([F(1, 4), F(3, 8)], [F(1, 2), F(3, 4)]),
+    "a_1 = 0": ([F(0)], [F(1, 2)]),
+    "a_1 < 0": ([F(-1, 4)], [F(1, 2)]),
+    "b_L = 1": ([F(1, 2)], [F(1)]),
+    "b_L > 1": ([F(1, 2)], [F(5, 4)]),
+}
+CHAIN_CONSUMERS = {
+    "find_ordering_prime": lambda a, b: find_ordering_prime(a, b, 100),
+    "construct_hierarchy": lambda a, b: construct_hierarchy(a, b, 100),
+    "construct_hierarchy_with_prime": lambda a, b: construct_hierarchy_with_prime(a, b, 5),
+}
+
+
+@pytest.mark.parametrize("chain", MALFORMED_CHAINS, ids=str)
+@pytest.mark.parametrize("consumer", CHAIN_CONSUMERS, ids=str)
+def test_malformed_chains_rejected_alike(chain, consumer):
+    a, b = MALFORMED_CHAINS[chain]
+    with pytest.raises(InvalidInput):
+        CHAIN_CONSUMERS[consumer](a, b)
 
 
 # -- hierarchy construction ------------------------------------------------
@@ -154,6 +207,25 @@ def test_hierarchy_degenerate_coverage_with_forced_prime():
     b = a + Endpoint(0, hp_sqrt(3)) * F(3, 100)
     with pytest.raises(DegenerateCoverage):
         construct_hierarchy_with_prime([a], [b], 3)
+
+
+def test_hierarchy_l3_large_prime():
+    # endpoints k/11 + sqrt(p)/500; 9677 is their first admissible prime
+    pairs = ((1, 2), (2, 3), (4, 5), (5, 7), (7, 11), (8, 13))
+    ends = [Endpoint(F(k, 11)) + Endpoint(0, hp_sqrt(p)) * F(1, 500) for k, p in pairs]
+    a, b = ends[0::2], ends[1::2]
+    N = 9677
+    plan = construct_hierarchy_with_prime(a, b, N)
+    assert plan.K_ell == (885, 887, 885)
+    assert plan.K == sum(plan.K_ell) == 2657
+    cell = IntervalSet([(0, F(1, N))])
+    assert all(s == cell for s in plan.a_sets[: plan.K])
+    for ell in range(1, 4):
+        fa = (a[ell - 1] * N).frac() * F(1, N)
+        fb = (b[ell - 1] * N).frac() * F(1, N)
+        assert plan.a_sets[plan.K + ell - 1] == IntervalSet([(fa, fb)])
+    assert all(s.is_empty for s in plan.a_sets[plan.K + 3:])
+    assert plan.level_interval[plan.K : plan.K + 4] == (1, 2, 3, None)
 
 
 def test_hierarchy_prime_index_picks_later_prime():

@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 import rieszspectra as rs
+import rieszspectra.cli as cli
 from rieszspectra.cli import main
 from rieszspectra.intervals import Endpoint, IntervalSet
-from rieszspectra.precision import hp_sqrt
+from rieszspectra.precision import hp_sqrt, precision_bits
 
 
 @pytest.fixture()
@@ -167,3 +168,33 @@ def test_construction_failure_writes_report(tmp_path, capsys):
     assert code == 1
     assert report["status"] == "FAIL"
     assert "error" in report["result"]
+
+
+@pytest.mark.parametrize("bits", ["32", "0"])
+def test_precision_bits_below_minimum_is_input_error(capsys, sqrt_interval_file, bits):
+    before = precision_bits()
+    code = main([
+        "--precision-bits", bits, "find-prime", "--intervals", sqrt_interval_file,
+        "--prime-limit", "100",
+    ])
+    assert code == 2
+    assert "at least 64 bits" in capsys.readouterr().err
+    assert precision_bits() == before
+
+
+def test_precision_bits_apply_to_one_call_only(monkeypatch, capsys, sqrt_interval_file):
+    seen = []
+    real = cli.find_ordering_prime
+
+    def spy(*args, **kwargs):
+        seen.append(precision_bits())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "find_ordering_prime", spy)
+    before = precision_bits()
+    argv = ["find-prime", "--intervals", sqrt_interval_file, "--prime-limit", "100"]
+    assert main(["--precision-bits", "96", *argv]) == 0
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert seen == [96, before]
+    assert precision_bits() == before

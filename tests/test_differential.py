@@ -1,6 +1,7 @@
 """Fast paths against their slow oracles: the real sinc Gram against the
-complex Gram, the Avdonin rounding loop against the per-element formula, and
-the one-enumeration density check against per-window enumeration."""
+complex Gram, the Avdonin rounding loop against the per-element formula, the
+one-enumeration density check against per-window enumeration, and the
+closed-form fold pattern against the N-cell sweep."""
 
 import math
 from fractions import Fraction
@@ -8,9 +9,10 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import rieszspectra.intervals as intervals
 import rieszspectra.verify as verify
 from rieszspectra import (
     AmbiguousEndpoint,
@@ -18,11 +20,14 @@ from rieszspectra import (
     CosetTerm,
     EmptyWindow,
     Endpoint,
+    a_geq,
+    a_geq_all,
     IntervalSet,
     InvalidInput,
     Spectrum,
     avdonin_interval_spectrum,
     density_check,
+    fold_pattern,
     gram_matrix,
     integer_lattice,
     riesz_bounds_estimate,
@@ -215,3 +220,129 @@ def test_density_negative_window_raises():
 def test_density_empty_window_list():
     rep = density_check(integer_lattice(), HALF, [])
     assert rep.rows == () and rep.passed
+
+
+# -- fold pattern: closed form vs the N-cell sweep ---------------------------
+
+def sweep_fold_pattern(N: int, S: IntervalSet):
+    """The O(N) oracle: intersect S with every cell [k/N, (k+1)/N), shift the
+    pieces back onto [0, 1/N), and sweep their endpoints."""
+    if N < 1:
+        raise InvalidInput("N must be a positive integer")
+    intervals._check_subset_of_unit(S)
+    cell = F(1, N)
+    events = []
+    for k in range(N):
+        piece = S.intersect(IntervalSet([(k * cell, (k + 1) * cell)])).shift(-k * cell)
+        for left, right in piece.pieces:
+            events.append((left, k, +1))
+            events.append((right, k, -1))
+    events.append((Endpoint(0), -1, 0))
+    events.append((Endpoint(cell), -1, 0))
+    events.sort(key=lambda ev: intervals._cmp_key(ev[0]))
+    out = []
+    active: set = set()
+    prev = None
+    i = 0
+    while i < len(events):
+        point = events[i][0]
+        if prev is not None and prev < point:
+            out.append((prev, point, tuple(sorted(active))))
+        while i < len(events) and events[i][0] == point:
+            _, k, delta = events[i]
+            if delta > 0:
+                active.add(k)
+            elif delta < 0:
+                active.discard(k)
+            i += 1
+        prev = point
+    return out
+
+
+@st.composite
+def fold_instances(draw):
+    """(N, S): S is a union of intervals in [0, 1) whose endpoints are
+    rationals k/q, rationals plus c*sqrt(p), or (rarely) grid points k/N
+    plus a multiple of sqrt(p) near the precision threshold; S may be empty,
+    the whole unit interval, or a complement."""
+    N = draw(st.integers(1, 30))
+    points = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["rational"] * 4 + ["mixed"] * 4 + ["near-grid"]))
+        p = draw(st.sampled_from(ROOTS))
+        if kind == "rational":
+            q = draw(st.sampled_from([N, 2 * N, 1, 2, 3, 7, 64]))
+            point = Endpoint(F(draw(st.integers(0, q)), q))
+        elif kind == "mixed":
+            point = Endpoint(F(draw(st.integers(0, 63)), 64)) + sqrt_multiple(
+                p, F(draw(st.integers(1, 40)), 200)
+            )
+        else:
+            point = Endpoint(F(draw(st.integers(0, N - 1)), N)) + sqrt_multiple(
+                p, F(1, 2 ** draw(st.integers(90, 110)))
+            )
+        points.append(point)
+    try:
+        points = sorted(pt for pt in points if Endpoint(0) <= pt <= Endpoint(1))
+        S = IntervalSet(zip(points[0::2], points[1::2]))
+        if draw(st.booleans()):
+            S = S.complement()
+    except AmbiguousEndpoint:
+        assume(False)
+    return N, S
+
+
+def _pattern_json(pattern):
+    return [(l.to_json(), r.to_json(), ks) for l, r, ks in pattern]
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance=fold_instances())
+def test_fold_pattern_matches_sweep(instance):
+    N, S = instance
+    try:
+        expect = sweep_fold_pattern(N, S)
+    except AmbiguousEndpoint:
+        expect = None
+    try:
+        got = fold_pattern(N, S)
+        levels = a_geq_all(N, S)
+        singles = [a_geq(N, S, n) for n in range(1, N + 1)]
+    except AmbiguousEndpoint:
+        # the closed form compares N*x, so it decides at least as often
+        assert expect is None
+        return
+    assert len(levels) == N
+    assert levels == singles
+    if expect is None:
+        return
+    assert [(l, r) for l, r, _ in got] == [(l, r) for l, r, _ in expect]
+    assert _pattern_json(got) == _pattern_json(expect)
+    swept = [
+        IntervalSet((l, r) for l, r, ks in expect if len(ks) >= n)
+        for n in range(1, N + 1)
+    ]
+    assert [s.to_json() for s in levels] == [s.to_json() for s in swept]
+
+
+def test_fold_pattern_edge_sets():
+    for N in (1, 2, 7):
+        cell = F(1, N)
+        for S in (IntervalSet.empty(), IntervalSet.unit(), HALF, HALF.complement()):
+            assert _pattern_json(fold_pattern(N, S)) == _pattern_json(
+                sweep_fold_pattern(N, S)
+            )
+        (piece,) = fold_pattern(N, IntervalSet.unit())
+        assert piece == (Endpoint(0), Endpoint(cell), tuple(range(N)))
+
+
+def test_fold_pattern_shares_level_sets():
+    # L = 3 intervals: at most 2L + 2 distinct level sets, whatever N is
+    S = IntervalSet(
+        (Endpoint(F(k, 11)) + sqrt_multiple(p, F(1, 500)),
+         Endpoint(F(k + 1, 11)) + sqrt_multiple(q, F(1, 500)))
+        for k, p, q in ((1, 2, 3), (4, 5, 7), (7, 2, 5))
+    )
+    levels = a_geq_all(1009, S)
+    assert len(levels) == 1009
+    assert len({id(s) for s in levels}) <= 8
