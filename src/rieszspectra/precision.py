@@ -1,9 +1,9 @@
 """Working-precision context for all endpoint arithmetic.
 
 The default is 200 bits; it can be overridden by the RS_PRECISION_BITS
-environment variable or at runtime with set_precision_bits().  Every
-high-precision computation in the package goes through workprec() so the
-active precision is consistent package-wide.
+environment variable or at runtime with set_precision_bits(); both refuse
+fewer than 64 bits.  Every high-precision computation in the package goes
+through workprec() so the active precision is consistent package-wide.
 """
 
 from __future__ import annotations
@@ -16,7 +16,15 @@ import mpmath
 DEFAULT_PRECISION_BITS = 200
 _ENV_VAR = "RS_PRECISION_BITS"
 
-_bits = int(os.environ.get(_ENV_VAR, DEFAULT_PRECISION_BITS))
+
+def _checked_bits(bits, name: str = "working precision") -> int:
+    bits = int(bits)
+    if bits < 64:
+        raise ValueError(f"{name} must be at least 64 bits")
+    return bits
+
+
+_bits = _checked_bits(os.environ.get(_ENV_VAR, DEFAULT_PRECISION_BITS), _ENV_VAR)
 mpmath.mp.prec = _bits  # so ad-hoc mpf arithmetic outside workprec() is safe too
 
 
@@ -26,9 +34,7 @@ def precision_bits() -> int:
 
 def set_precision_bits(bits: int) -> None:
     global _bits
-    if bits < 64:
-        raise ValueError("working precision must be at least 64 bits")
-    _bits = int(bits)
+    _bits = _checked_bits(bits)
     mpmath.mp.prec = _bits
 
 

@@ -6,10 +6,12 @@ therefore certify by trend (stable minimum eigenvalue across a doubling
 window schedule), and the folding probe reports empirical constants next to
 the minor-conditioning floor they are expected to respect.
 
-When S is a single interval the Gram matrix is unitarily similar to a real
-symmetric sinc-kernel matrix (see _sinc_gram), and the bounds are solved on
-that; unions of intervals are solved on the complex Gram matrix.  The two
-give the same eigenvalues up to float rounding.
+The Gram matrix of a schedule is built once, at its largest window; every
+smaller window is a principal block of it.  When S is a single interval the
+matrix is unitarily similar to a real symmetric sinc-kernel matrix (see
+_sinc_gram), and the bounds are solved on that; unions of intervals are
+solved on the complex Gram matrix.  The two give the same eigenvalues up to
+float rounding.  Both are solved densely, up to DENSE_GRAM_BYTES per matrix.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .errors import (
     InvalidInput,
     InvalidSubset,
     NotPrime,
+    ResourceLimit,
     TruncationWarning,
 )
 from .intervals import Endpoint, IntervalSet, fold_pattern
@@ -35,10 +38,10 @@ from .minors import _is_prime, c_prime_bound
 from .precision import workprec
 from .spectra import Spectrum
 
-DENSE_EIG_LIMIT = 4096
+DENSE_GRAM_BYTES = 2**30
 PASS_FLOOR = 1e-3
-FAIL_FLOOR = 1e-4
 MAX_LAST_DROP = 0.10
+TAIL_THRESHOLD = 0.01
 
 
 def _phase_floats(u: Endpoint, ds: np.ndarray) -> np.ndarray:
@@ -56,24 +59,39 @@ def _window_integers(spectrum: Spectrum, S: IntervalSet, T) -> np.ndarray:
     """Underlying integers m of the spectrum with |scale*m| <= T, ascending."""
     if S.is_empty:
         raise InvalidInput("S must have positive measure")
-    T = Fraction(T)
-    bound = T / spectrum.scale
-    ms = spectrum.enumerate_integers(-bound, bound)
-    if not ms:
+    bound = Fraction(T) / spectrum.scale
+    return np.asarray(spectrum.enumerate_integers(-bound, bound), dtype=np.int64)
+
+
+def _window_slice(spectrum: Spectrum, ms: np.ndarray, T) -> slice:
+    """Positions in the ascending ms of the integers with |scale*m| <= T."""
+    m_max = math.floor(Fraction(T) / spectrum.scale)
+    i, j = np.searchsorted(ms, [-m_max, m_max + 1])
+    if j <= i:
         raise EmptyWindow(f"no frequencies in [-{float(T)}, {float(T)}]")
-    return np.asarray(ms, dtype=np.int64)
+    return slice(int(i), int(j))
 
 
-def gram_matrix(spectrum: Spectrum, S: IntervalSet, T) -> np.ndarray:
-    """Hermitian matrix of pairwise exponential inner products over S.
+def _toeplitz(sym: np.ndarray, ms: np.ndarray) -> np.ndarray:
+    """M[i, j] = sym[m_i - m_j], with sym[-d] = conj(sym[d]) for d > 0.
 
-    Entry (i, j) is the closed-form integral of e^{2 pi i (l_i - l_j) x}
-    over S; the diagonal is measure(S).  Phases are reduced mod 1 at working
-    precision before trigonometric evaluation, so large frequency gaps do
-    not lose accuracy.
+    sym holds d = 0..ms[-1] - ms[0].  Raises ResourceLimit before any n x n
+    allocation when M would exceed DENSE_GRAM_BYTES.
     """
-    ms_arr = _window_integers(spectrum, S, T)
-    dmax = int(ms_arr[-1] - ms_arr[0])
+    n = len(ms)
+    nbytes = n * n * sym.itemsize
+    if nbytes > DENSE_GRAM_BYTES:
+        raise ResourceLimit(
+            f"dense Gram matrix of n={n} needs {nbytes} bytes, "
+            f"over the limit of {DENSE_GRAM_BYTES}"
+        )
+    signed = np.concatenate((np.conj(sym[:0:-1]), sym))
+    return signed[np.subtract.outer(ms, ms) + (len(sym) - 1)]
+
+
+def _complex_gram(spectrum: Spectrum, S: IntervalSet, ms: np.ndarray) -> np.ndarray:
+    """gram_matrix on the ascending integer window ms."""
+    dmax = int(ms[-1] - ms[0])
 
     # g[d] = integral over S of e^{2 pi i (d*scale) x}, d = 0..dmax
     g = np.zeros(dmax + 1, dtype=np.complex128)
@@ -87,15 +105,24 @@ def gram_matrix(spectrum: Spectrum, S: IntervalSet, T) -> np.ndarray:
                 theta = _phase_floats(x * spectrum.scale, ds)
                 acc += sign * np.exp(2j * np.pi * theta)
         g[1:] = acc / (2j * np.pi * deltas)
-
-    D = ms_arr[:, None] - ms_arr[None, :]
-    G = np.where(D >= 0, g[np.abs(D)], np.conj(g[np.abs(D)]))
-    return G
+    return _toeplitz(g, ms)
 
 
-def _sinc_gram(spectrum: Spectrum, S: IntervalSet, T) -> np.ndarray:
-    """Real symmetric matrix with the eigenvalues of gram_matrix(spectrum, S, T)
-    when S is a single interval [a, b).
+def gram_matrix(spectrum: Spectrum, S: IntervalSet, T) -> np.ndarray:
+    """Hermitian matrix of pairwise exponential inner products over S.
+
+    Entry (i, j) is the closed-form integral of e^{2 pi i (l_i - l_j) x}
+    over S; the diagonal is measure(S).  Phases are reduced mod 1 at working
+    precision before trigonometric evaluation, so large frequency gaps do
+    not lose accuracy.
+    """
+    ms = _window_integers(spectrum, S, T)
+    return _complex_gram(spectrum, S, ms[_window_slice(spectrum, ms, T)])
+
+
+def _sinc_gram(spectrum: Spectrum, S: IntervalSet, ms: np.ndarray) -> np.ndarray:
+    """Real symmetric matrix with the eigenvalues of _complex_gram(spectrum,
+    S, ms) when S is a single interval [a, b).
 
     With c = (a+b)/2, w = b-a and s the spectrum scale,
 
@@ -113,7 +140,6 @@ def _sinc_gram(spectrum: Spectrum, S: IntervalSet, T) -> np.ndarray:
     precision, as in gram_matrix, with one reduction per window instead of
     one per endpoint.
     """
-    ms = _window_integers(spectrum, S, T)
     ((left, right),) = S.pieces
     dmax = int(ms[-1] - ms[0])
 
@@ -124,27 +150,7 @@ def _sinc_gram(spectrum: Spectrum, S: IntervalSet, T) -> np.ndarray:
         deltas = ds * float(spectrum.scale)
         theta = _phase_floats((right - left) * (spectrum.scale / 2), ds)
         r[1:] = np.sin(2 * np.pi * theta) / (np.pi * deltas)
-
-    gaps = np.subtract.outer(ms, ms)
-    np.abs(gaps, out=gaps)
-    return r[gaps]
-
-
-def _extreme_eigenvalues(G: np.ndarray) -> tuple[float, float]:
-    n = G.shape[0]
-    if n <= DENSE_EIG_LIMIT:
-        vals = np.linalg.eigvalsh(G)
-        return float(vals[0]), float(vals[-1])
-    from scipy.sparse.linalg import eigsh
-
-    # a fixed start vector instead of one drawn from ARPACK's process-wide
-    # seed; 40 Lanczos vectors converge where the default 20 stall on a
-    # cluster of near-zero eigenvalues
-    v0 = np.random.default_rng(0).standard_normal(n)
-    opts = dict(k=1, tol=1e-10, v0=v0, ncv=min(n - 1, 40), return_eigenvectors=False)
-    lo = eigsh(G, which="SA", **opts)
-    hi = eigsh(G, which="LA", **opts)
-    return float(lo[0]), float(hi[0])
+    return _toeplitz(r, ms)
 
 
 @dataclass(frozen=True)
@@ -178,34 +184,30 @@ class GramReport:
 
 
 def riesz_bounds_estimate(
-    spectrum: Spectrum,
-    S: IntervalSet,
-    schedule: Sequence,
-    *,
-    pass_floor: float = PASS_FLOOR,
-    fail_floor: float = FAIL_FLOOR,
-    max_last_drop: float = MAX_LAST_DROP,
+    spectrum: Spectrum, S: IntervalSet, schedule: Sequence
 ) -> GramReport:
     """Extreme Gram eigenvalues at each window of an increasing schedule.
 
-    A single interval S is solved on the real similar matrix of _sinc_gram,
-    a union of intervals on the complex gram_matrix.  PASS requires the final
-    lower estimate to clear pass_floor and the relative drop over the last
-    schedule step to stay under max_last_drop.
+    One matrix is built, at the largest window: the real similar matrix of
+    _sinc_gram for a single interval S, the complex Gram matrix for a union.
+    Each window is solved on its principal block, which is exactly the
+    matrix of that window.  PASS requires the final lower estimate to clear
+    PASS_FLOOR and the relative drop over the last schedule step to stay
+    under MAX_LAST_DROP.
     """
     schedule = list(schedule)
     if not schedule or any(
         Fraction(t2) <= Fraction(t1) for t1, t2 in zip(schedule, schedule[1:])
     ):
         raise InvalidInput("schedule must be strictly increasing and nonempty")
-    gram = _sinc_gram if len(S.pieces) == 1 else gram_matrix
+    ms = _window_integers(spectrum, S, schedule[-1])
+    blocks = [_window_slice(spectrum, ms, T) for T in schedule]
+    gram = _sinc_gram if len(S.pieces) == 1 else _complex_gram
+    G = gram(spectrum, S, ms)
     history = []
-    count = 0
-    for T in schedule:
-        G = gram(spectrum, S, T)
-        count = G.shape[0]
-        lo, hi = _extreme_eigenvalues(G)
-        history.append((float(T), lo, hi))
+    for T, block in zip(schedule, blocks):
+        vals = np.linalg.eigvalsh(G[block, block])
+        history.append((float(T), float(vals[0]), float(vals[-1])))
     lower = history[-1][1]
     upper = history[-1][2]
     last_drop = None
@@ -216,12 +218,12 @@ def riesz_bounds_estimate(
         xs = np.log([h[0] for h in history])
         ys = np.log([h[1] for h in history])
         slope = float(np.polyfit(xs, ys, 1)[0])
-    ok = lower >= max(pass_floor, fail_floor)
-    if last_drop is not None and last_drop >= max_last_drop:
+    ok = lower >= PASS_FLOOR
+    if last_drop is not None and last_drop >= MAX_LAST_DROP:
         ok = False
     return GramReport(
         window=float(schedule[-1]),
-        count=count,
+        count=len(ms),
         lower_est=lower,
         upper_est=upper,
         history=tuple(history),
@@ -365,8 +367,6 @@ def folding_probe(
     seed: int,
     *,
     trunc_window: int = 2048,
-    refine: int = 1,
-    tail_threshold: float = 0.01,
 ) -> FoldingReport:
     """Randomized probe of the level-sum inequality behind the permuted
     combination.
@@ -386,18 +386,17 @@ def folding_probe(
         raise InvalidInput("shifts must be a permutation of 1..N")
     if trials < 1:
         raise InvalidInput("need at least one trial")
-    if refine < 1:
-        raise InvalidInput("refine must be a positive integer")
-    base_pattern = [(l, r, ks) for l, r, ks in fold_pattern(N, S) if ks]
-    if not base_pattern:
+    pieces = [(l, r, ks) for l, r, ks in fold_pattern(N, S) if ks]
+    if not pieces:
         raise InvalidInput("S must have positive measure")
     cellw = Fraction(1, N)
+    n_pieces = len(pieces)
+    piece_lens = np.array([float((r - l).mpf()) for l, r, _ in pieces])
+    piece_counts = np.array([len(ks) for _, _, ks in pieces])
 
     # bookkeeping: level densities must match the fiber-count measures
     for n in range(1, N + 1):
-        level_measure = sum(
-            float((r - l).mpf()) for l, r, ks in base_pattern if len(ks) >= n
-        )
+        level_measure = sum(piece_lens[piece_counts >= n])
         dens = float(levels[n - 1].density())
         if abs(dens - level_measure) > 1e-9:
             raise InvalidInput(
@@ -405,18 +404,7 @@ def folding_probe(
                 f"{level_measure:.3e}"
             )
 
-    # refined pieces of the fundamental cell, then cells of S piece x offset
-    pieces: list[tuple[Endpoint, Endpoint, tuple[int, ...]]] = []
-    for left, right, ks in base_pattern:
-        width = right - left
-        for sub in range(refine):
-            sl = left + width * Fraction(sub, refine)
-            sr = left + width * Fraction(sub + 1, refine)
-            pieces.append((sl, sr, ks))
-    n_pieces = len(pieces)
-    piece_lens = np.array([float((r - l).mpf()) for l, r, _ in pieces])
-    piece_counts = np.array([len(ks) for _, _, ks in pieces])
-
+    # cells of S: piece of the fundamental cell x offset
     cells: list[tuple[Endpoint, Endpoint]] = []
     cell_piece: list[int] = []
     cell_k: list[int] = []
@@ -504,9 +492,9 @@ def folding_probe(
             if norm_fn > 1e-12 * norm_all:
                 ratio_min = min(ratio_min, level_sum / norm_fn)
 
-    if tail_max > tail_threshold:
+    if tail_max > TAIL_THRESHOLD:
         warnings.warn(
-            f"coefficient tail {tail_max:.3%} exceeds {tail_threshold:.0%} of energy",
+            f"coefficient tail {tail_max:.3%} exceeds {TAIL_THRESHOLD:.0%} of energy",
             TruncationWarning,
         )
     per_level_alpha = tuple(a for a in alpha_min if math.isfinite(a))

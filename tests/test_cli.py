@@ -96,6 +96,22 @@ def test_bounds_failure_exit_code(tmp_path, capsys):
     assert report["result"]["status"] == "FAIL_TREND"
 
 
+def test_bounds_dense_limit_exit_code(tmp_path, capsys, monkeypatch):
+    import rieszspectra.verify as verify_mod
+
+    spec_path = tmp_path / "lam.json"
+    set_path = tmp_path / "s.json"
+    spec_path.write_text(json.dumps(rs.integer_lattice().to_json()))
+    set_path.write_text(json.dumps(IntervalSet.unit().to_json()))
+    monkeypatch.setattr(verify_mod, "DENSE_GRAM_BYTES", 1000)
+    code = main([
+        "bounds", "--spectrum", str(spec_path), "--set", str(set_path),
+        "--schedule", "8,16",
+    ])
+    assert code == 3
+    assert "n=33" in capsys.readouterr().err
+
+
 def test_complement_command(tmp_path, capsys):
     iv = tmp_path / "v.json"
     iv.write_text(json.dumps(IntervalSet([(1, 2)]).to_json()))

@@ -1,5 +1,6 @@
 """Fast paths against their slow oracles: the real sinc Gram against the
-complex Gram, the Avdonin rounding loop against the per-element formula, the
+complex Gram, the one-build bounds schedule against a fresh Gram per window,
+the Avdonin rounding loop against the per-element formula, the
 one-enumeration density check against per-window enumeration, and the
 closed-form fold pattern against the N-cell sweep."""
 
@@ -93,10 +94,9 @@ def spectra(draw):
 @given(spec=spectra(), S=single_intervals(), T=st.integers(2, 100))
 def test_sinc_gram_is_unitarily_similar_to_gram(spec, S, T):
     G = gram_matrix(spec, S, T)
-    R = verify._sinc_gram(spec, S, T)
+    ms = verify._window_integers(spec, S, T)
+    R = verify._sinc_gram(spec, S, ms)
     assert R.dtype == np.float64 and R.shape == G.shape
-    bound = F(T) / spec.scale
-    ms = np.asarray(spec.enumerate_integers(-bound, bound), dtype=np.int64)
     ((left, right),) = S.pieces
     center = (left + right) * F(1, 2)
     d = np.exp(2j * np.pi * verify._phase_floats(center * spec.scale, ms))
@@ -124,23 +124,86 @@ def test_single_interval_path_skips_complex_gram(monkeypatch):
         raise AssertionError("complex Gram built for a single interval")
 
     monkeypatch.setattr(verify, "gram_matrix", refuse)
+    monkeypatch.setattr(verify, "_complex_gram", refuse)
     # criterion 11: the over-complete control still fails on the real path
     rep = riesz_bounds_estimate(integer_lattice(), HALF, [8, 16, 32, 64])
     assert rep.status == "FAIL_TREND"
     assert rep.lower_est < 1e-4
 
 
+def _count_builds(monkeypatch, name):
+    sizes = []
+    build = getattr(verify, name)
+
+    def counted(spectrum, S, ms):
+        sizes.append(len(ms))
+        return build(spectrum, S, ms)
+
+    monkeypatch.setattr(verify, name, counted)
+    return sizes
+
+
 def test_interval_union_keeps_complex_gram(monkeypatch):
-    calls = []
-
-    def counted(*args):
-        calls.append(args[2])
-        return gram_matrix(*args)
-
-    monkeypatch.setattr(verify, "gram_matrix", counted)
+    sizes = _count_builds(monkeypatch, "_complex_gram")
     S = IntervalSet([(0, F(1, 3)), (F(2, 3), 1)])
     riesz_bounds_estimate(integer_lattice(), S, [8, 16])
-    assert calls == [8, 16]
+    assert sizes == [33]
+
+
+def test_single_interval_builds_one_matrix(monkeypatch):
+    sizes = _count_builds(monkeypatch, "_sinc_gram")
+    rep = riesz_bounds_estimate(integer_lattice(), HALF, [F(1, 2), 3, F(7, 2), 64])
+    assert sizes == [129] and rep.count == 129
+
+
+@st.composite
+def interval_unions(draw):
+    """A single interval or a union of two, endpoints as in endpoints()."""
+    first = draw(single_intervals())
+    if draw(st.booleans()):
+        return first
+    ((left, right),) = first.pieces
+    gap = draw(endpoints()) + F(1, 64)
+    width = draw(endpoints()) + F(1, 64)
+    return IntervalSet([(left, right), (right + gap, right + gap + width)])
+
+
+window_ends = st.integers(1, 40) | st.fractions(
+    min_value=F(1, 2), max_value=40, max_denominator=4
+)
+
+
+@SETTINGS
+@given(
+    spec=spectra(),
+    S=interval_unions(),
+    schedule=st.lists(window_ends, min_size=2, max_size=4, unique=True).map(sorted),
+)
+def test_bounds_schedule_matches_fresh_gram_per_window(spec, S, schedule):
+    try:
+        oracle = [np.linalg.eigvalsh(gram_matrix(spec, S, T)) for T in schedule]
+    except EmptyWindow:
+        with pytest.raises(EmptyWindow):
+            riesz_bounds_estimate(spec, S, schedule)
+        return
+    rep = riesz_bounds_estimate(spec, S, schedule)
+    assert [h[0] for h in rep.history] == [float(T) for T in schedule]
+    for (_, lo, hi), vals in zip(rep.history, oracle):
+        assert abs(lo - vals[0]) <= 1e-10
+        assert abs(hi - vals[-1]) <= 1e-10
+    assert rep.count == len(oracle[-1])
+
+
+def test_empty_leading_window_is_named():
+    # frequencies 7 + 100Z: the window T=3 is empty, T=8 is not
+    spec = Spectrum(F(1), (CosetTerm(100, 7),))
+    with pytest.raises(EmptyWindow, match=r"\[-3\.0, 3\.0\]"):
+        riesz_bounds_estimate(spec, HALF, [3, 8])
+    with pytest.raises(EmptyWindow, match=r"\[-3\.0, 3\.0\]"):
+        riesz_bounds_estimate(spec, IntervalSet([(0, F(1, 4)), (F(1, 2), 1)]), [3, 8])
+    # every window empty: the first one is named, as before
+    with pytest.raises(EmptyWindow, match=r"\[-2\.0, 2\.0\]"):
+        riesz_bounds_estimate(spec, HALF, [2, 3])
 
 
 def test_single_interval_bounds_keep_input_checks():

@@ -162,34 +162,24 @@ def test_bounds_bessel_column_energy():
     assert row_energy[mid] > diag[mid] * 0.98
 
 
-def test_extreme_eigenvalues_iterative_path(monkeypatch):
+@pytest.mark.parametrize(
+    "S, itemsize",
+    [(IntervalSet([(F(1, 16), F(5, 8))]), 8), (IntervalSet([(0, F(1, 4)), (F(1, 2), 1)]), 16)],
+)
+def test_dense_gram_limit_raises_resource_limit(monkeypatch, S, itemsize):
     import rieszspectra.verify as verify_mod
 
-    S = IntervalSet([(F(1, 16), F(5, 8))])
-    G = gram_matrix(integer_lattice(), S, 24)
-    dense = np.linalg.eigvalsh(G)
-    monkeypatch.setattr(verify_mod, "DENSE_EIG_LIMIT", 4)
-    lo, hi = verify_mod._extreme_eigenvalues(G)
-    assert abs(lo - dense[0]) < 1e-8
-    assert abs(hi - dense[-1]) < 1e-8
-
-
-def test_extreme_eigenvalues_iterative_path_converges_repeatedly(monkeypatch):
-    # the lower end of this window is a cluster of eigenvalues at rounding
-    # level, where ARPACK with its default 20 Lanczos vectors stalled on
-    # about one start in fifteen
-    import rieszspectra.verify as verify_mod
-
-    S = IntervalSet([(F(1, 16), F(5, 8))])
-    G = gram_matrix(integer_lattice(), S, 24)
-    R = verify_mod._sinc_gram(integer_lattice(), S, 24)
-    monkeypatch.setattr(verify_mod, "DENSE_EIG_LIMIT", 4)
-    for M in (G, R):
-        dense = np.linalg.eigvalsh(M)
-        for _ in range(10):
-            lo, hi = verify_mod._extreme_eigenvalues(M)
-            assert abs(lo - dense[0]) < 1e-8
-            assert abs(hi - dense[-1]) < 1e-8
+    # the documented limits: complex n <= 8192, real n <= 11585
+    n_max = {8: 11585, 16: 8192}[itemsize]
+    assert n_max**2 * itemsize <= verify_mod.DENSE_GRAM_BYTES < (n_max + 1) ** 2 * itemsize
+    # the T=24 window of Z has n=49; the real sinc matrix takes 8 bytes an
+    # entry, the complex Gram matrix 16
+    nbytes = 49 * 49 * itemsize
+    monkeypatch.setattr(verify_mod, "DENSE_GRAM_BYTES", nbytes - 1)
+    with pytest.raises(rs.ResourceLimit, match=f"n=49 needs {nbytes} bytes"):
+        riesz_bounds_estimate(integer_lattice(), S, [12, 24])
+    monkeypatch.setattr(verify_mod, "DENSE_GRAM_BYTES", nbytes)
+    assert riesz_bounds_estimate(integer_lattice(), S, [12, 24]).count == 49
 
 
 # -- density -----------------------------------------------------------------
