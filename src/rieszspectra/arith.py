@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 import mpmath
@@ -11,7 +12,7 @@ import numpy as np
 
 from .errors import IndependenceSuspect, InvalidInput, NotFound, ResourceLimit
 from .intervals import Endpoint, grid_separation_ok
-from .precision import ambiguity_threshold, workprec
+from .precision import ambiguity_threshold, precision_bits, workprec
 
 DEFAULT_SIEVE_BUDGET = 10**8
 DEFAULT_PROBE_BUDGET = 2 * 10**6
@@ -79,7 +80,7 @@ def ordering_primes(
             raise IndependenceSuspect(relation)
     endpoints = [e for pair in zip(a, b) for e in pair]
     scanned = 0
-    for N in primes_up_to(prime_limit, budget=max(prime_limit, DEFAULT_SIEVE_BUDGET)):
+    for N in primes_up_to(prime_limit):
         scanned += 1
         if N < 2 * L + 1:
             continue
@@ -112,6 +113,8 @@ def find_ordering_prime(
     probe_max_coeff: int = 10,
 ) -> PrimeSearchResult:
     """The (index+1)-th prime passing the ordering and separation tests."""
+    if index < 0:
+        raise InvalidInput("index must be non-negative")
     gen = ordering_primes(
         a,
         b,
@@ -176,24 +179,52 @@ def rational_relation_probe(
 ) -> Optional[tuple[int, ...]]:
     """Search for a small integer relation q0 + sum q_i * v_i = 0.
 
-    Returns the coefficient vector (q0, q1, ..., qm) of the first relation
-    found on an expanding max-norm shell scan, or None.  A returned relation
-    disproves rational independence; None is only heuristic evidence.
+    The search box is every (q0, q1, ..., qm) with max-norm <= max_coeff,
+    and a relation holds when |q0 + sum q_i v_i| < tol, evaluated in mpf at
+    working precision.  tol is ambiguity_threshold(), or 1e-9 when any value
+    is a float.
+
+    Returns the coefficient vector of the first relation found on an
+    expanding max-norm shell scan, or None.  A returned relation disproves
+    rational independence.  None proves that no vector in the box is a
+    relation; it is evidence, not proof, of independence beyond the box.
+
+    An exact lattice certificate (_no_relation_certified) runs first.  When
+    it holds, None is returned without scanning.  Otherwise the shell scan
+    runs, and budget caps its (2*max_coeff+1)^m points.  At the default 200
+    bits and max_coeff = 10, the certificate holds on the endpoints
+    k/(2L+1) + sqrt(p_k)/500 through L = 6 intervals (m = 12 values) and
+    fails at L = 7, where the scan runs and raises ResourceLimit.
     """
-    m = len(values)
-    if m < 1:
+    if len(values) < 1:
         raise InvalidInput("need at least one value")
     if max_coeff < 1:
         raise InvalidInput("max_coeff must be at least 1")
+    vs, tol = _scan_values(values)
+    if _no_relation_certified(vs, tol, max_coeff):
+        return None
+    return _relation_scan(vs, tol, max_coeff, budget)
+
+
+def _scan_values(values: Sequence):
+    """The values at working precision and the relation tolerance."""
+    float_input = any(isinstance(v, float) for v in values)
+    with workprec():
+        vs = [Endpoint.coerce(v).mpf() for v in values]
+        tol = mpmath.mpf("1e-9") if float_input else ambiguity_threshold()
+    return vs, tol
+
+
+def _relation_scan(vs, tol, max_coeff: int, budget: int) -> Optional[tuple[int, ...]]:
+    """The brute-force shell scan: the first relation in shell order, sign
+    normalized, or None.  The fallback of rational_relation_probe and its
+    test oracle."""
+    m = len(vs)
     if (2 * max_coeff + 1) ** m > budget:
         raise ResourceLimit(
             f"search box (2*{max_coeff}+1)^{m} exceeds budget {budget}"
         )
-    float_input = any(isinstance(v, float) for v in values)
-    eps = [Endpoint.coerce(v) for v in values]
     with workprec():
-        vs = [e.mpf() for e in eps]
-        tol = mpmath.mpf("1e-9") if float_input else ambiguity_threshold()
         for shell in range(1, max_coeff + 1):
             for q in itertools.product(range(-shell, shell + 1), repeat=m):
                 if max(abs(c) for c in q) != shell:
@@ -211,3 +242,97 @@ def rational_relation_probe(
                 if abs(s + q0) < tol:
                     return (q0, *q)
     return None
+
+
+def _exact(x: mpmath.mpf) -> Fraction:
+    """A finite mpf as an exact Fraction (mpf.man_exp drops the sign)."""
+    return Fraction(*mpmath.libmp.to_rational(x._mpf_))
+
+
+def _no_relation_certified(vs, tol, max_coeff: int) -> bool:
+    """True only when _relation_scan(vs, tol, max_coeff, ...) returns None.
+
+    Take x_0 = 1 and x_i = vs[i-1] exactly, n = m+1, M = max_coeff, and the
+    largest power of two C with C*tol <= 1.  The lattice spanned by the rows
+    (e_i, round(C*x_i)), i = 0..m, is LLL-reduced in integers.
+
+    Proof.  A vector q != 0 that the scan accepts has max-norm <= M, and its
+    mpf sum satisfies |q0 + sum q_i x_i| < tol.  The exact sum differs from
+    the mpf one by at most eps, the rounding bound below, and C*eps <= 1 is
+    checked.  So the lattice vector (q, sum q_i round(C*x_i)) has last
+    coordinate below C*tol + C*eps + ||q||_1/2 <= 2 + n*M/2 in magnitude,
+    and norm^2 < R^2 = n*M^2 + (2 + n*M/2)^2.  Every nonzero lattice vector
+    has norm >= min ||b*_i|| over the Gram-Schmidt vectors of any basis, so
+    ||b*_i||^2 = d_{i+1}/d_i > R^2 for every i leaves no such q.
+    """
+    if not all(mpmath.isfinite(v) for v in vs):
+        return False  # the scan decides (and raises) on non-finite values
+    xs = [Fraction(1)] + [_exact(v) for v in vs]
+    tol = _exact(tol)
+    n, M = len(xs), max_coeff
+    C = 1 << ((tol.denominator // tol.numerator).bit_length() - 1)
+    # round-to-nearest mpf: m products and m+1 additions, each a relative
+    # error of at most 2^-p; 4 * 2^-p covers the second-order terms
+    eps = Fraction(4, 1 << precision_bits()) * (tol + n * M * sum(abs(x) for x in xs))
+    if C * eps > 1:
+        return False
+    R2 = n * M * M + (2 + Fraction(n * M, 2)) ** 2
+    basis = [[int(i == j) for j in range(n)] + [round(C * x)] for i, x in enumerate(xs)]
+    d = _lll_gram_dets(basis)
+    return all(d[i + 1] * R2.denominator > R2.numerator * d[i] for i in range(n))
+
+
+def _lll_gram_dets(b: list[list[int]]) -> list[int]:
+    """Integral LLL with delta = 3/4 (Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 2.6.7), reducing the independent integer
+    rows b in place.
+
+    Returns d with d[0] = 1 and d[i] the Gram determinant of the first i
+    reduced rows, so the Gram-Schmidt norms are ||b*_i||^2 = d[i+1] / d[i].
+    Every division below is exact.
+    """
+    n = len(b)
+    d = [1, sum(x * x for x in b[0])] + [0] * (n - 1)
+    lam = [[0] * n for _ in range(n)]  # lam[k][j] = d[j+1] * mu_kj, j < k
+
+    def reduce(k: int, l: int) -> None:
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    def swap(k: int, kmax: int) -> None:
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        mu = lam[k][k - 1]
+        B = (d[k - 1] * d[k + 1] + mu * mu) // d[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - mu * t) // d[k]
+            lam[i][k - 1] = (B * t + mu * lam[i][k]) // d[k + 1]
+        d[k] = B
+
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            for j in range(k + 1):
+                u = sum(x * y for x, y in zip(b[k], b[j]))
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                else:
+                    d[k + 1] = u
+        reduce(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+            swap(k, kmax)
+            k = max(1, k - 1)
+            continue
+        for l in range(k - 2, -1, -1):
+            reduce(k, l)
+        k += 1
+    return d

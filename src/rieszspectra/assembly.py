@@ -135,8 +135,8 @@ class HierarchyPlan:
             "a": [e.to_json() for e in self.a],
             "b": [e.to_json() for e in self.b],
             "set": self.S.to_json(),
-            "a_sets": [s.to_json() for s in self.a_sets],
-            "level_spectra": [s.to_json() for s in self.level_spectra],
+            "a_sets": _shared_json(self.a_sets),
+            "level_spectra": _shared_json(self.level_spectra),
             "level_interval": list(self.level_interval),
             "K_ell": list(self.K_ell),
             "K": self.K,
@@ -165,6 +165,21 @@ class HierarchyPlan:
                 ordering_witness=tuple(obj["witness"]["ordering_witness"]),
             ),
         )
+
+
+def _shared_json(objs: Sequence) -> list[dict]:
+    """[o.to_json() for o in objs], serializing each distinct object once.
+
+    The N levels of a plan share a few objects, so entries for one object
+    share one dict; callers must not mutate the result.
+    """
+    memo: dict[int, dict] = {}
+    out = []
+    for o in objs:
+        if id(o) not in memo:
+            memo[id(o)] = o.to_json()
+        out.append(memo[id(o)])
+    return out
 
 
 def _level_blocks(K_ell: Sequence[int]) -> list[range]:
@@ -230,6 +245,8 @@ def construct_hierarchy(
     intervals in contiguous blocks, and attaches a rounded-subsequence
     generator to each interval's fractional level.
     """
+    if prime_index < 0:
+        raise InvalidInput("prime_index must be non-negative")
     a, b = interval_chain(a, b)
     relation = rational_relation_probe(list(a) + list(b), probe_max_coeff)
     if relation is not None:
@@ -452,7 +469,7 @@ class ComplementResult:
             "N": self.N,
             "M": self.M,
             "lambda_prime": self.lambda_prime.to_json(),
-            "level_spectra": [s.to_json() for s in self.level_spectra],
+            "level_spectra": _shared_json(self.level_spectra),
             "set": self.S.to_json(),
         }
 
@@ -545,12 +562,13 @@ def complement_integer_spectrum(
     if M < 1:
         raise ConstructionError("the unit interval must fill the first level")
 
+    full, empty = integer_lattice(N, 0), empty_spectrum()
     level_spectra: list[Spectrum] = []
     for n in range(1, N + 1):
         if n <= M:
-            level_spectra.append(integer_lattice(N, 0))
+            level_spectra.append(full)
         elif a_sets[n - 1].is_empty:
-            level_spectra.append(empty_spectrum())
+            level_spectra.append(empty)
         else:
             level_spectra.append(
                 _level_spectrum_for(

@@ -9,10 +9,10 @@ seed): JSON is emitted with sorted keys and no timestamps.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from . import __version__
 from .arith import find_ordering_prime, weyl_discrepancy
@@ -44,6 +44,8 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+
+_DUMP_TOKENS = 4096  # JSON tokens joined per write of a streamed report
 
 
 def _load_json(path: str) -> dict:
@@ -96,15 +98,27 @@ def _write_report(args, payload: dict, status: str, artifact: dict = None) -> No
         "status": status,
         "result": payload,
     }
-    text = json.dumps(report, sort_keys=True, indent=2, default=str) + "\n"
-    if getattr(args, "out", None):
-        if artifact is not None:
-            Path(args.out).write_text(
-                json.dumps(artifact, sort_keys=True, indent=2, default=str) + "\n"
-            )
-        else:
-            Path(args.out).write_text(text)
-    sys.stdout.write(text)
+    if not getattr(args, "out", None):
+        _dump(report, sys.stdout)
+    elif artifact is None:
+        with open(args.out, "w") as fh:
+            _dump(report, fh, sys.stdout)
+    else:
+        with open(args.out, "w") as fh:
+            _dump(artifact, fh)
+        _dump(report, sys.stdout)
+
+
+def _dump(obj, *streams) -> None:
+    """Write json.dumps(obj, sort_keys=True, indent=2, default=str) plus a
+    newline to every stream, in joined blocks of tokens: the indented
+    encoder yields one small str per token, and joining them all at once
+    costs several times the report's size in transient memory."""
+    encoder = json.JSONEncoder(sort_keys=True, indent=2, default=str)
+    tokens = itertools.chain(encoder.iterencode(obj), "\n")
+    while block := "".join(itertools.islice(tokens, _DUMP_TOKENS)):
+        for fh in streams:
+            fh.write(block)
 
 
 def _cmd_find_prime(args) -> int:

@@ -1,5 +1,6 @@
 """Prime sieve, the ordering-prime scan, discrepancy, and the relation probe."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,8 +16,17 @@ from rieszspectra import (
     rational_relation_probe,
     weyl_discrepancy,
 )
+from rieszspectra.arith import DEFAULT_PROBE_BUDGET, _relation_scan, _scan_values
 from rieszspectra.intervals import Endpoint
 from rieszspectra.precision import hp_sqrt
+
+
+def _sqrt_endpoints(L):
+    """k/(2L+1) + sqrt(p_k)/500 for k = 1..2L, p_k the k-th prime."""
+    return [
+        Endpoint(Fraction(k, 2 * L + 1)) + Endpoint(0, hp_sqrt(p)) * Fraction(1, 500)
+        for k, p in enumerate(primes_up_to(60)[: 2 * L], start=1)
+    ]
 
 
 def _trial_division_primes(limit):
@@ -80,6 +90,21 @@ def test_find_ordering_prime_rational_endpoints_flagged():
         find_ordering_prime([Fraction(1, 4)], [Fraction(3, 4)], 1000)
 
 
+def test_find_ordering_prime_negative_index():
+    a = Endpoint(0, hp_sqrt(2)) - 1
+    b = Endpoint(0, hp_sqrt(3)) - 1
+    with pytest.raises(InvalidInput, match="index"):
+        find_ordering_prime([a], [b], 100, index=-1)
+
+
+def test_find_ordering_prime_sieve_budget():
+    # the default sieve budget (1e8) refuses before allocating the sieve
+    a = Endpoint(0, hp_sqrt(2)) - 1
+    b = Endpoint(0, hp_sqrt(3)) - 1
+    with pytest.raises(ResourceLimit, match="sieve limit"):
+        find_ordering_prime([a], [b], 10**9)
+
+
 def test_find_ordering_prime_empty_input():
     with pytest.raises(InvalidInput):
         find_ordering_prime([], [], 100)
@@ -133,3 +158,21 @@ def test_relation_probe_independent_values():
 def test_relation_probe_budget():
     with pytest.raises(ResourceLimit):
         rational_relation_probe([0.1] * 8, 10)
+
+
+def test_relation_probe_certifies_l4_endpoints():
+    # 21^8 points: the shell scan alone is over its budget
+    values = _sqrt_endpoints(4)
+    with pytest.raises(ResourceLimit):
+        _relation_scan(*_scan_values(values), 10, DEFAULT_PROBE_BUDGET)
+    t0 = time.perf_counter()
+    assert rational_relation_probe(values, 10) is None
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_relation_probe_reach_at_default_precision():
+    # the documented reach at 200 bits: certified through L = 6, and at
+    # L = 7 the scan runs and refuses its 21^14 points
+    assert rational_relation_probe(_sqrt_endpoints(6), 10) is None
+    with pytest.raises(ResourceLimit):
+        rational_relation_probe(_sqrt_endpoints(7), 10)

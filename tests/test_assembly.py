@@ -1,5 +1,6 @@
 """Level combination and both end-to-end constructions."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -236,6 +237,31 @@ def test_hierarchy_prime_index_picks_later_prime():
     assert plan1.N > plan0.N
 
 
+def test_hierarchy_negative_prime_index():
+    a = Endpoint(0, hp_sqrt(2)) - 1
+    b = Endpoint(0, hp_sqrt(3)) - 1
+    with pytest.raises(InvalidInput, match="prime_index"):
+        construct_hierarchy([a], [b], 100, prime_index=-1)
+
+
+def test_hierarchy_json_serializes_shared_levels_once(plan_l3):
+    got = plan_l3.to_json()
+    oracle = dict(
+        got,
+        a_sets=[s.to_json() for s in plan_l3.a_sets],
+        level_spectra=[s.to_json() for s in plan_l3.level_spectra],
+    )
+    assert json.dumps(got, sort_keys=True, indent=2) == json.dumps(
+        oracle, sort_keys=True, indent=2
+    )
+    for key in ("a_sets", "level_spectra"):
+        objs = getattr(plan_l3, key)
+        assert len(got[key]) == plan_l3.N == 1933
+        assert len({id(d) for d in got[key]}) == len({id(o) for o in objs})
+    assert len({id(d) for d in got["a_sets"]}) <= 2 * 3 + 2
+    assert len({id(d) for d in got["level_spectra"]}) <= 3 + 2
+
+
 def test_hierarchy_json_roundtrip(plan_l1):
     back = rs.HierarchyPlan.from_json(plan_l1.to_json())
     assert back.N == plan_l1.N
@@ -344,6 +370,15 @@ def test_complement_validation():
         complement_integer_spectrum(2, [F(1, 2)], [F(3, 2)])  # a_1 < 1
     with pytest.raises(InvalidInput):
         complement_integer_spectrum(2, [1], [3])  # b_L > N
+
+
+def test_complement_json_serializes_shared_levels_once():
+    res = complement_integer_spectrum(5, [1], [F(7, 3)])
+    got = res.to_json()
+    oracle = dict(got, level_spectra=[s.to_json() for s in res.level_spectra])
+    assert json.dumps(got, sort_keys=True) == json.dumps(oracle, sort_keys=True)
+    full = got["level_spectra"][: res.M]
+    assert res.M >= 2 and all(d is full[0] for d in full)
 
 
 def test_complement_full_spectrum_contains_integers():

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, report schema, and replay determinism."""
 
+import io
 import json
 from fractions import Fraction
 
@@ -214,3 +215,43 @@ def test_precision_bits_apply_to_one_call_only(monkeypatch, capsys, sqrt_interva
     capsys.readouterr()
     assert seen == [96, before]
     assert precision_bits() == before
+
+
+def test_construct_hierarchy_negative_prime_index(capsys, sqrt_interval_file):
+    code = main([
+        "construct-hierarchy", "--intervals", sqrt_interval_file,
+        "--prime-limit", "100", "--prime-index", "-1",
+    ])
+    assert code == 2
+    assert "prime_index" in capsys.readouterr().err
+
+
+def test_construct_hierarchy_l3(tmp_path, capsys, spec_l3, plan_l3):
+    # 21^6 relation-probe points are over the scan budget; the lattice
+    # certificate settles the probe, and the CLI builds the library plan
+    iv = tmp_path / "s.json"
+    iv.write_text(json.dumps(spec_l3))
+    out = tmp_path / "plan.json"
+    code = main([
+        "construct-hierarchy", "--intervals", str(iv), "--prime-limit", "100000",
+        "--out", str(out),
+    ])
+    text = capsys.readouterr().out
+    assert code == 0
+    report = json.loads(text)
+    got = dict(report["result"])
+    want = json.loads(json.dumps(plan_l3.to_json()))
+    assert got.pop("witness")["N"] == 1933
+    want.pop("witness")
+    assert got == want
+    # the streamed writer emits what one-shot json.dumps would
+    assert text == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert out.read_text() == json.dumps(report["result"], sort_keys=True, indent=2) + "\n"
+
+
+def test_streamed_dump_matches_json_dumps(plan_l3):
+    payload = {"plan": plan_l3.to_json(), "odd": Fraction(1, 3)}
+    first, second = io.StringIO(), io.StringIO()
+    cli._dump(payload, first, second)
+    want = json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n"
+    assert first.getvalue() == second.getvalue() == want

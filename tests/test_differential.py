@@ -1,8 +1,9 @@
 """Fast paths against their slow oracles: the real sinc Gram against the
 complex Gram, the one-build bounds schedule against a fresh Gram per window,
 the Avdonin rounding loop against the per-element formula, the
-one-enumeration density check against per-window enumeration, and the
-closed-form fold pattern against the N-cell sweep."""
+one-enumeration density check against per-window enumeration, the
+closed-form fold pattern against the N-cell sweep, and the lattice relation
+certificate against the shell scan."""
 
 import math
 from fractions import Fraction
@@ -15,6 +16,12 @@ from hypothesis import strategies as st
 
 import rieszspectra.intervals as intervals
 import rieszspectra.verify as verify
+from rieszspectra.arith import (
+    DEFAULT_PROBE_BUDGET,
+    _no_relation_certified,
+    _relation_scan,
+    _scan_values,
+)
 from rieszspectra import (
     AmbiguousEndpoint,
     AvdoninFilter,
@@ -31,6 +38,7 @@ from rieszspectra import (
     fold_pattern,
     gram_matrix,
     integer_lattice,
+    rational_relation_probe,
     riesz_bounds_estimate,
 )
 from rieszspectra.precision import ambiguity_threshold, hp_sqrt, workprec
@@ -409,3 +417,76 @@ def test_fold_pattern_shares_level_sets():
     levels = a_geq_all(1009, S)
     assert len(levels) == 1009
     assert len({id(s) for s in levels}) <= 8
+
+
+# -- relation probe: lattice certificate vs shell scan ------------------------
+
+RELATION_ROOTS = (2, 3, 5, 7, 11, 13, 17, 19)
+
+@st.composite
+def relation_values(draw):
+    """A rational, a float, r + c*sqrt(p), or r + c*sqrt(p) + c'*sqrt(p')."""
+    r = F(draw(st.integers(-20, 20)), draw(st.integers(1, 12)))
+    kind = draw(st.sampled_from(("rational", "float", "sqrt", "sqrt", "two_bases")))
+    if kind == "rational":
+        return r
+    if kind == "float":
+        return draw(st.sampled_from((0.1, 0.25, 1 / 3, 0.7071067811865476))) * float(
+            draw(st.integers(1, 9))
+        )
+    p, p2 = draw(st.lists(st.sampled_from(RELATION_ROOTS), min_size=2, max_size=2, unique=True))
+    value = Endpoint(r) + sqrt_multiple(p, F(draw(st.integers(1, 30)), draw(st.integers(1, 12))))
+    if kind == "two_bases":  # the sum rounds the two bases into a new one
+        value = value + sqrt_multiple(p2, F(draw(st.integers(-30, 30)), draw(st.integers(1, 12))))
+    return value
+
+
+@st.composite
+def relation_instances(draw):
+    """1-4 values and max_coeff 1-4; half of them with a planted relation
+    q0 + sum q_i v_i = 0, solved for one value, with |q_i| <= max_coeff + 1."""
+    m = draw(st.integers(1, 4))
+    M = draw(st.integers(1, 4))
+    values = [draw(relation_values()) for _ in range(m)]
+    if draw(st.booleans()):
+        q = draw(st.lists(st.integers(-M - 1, M + 1), min_size=m + 1, max_size=m + 1))
+        j = draw(st.integers(1, m))
+        assume(q[j] != 0)
+        rest = Endpoint(q[0])
+        for i in range(1, m + 1):
+            if i != j:
+                rest = rest + Endpoint.coerce(values[i - 1]) * q[i]
+        values[j - 1] = rest * F(-1, q[j])
+    return values, M
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=relation_instances())
+def test_relation_probe_matches_shell_scan(instance):
+    values, M = instance
+    vs, tol = _scan_values(values)
+    assert rational_relation_probe(values, M) == _relation_scan(
+        vs, tol, M, DEFAULT_PROBE_BUDGET
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=relation_instances(), bits=st.integers(6, 40))
+def test_relation_certificate_implies_empty_scan(instance, bits):
+    # a coarse tolerance 2^-bits puts near-relations close to the lattice bound
+    values, M = instance
+    vs, _ = _scan_values(values)
+    with workprec():
+        tol = mpmath.mpf(2) ** -bits
+    if _no_relation_certified(vs, tol, M):
+        assert _relation_scan(vs, tol, M, DEFAULT_PROBE_BUDGET) is None
+
+
+def test_relation_certificate_decides_both_ways():
+    # the property above is vacuous unless the certificate holds on some
+    # instances and fails on others
+    s2, s3 = sqrt_multiple(2, F(1)), sqrt_multiple(3, F(1))
+    vs, tol = _scan_values([s2 - 1, s3 - 1])
+    assert _no_relation_certified(vs, tol, 10)
+    vs, tol = _scan_values([s2 - 1, s2 * 2 - 2])
+    assert not _no_relation_certified(vs, tol, 3)
