@@ -265,8 +265,6 @@ def _no_relation_certified(vs, tol, max_coeff: int) -> bool:
     has norm >= min ||b*_i|| over the Gram-Schmidt vectors of any basis, so
     ||b*_i||^2 = d_{i+1}/d_i > R^2 for every i leaves no such q.
     """
-    if not all(mpmath.isfinite(v) for v in vs):
-        return False  # the scan decides (and raises) on non-finite values
     xs = [Fraction(1)] + [_exact(v) for v in vs]
     tol = _exact(tol)
     n, M = len(xs), max_coeff

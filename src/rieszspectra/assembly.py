@@ -355,13 +355,10 @@ def _validate_plan(plan: HierarchyPlan, check_window: int) -> None:
     if merged != by_levels:
         raise ConstructionError("per-interval union disagrees with the level union")
     # each interval's spectrum must carry exactly that interval's density
-    for lam, (x, y) in zip(plan.lambda_ell, zip(plan.a, plan.b)):
-        dens = lam.density()
-        target = float((y - x).mpf())
-        if abs(float(dens) - target) > 1e-30 + 1e-12 * abs(target):
-            raise ConstructionError(
-                f"density {float(dens)} of an interval spectrum is off target {target}"
-            )
+    # (K_l + {N b} - {N a}) / N = b - a holds term by term, so exactly
+    for ell, (lam, x, y) in enumerate(zip(plan.lambda_ell, plan.a, plan.b), start=1):
+        if lam.density() != y - x:
+            raise ConstructionError(f"density of interval {ell}'s spectrum is not b - a")
 
 
 @dataclass(frozen=True)

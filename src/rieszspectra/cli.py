@@ -32,9 +32,9 @@ from .errors import (
     ResourceLimit,
     RieszSpectraError,
 )
-from .intervals import Endpoint, IntervalSet
+from .intervals import Endpoint, IntervalSet, parse_fraction
 from .minors import chebotarev_check
-from .precision import precision_bits, set_precision_bits
+from .precision import hp_sqrt, precision_bits, set_precision_bits
 from .spectra import Spectrum
 from .verify import density_check, folding_probe, riesz_bounds_estimate
 
@@ -150,15 +150,19 @@ def _cmd_complement(args) -> int:
 def _cmd_bounds(args) -> int:
     spectrum = _load_spectrum(args.spectrum)
     S = IntervalSet.from_json(_unwrap(_load_json(args.set)))
-    schedule = [Fraction(x) for x in args.schedule.split(",")]
+    schedule = _parse_schedule(args.schedule)
     report = riesz_bounds_estimate(spectrum, S, schedule)
     _write_report(args, report.to_json(), report.status)
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
+def _parse_schedule(text: str) -> list[Fraction]:
+    return [parse_fraction(x, "--schedule") for x in text.split(",")]
+
+
 def _cmd_verify(args) -> int:
     plan = _load_plan(args.plan)
-    schedule = [Fraction(x) for x in args.schedule.split(",")]
+    schedule = _parse_schedule(args.schedule)
     density_windows = [schedule[-1] * m for m in (1, 2, 4)]
     subsets = []
     if args.all_subsets:
@@ -216,11 +220,12 @@ def _cmd_probe_folding(args) -> int:
 def _parse_value_token(token: str) -> Endpoint:
     token = token.strip()
     if token.startswith("sqrt(") and token.endswith(")"):
-        from .precision import hp_sqrt
-
-        return Endpoint(0, hp_sqrt(int(token[5:-1])))
+        radicand = int(token[5:-1])
+        if radicand < 0:
+            raise InvalidInput(f"--values: negative radicand in {token!r}")
+        return Endpoint(0, hp_sqrt(radicand))
     if "/" in token:
-        return Endpoint(Fraction(token))
+        return Endpoint(parse_fraction(token, "--values"))
     return Endpoint.coerce(token)
 
 

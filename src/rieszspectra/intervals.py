@@ -1,8 +1,13 @@
 """Exact interval-set arithmetic on [0,1) and the fiber-counting partitions.
 
-Endpoints are kept as an exact rational plus an optional high-precision
-irrational summand, so that orderings of values like {N*a} can be decided
-robustly.  A comparison that cannot be decided at working precision raises
+An endpoint is an exact Q-linear form: a rational part plus rational
+multiples of generators, finite nonzero mpf values made at working
+precision.  The paper's endpoints 1, a_1, ..., b_L are rationally
+independent, and every value the constructions derive from them ({N*a},
+b - a, level widths, spectrum densities) is such a form, so arithmetic
+never rounds and values equal by construction compare equal structurally.
+Only two different combinations are compared numerically, and a
+comparison that cannot be decided at working precision raises
 AmbiguousEndpoint instead of guessing.
 """
 
@@ -16,46 +21,58 @@ from typing import Iterable, Sequence
 import mpmath
 
 from .errors import AmbiguousEndpoint, InvalidInput
-from .precision import ambiguity_threshold, frac_to_mpf, hp, workprec
+from .precision import ambiguity_threshold, frac_to_mpf, workprec
 
 
 def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-class Endpoint:
-    """A real number split as exact rational part + optional irrational part.
+def parse_fraction(value, field: str) -> Fraction:
+    """Fraction(value), raising InvalidInput naming field when value is not
+    a finite rational (a malformed string, 1/0, nan or inf)."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise InvalidInput(f"{field}: {value!r} is not a finite rational") from exc
 
-    The irrational part is stored as an exact rational coefficient times an
-    mpf base created at working precision, so that rational rescalings (the
-    bread and butter of cell folding) are exact and values reached along
-    different arithmetic paths still compare structurally.  Only the mixing
-    of two different irrational bases rounds (at working precision).
+
+def _generator(x) -> dict:
+    """The form {g: 1} of a generator g = x at working precision, or {} for 0.
+
+    Raises InvalidInput for NaN, infinities and non-real values, which
+    would otherwise compare as "equal" or fail deep inside arithmetic."""
+    try:
+        with workprec():
+            g = mpmath.mpf(x)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"irrational part {x!r} is not a real number") from exc
+    if not mpmath.isfinite(g):
+        raise InvalidInput(f"irrational part {x!r} is not finite")
+    return {g: Fraction(1)} if g else {}
+
+
+class Endpoint:
+    """A real number rational + sum of c_g * g over its generators g.
+
+    irr maps each generator (an mpf, identified by its value) to its
+    nonzero Fraction coefficient, in first-appearance order, and is never
+    mutated after construction.  Sums, negations, rational rescalings and
+    frac() only add or scale exact coefficients, so nothing rounds; two
+    values with equal maps compare by their rational parts alone.
     """
 
-    __slots__ = ("rational", "irr_base", "irr_coeff")
+    __slots__ = ("rational", "irr")
 
     def __init__(self, rational=0, irrational=None):
         self.rational = Fraction(rational)
-        base = None
-        if irrational is not None:
-            with workprec():
-                base = mpmath.mpf(irrational)
-            if base == 0:
-                base = None
-        self.irr_base = base
-        self.irr_coeff = Fraction(1)
+        self.irr = {} if irrational is None else _generator(irrational)
 
     @classmethod
-    def _build(cls, rational: Fraction, base, coeff: Fraction) -> "Endpoint":
+    def _build(cls, rational: Fraction, irr: dict) -> "Endpoint":
         e = cls.__new__(cls)
         e.rational = rational
-        if base is None or coeff == 0:
-            e.irr_base = None
-            e.irr_coeff = Fraction(1)
-        else:
-            e.irr_base = base
-            e.irr_coeff = coeff
+        e.irr = irr
         return e
 
     # -- conversions --------------------------------------------------
@@ -67,43 +84,39 @@ class Endpoint:
         if isinstance(x, (int, Fraction)):
             return cls(x)
         if isinstance(x, float):
-            return cls(Fraction(x))
+            return cls(parse_fraction(x, "endpoint"))
         if isinstance(x, mpmath.mpf):
             return cls(0, x)
         if isinstance(x, str):
-            return cls(0, hp(x))
+            return cls(0, x)
         raise TypeError(f"cannot interpret {x!r} as an endpoint")
+
+    def _irr_sum(self) -> mpmath.mpf:
+        """The sum of c_g * g, added left to right in map order; call inside
+        workprec() on a value with at least one generator."""
+        return sum(g * c.numerator / c.denominator for g, c in self.irr.items())
 
     def mpf(self) -> mpmath.mpf:
         with workprec():
             val = frac_to_mpf(self.rational)
-            if self.irr_base is not None:
-                c = self.irr_coeff
-                val = val + self.irr_base * c.numerator / c.denominator
+            if self.irr:
+                val = val + self._irr_sum()
             return val
 
     def __float__(self) -> float:
+        if not self.irr:  # correctly rounded, no working-precision pass
+            return float(self.rational)
         return float(self.mpf())
 
     @property
     def is_rational(self) -> bool:
-        return self.irr_base is None
-
-    def _same_irrational(self, other: "Endpoint") -> bool:
-        if self.irr_base is None and other.irr_base is None:
-            return True
-        return (
-            self.irr_base is not None
-            and other.irr_base is not None
-            and self.irr_coeff == other.irr_coeff
-            and self.irr_base == other.irr_base
-        )
+        return not self.irr
 
     # -- comparisons ---------------------------------------------------
 
     def _cmp(self, other) -> int:
         other = Endpoint.coerce(other)
-        if self._same_irrational(other):
+        if self.irr == other.irr:
             return _sign(self.rational - other.rational)
         with workprec():
             d = (self - other).mpf()
@@ -137,26 +150,23 @@ class Endpoint:
     def __add__(self, other):
         other = Endpoint.coerce(other)
         rat = self.rational + other.rational
-        if other.irr_base is None:
-            return Endpoint._build(rat, self.irr_base, self.irr_coeff)
-        if self.irr_base is None:
-            return Endpoint._build(rat, other.irr_base, other.irr_coeff)
-        if self.irr_base == other.irr_base:
-            return Endpoint._build(rat, self.irr_base, self.irr_coeff + other.irr_coeff)
-        with workprec():
-            c1, c2 = self.irr_coeff, other.irr_coeff
-            mixed = (
-                self.irr_base * c1.numerator / c1.denominator
-                + other.irr_base * c2.numerator / c2.denominator
-            )
-        if mixed == 0:
-            mixed = None
-        return Endpoint._build(rat, mixed, Fraction(1))
+        if not other.irr:
+            return Endpoint._build(rat, self.irr)
+        if not self.irr:
+            return Endpoint._build(rat, other.irr)
+        irr = dict(self.irr)
+        for g, c in other.irr.items():
+            c += irr.get(g, 0)
+            if c:
+                irr[g] = c
+            else:
+                del irr[g]
+        return Endpoint._build(rat, irr)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Endpoint._build(-self.rational, self.irr_base, -self.irr_coeff)
+        return Endpoint._build(-self.rational, {g: -c for g, c in self.irr.items()})
 
     def __sub__(self, other):
         return self + (-Endpoint.coerce(other))
@@ -166,12 +176,13 @@ class Endpoint:
 
     def __mul__(self, q):
         q = Fraction(q)
-        return Endpoint._build(self.rational * q, self.irr_base, self.irr_coeff * q)
+        irr = {g: c * q for g, c in self.irr.items()} if q else {}
+        return Endpoint._build(self.rational * q, irr)
 
     __rmul__ = __mul__
 
     def floor(self) -> int:
-        if self.irr_base is None:
+        if not self.irr:
             return math.floor(self.rational)
         with workprec():
             x = self.mpf()
@@ -186,9 +197,8 @@ class Endpoint:
         return -((-self).floor())
 
     def frac(self) -> "Endpoint":
-        """Fractional part, keeping the irrational summand intact."""
-        f = self.floor()
-        return Endpoint._build(self.rational - f, self.irr_base, self.irr_coeff)
+        """Fractional part, keeping the irrational summands intact."""
+        return Endpoint._build(self.rational - self.floor(), self.irr)
 
     def round_half_up(self) -> int:
         return (self + Fraction(1, 2)).floor()
@@ -198,27 +208,18 @@ class Endpoint:
     def to_json(self) -> dict:
         rat = f"{self.rational.numerator}/{self.rational.denominator}"
         irr = None
-        if self.irr_base is not None:
+        if self.irr:
             with workprec():
-                digits = int(mpmath.mp.dps)
-                c = self.irr_coeff
-                val = self.irr_base * c.numerator / c.denominator
-                irr = mpmath.nstr(val, digits, strip_zeros=False)
+                irr = mpmath.nstr(self._irr_sum(), int(mpmath.mp.dps), strip_zeros=False)
         return {"rat": rat, "irr": irr}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Endpoint":
-        rat = Fraction(obj.get("rat", "0"))
-        irr = obj.get("irr")
-        return cls(rat, hp(irr) if irr is not None else None)
+        return cls(parse_fraction(obj.get("rat", "0"), "rat"), obj.get("irr"))
 
     def __repr__(self):
-        if self.irr_base is None:
-            return f"Endpoint({self.rational})"
-        return (
-            f"Endpoint({self.rational} + {self.irr_coeff}*"
-            f"{mpmath.nstr(self.irr_base, 20)})"
-        )
+        terms = "".join(f" + {c}*{mpmath.nstr(g, 20)}" for g, c in self.irr.items())
+        return f"Endpoint({self.rational}{terms})"
 
 
 _ZERO = Endpoint(0)
@@ -283,10 +284,6 @@ class IntervalSet:
     @classmethod
     def unit(cls) -> "IntervalSet":
         return cls([(0, 1)])
-
-    @classmethod
-    def from_floats(cls, pairs: Sequence) -> "IntervalSet":
-        return cls([(Fraction(a), Fraction(b)) for a, b in pairs])
 
     # -- basic queries ---------------------------------------------------
 

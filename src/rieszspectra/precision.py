@@ -49,12 +49,6 @@ def ambiguity_threshold() -> mpmath.mpf:
         return mpmath.mpf(2) ** (-(_bits // 2))
 
 
-def hp(x) -> mpmath.mpf:
-    """Convert a number or decimal string to an mpf at working precision."""
-    with workprec():
-        return mpmath.mpf(x)
-
-
 def hp_sqrt(x) -> mpmath.mpf:
     with workprec():
         return mpmath.sqrt(x)

@@ -22,7 +22,7 @@ from .errors import (
     InvalidInput,
     OverlappingTerms,
 )
-from .intervals import Endpoint
+from .intervals import Endpoint, parse_fraction
 from .precision import ambiguity_threshold, workprec
 
 DEFAULT_BETA_FLOOR = Fraction(1, 64)
@@ -31,10 +31,18 @@ _HALF = mpmath.mpf("0.5")  # exact at any precision
 
 @dataclass(frozen=True)
 class AvdoninFilter:
-    """Rounded-subsequence filter: keeps round_half_up(n/beta) + phase."""
+    """Rounded-subsequence filter: keeps round_half_up(n/beta) + phase,
+    for a density beta strictly inside (0, 1)."""
 
     beta: Endpoint
     phase: int = 0
+
+    def __post_init__(self):
+        # floor() == 0 puts beta in [0, 1) with one evaluation; an
+        # irrational form at 0 would make floor() raise AmbiguousEndpoint
+        beta = self.beta
+        if beta.floor() != 0 or (beta.is_rational and beta.rational == 0):
+            raise InvalidInput("beta must lie strictly inside (0,1)")
 
     def elements_in(self, lo: Fraction, hi: Fraction) -> list[int]:
         """All filtered values r + phase with r in the rounded image and
@@ -227,23 +235,14 @@ class Spectrum:
 
     # -- bookkeeping -----------------------------------------------------
 
-    def density(self):
-        """Limiting count density #(spectrum in [-T,T]) / (2T).
-
-        Exact Fraction when every term is a full coset, float otherwise.
-        """
-        exact = Fraction(0)
-        inexact = 0.0
-        has_inexact = False
+    def density(self) -> Endpoint:
+        """Limiting count density #(spectrum in [-T,T]) / (2T), exact: a
+        term contributes 1/modulus, or beta/modulus under a filter."""
+        total = Endpoint(0)
         for t in self.terms:
-            if t.filter is None:
-                exact += Fraction(1, t.modulus)
-            else:
-                has_inexact = True
-                inexact += float(t.filter.beta.mpf()) / t.modulus
-        if has_inexact:
-            return (float(exact) + inexact) / float(self.scale)
-        return exact / self.scale
+            share = Endpoint(1) if t.filter is None else t.filter.beta
+            total = total + share * Fraction(1, t.modulus)
+        return total * (1 / self.scale)
 
     def subset_of_lattice(self, N: int, window: int = 2048) -> bool:
         """True iff every enumerated integer in [-window, window] is = 0 mod N."""
@@ -267,7 +266,7 @@ class Spectrum:
     @classmethod
     def from_json(cls, obj: dict) -> "Spectrum":
         return cls(
-            scale=Fraction(obj["scale"]),
+            scale=parse_fraction(obj["scale"], "scale"),
             terms=tuple(CosetTerm.from_json(t) for t in obj.get("terms", ())),
         )
 
@@ -284,14 +283,12 @@ def empty_spectrum() -> Spectrum:
 def avdonin_interval_spectrum(beta, beta_floor=DEFAULT_BETA_FLOOR) -> Spectrum:
     """Integer spectrum {round_half_up(n/beta)} of density beta in (0,1);
     the single-interval generator."""
-    beta = Endpoint.coerce(beta)
-    if not (Endpoint(0) < beta and beta < Endpoint(1)):
-        raise InvalidInput("beta must lie strictly inside (0,1)")
-    if beta < Endpoint(Fraction(beta_floor)):
+    filt = AvdoninFilter(beta=Endpoint.coerce(beta))
+    if filt.beta < Endpoint(Fraction(beta_floor)):
         raise DegenerateBeta(
-            f"beta={float(beta):.6g} below floor {float(Fraction(beta_floor)):.6g}"
+            f"beta={float(filt.beta):.6g} below floor {float(Fraction(beta_floor)):.6g}"
         )
-    return Spectrum(Fraction(1), (CosetTerm(1, 0, AvdoninFilter(beta=beta)),))
+    return Spectrum(Fraction(1), (CosetTerm(1, 0, filt),))
 
 
 def rational_grid_spectrum(q: int, cells: Sequence[int]) -> Spectrum:

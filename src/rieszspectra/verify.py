@@ -326,7 +326,7 @@ class TestFunction:
     values: np.ndarray
 
     def norm_sq(self) -> float:
-        lens = np.array([float((r - l).mpf()) for l, r in self.cells])
+        lens = np.array([float(r - l) for l, r in self.cells])
         return float(np.sum(np.abs(self.values) ** 2 * lens))
 
 
@@ -391,7 +391,7 @@ def folding_probe(
         raise InvalidInput("S must have positive measure")
     cellw = Fraction(1, N)
     n_pieces = len(pieces)
-    piece_lens = np.array([float((r - l).mpf()) for l, r, _ in pieces])
+    piece_lens = np.array([float(r - l) for l, r, _ in pieces])
     piece_counts = np.array([len(ks) for _, _, ks in pieces])
 
     # bookkeeping: level densities must match the fiber-count measures
@@ -422,8 +422,8 @@ def folding_probe(
     # coefficient kernel: ker[i, t] = integral of e^{-2 pi i lambda x} over
     # cell i, lambda = -trunc_window..trunc_window
     lambdas = np.arange(-trunc_window, trunc_window + 1)
-    lefts = np.array([float(l.mpf()) for l, _ in cells])
-    rights = np.array([float(r.mpf()) for _, r in cells])
+    lefts = np.array([float(l) for l, _ in cells])
+    rights = np.array([float(r) for _, r in cells])
     nz = lambdas != 0
     lam_nz = lambdas[nz]
     ker = np.empty((n_cells, len(lambdas)), dtype=np.complex128)

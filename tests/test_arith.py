@@ -3,6 +3,7 @@
 import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 import rieszspectra as rs
@@ -153,6 +154,11 @@ def test_relation_probe_independent_values():
     v1 = Endpoint(0, hp_sqrt(2)) - 1
     v2 = Endpoint(0, hp_sqrt(3)) - 1
     assert rational_relation_probe([v1, v2], 10) is None
+
+
+def test_relation_probe_rejects_nonfinite_value():
+    with pytest.raises(InvalidInput):
+        rational_relation_probe([mpmath.mpf("nan")], 1)
 
 
 def test_relation_probe_budget():

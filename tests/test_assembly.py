@@ -1,5 +1,6 @@
 """Level combination and both end-to-end constructions."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -8,6 +9,8 @@ import pytest
 import rieszspectra as rs
 import rieszspectra.assembly as assembly
 from rieszspectra import (
+    AvdoninFilter,
+    ConstructionError,
     CosetTerm,
     DegenerateCoverage,
     EmptySubset,
@@ -189,6 +192,45 @@ def test_hierarchy_density_identity(plan_l1):
     lam = plan_l1.lambda_ell[0]
     target = float((plan_l1.b[0] - plan_l1.a[0]).mpf())
     assert abs(float(lam.density()) - target) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["plan_l1", "plan_l2", "plan_l3"])
+def test_hierarchy_density_is_exact(name, request):
+    plan = request.getfixturevalue(name)
+    for lam, x, y in zip(plan.lambda_ell, plan.a, plan.b):
+        dens = lam.density()
+        assert dens.rational == (y - x).rational and dens.irr == (y - x).irr
+
+
+def _perturb_beta(spec: Spectrum, eps: Fraction) -> Spectrum:
+    terms = tuple(
+        t if t.filter is None else CosetTerm(
+            t.modulus, t.offset, AvdoninFilter(t.filter.beta + eps, t.filter.phase)
+        )
+        for t in spec.terms
+    )
+    return Spectrum(spec.scale, terms)
+
+
+@pytest.mark.parametrize("name", ["plan_l1", "plan_l2"])
+def test_validate_plan_rejects_perturbed_beta(name, request):
+    plan = request.getfixturevalue(name)
+    assembly._validate_plan(plan, 512)
+    # far below the old float tolerance, and too small to move any rounded
+    # frequency in the window, so only the exact density check can see it
+    eps = Fraction(1, 2**80)
+    n = plan.K + 1  # the boundary level of interval 1
+    levels = list(plan.level_spectra)
+    levels[n - 1] = _perturb_beta(levels[n - 1], eps)
+    lambdas = [_perturb_beta(plan.lambda_ell[0], eps), *plan.lambda_ell[1:]]
+    bad = dataclasses.replace(
+        plan, level_spectra=tuple(levels), lambda_ell=tuple(lambdas)
+    )
+    assert bad.full_union().enumerate_integers(-512, 512) == (
+        plan.full_union().enumerate_integers(-512, 512)
+    )
+    with pytest.raises(ConstructionError, match="density"):
+        assembly._validate_plan(bad, 512)
 
 
 def test_hierarchy_rejects_rational_endpoints():

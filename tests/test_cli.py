@@ -255,3 +255,75 @@ def test_streamed_dump_matches_json_dumps(plan_l3):
     cli._dump(payload, first, second)
     want = json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n"
     assert first.getvalue() == second.getvalue() == want
+
+
+def _interval_spec(left: dict, right: dict) -> dict:
+    return {"intervals": [{"left": left, "right": right}]}
+
+
+def _input_error(capsys, argv) -> None:
+    """The call exits 2 with an input error and no traceback."""
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "input error:" in err and "Traceback" not in err
+
+
+def _malformed_argv(kind: str, tmp_path) -> list:
+    lattice = rs.integer_lattice().to_json()
+    unit = IntervalSet.unit().to_json()
+    files = {
+        "interval_rat": _interval_spec(
+            {"rat": "1/0", "irr": None}, {"rat": "1/2", "irr": None}
+        ),
+        "spectrum_scale": dict(lattice, scale="1/0"),
+        "unit": unit,
+        "lattice": lattice,
+    }
+    for name, obj in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    path = lambda name: str(tmp_path / f"{name}.json")
+    return {
+        "find-prime rat": ["find-prime", "--intervals", path("interval_rat"), "--prime-limit", "10"],
+        "bounds scale": ["bounds", "--spectrum", path("spectrum_scale"), "--set", path("unit"), "--schedule", "8,16"],
+        "bounds schedule": ["bounds", "--spectrum", path("lattice"), "--set", path("unit"), "--schedule", "8,1/0"],
+        "equidist values": ["equidist", "--values", "1/0", "--prime-limit", "100"],
+    }[kind]
+
+
+@pytest.mark.parametrize(
+    "kind", ["find-prime rat", "bounds scale", "bounds schedule", "equidist values"]
+)
+def test_malformed_rational_is_input_error(kind, tmp_path, capsys):
+    _input_error(capsys, _malformed_argv(kind, tmp_path))
+
+
+@pytest.mark.parametrize("irr", ["nan", "inf", "-inf"])
+def test_nonfinite_endpoint_is_input_error(irr, tmp_path, capsys):
+    # a NaN endpoint once compared "equal" to its partner, so the interval
+    # was dropped as empty and the valid one was scanned alone
+    valid = IntervalSet([(Endpoint(0, hp_sqrt(2)) - 1, Endpoint(0, hp_sqrt(3)) - 1)])
+    spec = valid.to_json()
+    spec["intervals"].insert(0, {"left": {"rat": "1/10", "irr": irr}, "right": {"rat": "1/5"}})
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps(spec))
+    _input_error(capsys, ["find-prime", "--intervals", str(path), "--prime-limit", "100"])
+
+
+def test_negative_radicand_is_input_error(capsys):
+    _input_error(capsys, ["equidist", "--values", "sqrt(-1)", "--prime-limit", "100"])
+
+
+@pytest.mark.parametrize("beta", ["0", "-0.5"])
+def test_avdonin_beta_outside_unit_interval_is_input_error(beta, tmp_path, capsys):
+    spec = {
+        "scale": "1/1",
+        "terms": [{"modulus": 1, "offset": 0, "filter": {"avdonin": {"beta": beta, "phase": 0}}}],
+    }
+    spec_path = tmp_path / "lam.json"
+    set_path = tmp_path / "s.json"
+    spec_path.write_text(json.dumps(spec))
+    set_path.write_text(json.dumps(IntervalSet.unit().to_json()))
+    _input_error(capsys, [
+        "bounds", "--spectrum", str(spec_path), "--set", str(set_path), "--schedule", "8,16",
+    ])

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rieszspectra as rs
 from rieszspectra import (
@@ -103,6 +105,122 @@ def test_endpoint_json_roundtrip():
     assert abs(float(back) - float(e)) < 1e-55
     twice = Endpoint.from_json(back.to_json())
     assert twice == back  # stable after the first round trip
+
+
+# -- Q-linear algebra ----------------------------------------------------
+
+ROOTS = {p: Endpoint(0, hp_sqrt(p)) for p in (2, 3, 5, 7)}
+
+
+def _exact_mpf(g) -> Fraction:
+    return Fraction(*mpmath.libmp.to_rational(g._mpf_))
+
+
+def exact(e: Endpoint) -> Fraction:
+    """The exact rational value of an endpoint: its generators are binary
+    fractions, so rational + sum c*g is a rational number."""
+    return e.rational + sum((c * _exact_mpf(g) for g, c in e.irr.items()), Fraction(0))
+
+
+small_q = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+nonzero_q = small_q.filter(bool)
+
+
+@st.composite
+def combinations(draw):
+    """rational + sum c_p * sqrt(p) over 1-3 of sqrt 2, 3, 5, 7."""
+    primes = draw(st.lists(st.sampled_from(sorted(ROOTS)), min_size=1, max_size=3, unique=True))
+    e = Endpoint(draw(small_q))
+    for p in primes:
+        e = e + ROOTS[p] * draw(nonzero_q)
+    return e
+
+
+@st.composite
+def near_pairs(draw):
+    """(x, y) with y - x = sqrt(p) - (the rational value of the mpf sqrt(p))
+    + s / 2^k: a different combination whose exact distance s / 2^k sits
+    around the ambiguity threshold."""
+    x = draw(combinations())
+    root = ROOTS[draw(st.sampled_from(sorted(ROOTS)))]
+    (g,) = root.irr
+    s = draw(st.integers(-3, 3))
+    k = draw(st.integers(precision_bits() // 2 - 6, precision_bits() // 2 + 6))
+    return x, x + root - _exact_mpf(g) + Fraction(s, 2**k)
+
+
+def _check_cmp(x: Endpoint, y: Endpoint) -> None:
+    diff = exact(x) - exact(y)
+    d = x - y
+    # mpf evaluation of d: a few roundings per term, each relative 2^-bits
+    scale = abs(d.rational) + sum(abs(c) * abs(_exact_mpf(g)) for g, c in d.irr.items())
+    err = Fraction(4 * (len(d.irr) + 1), 2 ** precision_bits()) * scale
+    threshold = Fraction(1, 2 ** (precision_bits() // 2))
+    try:
+        got = x._cmp(y)
+    except AmbiguousEndpoint:
+        assert abs(diff) < threshold + err
+        return
+    assert got == (diff > 0) - (diff < 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=combinations(), y=combinations(), q=nonzero_q)
+def test_endpoint_algebra_matches_exact_oracle(x, y, q):
+    assert exact(x + y) == exact(x) + exact(y)
+    assert exact(x - y) == exact(x) - exact(y)
+    assert exact(x * q) == exact(x) * q
+    assert exact(-x) == -exact(x)
+    # structural identities: equal maps, so no mpf evaluation and no raise
+    back = (x + y) - y
+    assert back.irr == x.irr and back.rational == x.rational
+    assert back == x
+    assert x + y == y + x
+    assert (x * q) * (1 / q) == x
+    assert (x - x).irr == {} and (x * 0).irr == {}
+    assert all(c != 0 for c in (x + y).irr.values())
+    _check_cmp(x, y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=near_pairs())
+def test_endpoint_cmp_near_threshold_is_exact_or_raises(pair):
+    x, y = pair
+    assert x.irr != y.irr
+    _check_cmp(x, y)
+    _check_cmp(y, x)
+
+
+def test_endpoint_mixed_sum_cancels_structurally():
+    s2, s3 = ROOTS[2], ROOTS[3]
+    assert (s2 + s3) - s3 == s2
+    assert ((s2 + s3) - s3).irr == s2.irr
+    assert (s2 - s2).is_rational
+
+
+def test_intervalset_shift_round_trip():
+    S = IntervalSet([(ROOTS[2] - 1, ROOTS[3] - 1), (F(3, 4), ROOTS[5] * F(2, 5))])
+    x = ROOTS[7] * F(1, 10)
+    assert S.shift(x).shift(-x) == S
+
+
+def test_endpoint_map_keeps_first_appearance_order():
+    e = ROOTS[5] + ROOTS[2] + ROOTS[3] * 2
+    assert list(e.irr) == [g for p in (5, 2, 3) for g in ROOTS[p].irr]
+    assert list((e - ROOTS[2] + ROOTS[2]).irr) == [g for p in (5, 3, 2) for g in ROOTS[p].irr]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", mpmath.mpf("nan"), mpmath.mpc(0, 1)])
+def test_endpoint_rejects_nonfinite_and_complex_generators(value):
+    with pytest.raises(InvalidInput):
+        Endpoint(0, value)
+
+
+def test_endpoint_json_rejects_malformed_parts():
+    with pytest.raises(InvalidInput, match="rat"):
+        Endpoint.from_json({"rat": "1/0", "irr": None})
+    with pytest.raises(InvalidInput):
+        Endpoint.from_json({"rat": "0/1", "irr": "nan"})
 
 
 # -- IntervalSet ---------------------------------------------------------

@@ -125,6 +125,14 @@ def test_avdonin_rational_set_periodicity():
 def test_avdonin_validation():
     with pytest.raises(InvalidInput):
         avdonin_interval_spectrum(F(3, 2))
+    # the filter type itself holds 0 < beta < 1, whichever way it is built
+    for beta in (F(0), F(1), F(-1, 2), F(3, 2)):
+        with pytest.raises(InvalidInput):
+            AvdoninFilter(Endpoint(beta))
+    for beta in ("0", "-0.5", "1.5"):
+        obj = {"modulus": 1, "offset": 0, "filter": {"avdonin": {"beta": beta}}}
+        with pytest.raises(InvalidInput):
+            CosetTerm.from_json(obj)
     with pytest.raises(DegenerateBeta):
         avdonin_interval_spectrum(F(1, 128))
 
@@ -146,6 +154,16 @@ def test_density():
     beta = F(1, 2)
     mixed = avdonin_interval_spectrum(beta).scale_integers(5)
     assert abs(float(mixed.density()) - 0.1) < 1e-12
+    assert mixed.density() == F(1, 10)
+    # exact for irrational filters too: an Endpoint with beta's generator
+    beta = Endpoint(0, hp_sqrt(2)) * F(1, 3)
+    spec = Spectrum(
+        F(1, 2), (CosetTerm(6, 1), CosetTerm(6, 4, AvdoninFilter(beta, phase=2)))
+    )
+    dens = spec.density()
+    assert isinstance(dens, Endpoint)
+    assert dens.rational == F(1, 3) and dens.irr == (beta * F(1, 3)).irr
+    assert empty_spectrum().density().irr == {}
 
 
 def test_scale_integers_maps_into_lattice():
