@@ -7,12 +7,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-import mpmath
 import numpy as np
 
 from .errors import IndependenceSuspect, InvalidInput, NotFound, ResourceLimit
 from .intervals import Endpoint, grid_separation_ok
-from .precision import ambiguity_threshold, precision_bits, workprec
+from .precision import ambiguity_threshold
 
 DEFAULT_SIEVE_BUDGET = 10**8
 DEFAULT_PROBE_BUDGET = 2 * 10**6
@@ -155,10 +154,7 @@ def weyl_discrepancy(
     n = len(primes)
     pts = np.empty((n, d))
     for j, x in enumerate(values):
-        with workprec():
-            xm = x.mpf()
-            col = [float(mpmath.frac(p * xm)) for p in primes]
-        pts[:, j] = col
+        pts[:, j] = x.phases(primes)
     hist, _ = np.histogramdd(pts, bins=boxes, range=[(0.0, 1.0)] * d)
     cum = hist
     for axis in range(d):
@@ -180,9 +176,9 @@ def rational_relation_probe(
     """Search for a small integer relation q0 + sum q_i * v_i = 0.
 
     The search box is every (q0, q1, ..., qm) with max-norm <= max_coeff,
-    and a relation holds when |q0 + sum q_i v_i| < tol, evaluated in mpf at
-    working precision.  tol is ambiguity_threshold(), or 1e-9 when any value
-    is a float.
+    and a relation holds when |q0 + sum q_i v_i| < tol, evaluated exactly on
+    the values' generators at their binary values.  tol is
+    ambiguity_threshold(), or exactly 1/10^9 when any value is a float.
 
     Returns the coefficient vector of the first relation found on an
     expanding max-norm shell scan, or None.  A returned relation disproves
@@ -207,11 +203,10 @@ def rational_relation_probe(
 
 
 def _scan_values(values: Sequence):
-    """The values at working precision and the relation tolerance."""
+    """The exact values and the relation tolerance."""
     float_input = any(isinstance(v, float) for v in values)
-    with workprec():
-        vs = [Endpoint.coerce(v).mpf() for v in values]
-        tol = mpmath.mpf("1e-9") if float_input else ambiguity_threshold()
+    vs = [Endpoint.coerce(v).exact() for v in values]
+    tol = Fraction(1, 10**9) if float_input else ambiguity_threshold()
     return vs, tol
 
 
@@ -224,57 +219,41 @@ def _relation_scan(vs, tol, max_coeff: int, budget: int) -> Optional[tuple[int, 
         raise ResourceLimit(
             f"search box (2*{max_coeff}+1)^{m} exceeds budget {budget}"
         )
-    with workprec():
-        for shell in range(1, max_coeff + 1):
-            for q in itertools.product(range(-shell, shell + 1), repeat=m):
-                if max(abs(c) for c in q) != shell:
-                    continue
-                first = next(c for c in q if c != 0)
-                if first < 0:
-                    continue  # sign-normalized: mirror handled by its partner
-                s = mpmath.mpf(0)
-                for c, v in zip(q, vs):
-                    if c:
-                        s += c * v
-                q0 = int(mpmath.nint(-s))
-                if abs(q0) > max_coeff:
-                    continue
-                if abs(s + q0) < tol:
-                    return (q0, *q)
+    for shell in range(1, max_coeff + 1):
+        for q in itertools.product(range(-shell, shell + 1), repeat=m):
+            if max(abs(c) for c in q) != shell:
+                continue
+            first = next(c for c in q if c != 0)
+            if first < 0:
+                continue  # sign-normalized: mirror handled by its partner
+            s = sum((c * v for c, v in zip(q, vs) if c), Fraction(0))
+            q0 = -round(s)
+            if abs(q0) > max_coeff:
+                continue
+            if abs(s + q0) < tol:
+                return (q0, *q)
     return None
 
 
-def _exact(x: mpmath.mpf) -> Fraction:
-    """A finite mpf as an exact Fraction (mpf.man_exp drops the sign)."""
-    return Fraction(*mpmath.libmp.to_rational(x._mpf_))
-
-
-def _no_relation_certified(vs, tol, max_coeff: int) -> bool:
+def _no_relation_certified(vs, tol: Fraction, max_coeff: int) -> bool:
     """True only when _relation_scan(vs, tol, max_coeff, ...) returns None.
 
-    Take x_0 = 1 and x_i = vs[i-1] exactly, n = m+1, M = max_coeff, and the
-    largest power of two C with C*tol <= 1.  The lattice spanned by the rows
+    Take x_0 = 1 and x_i = vs[i-1], n = m+1, M = max_coeff, and the largest
+    power of two C with C*tol <= 1.  The lattice spanned by the rows
     (e_i, round(C*x_i)), i = 0..m, is LLL-reduced in integers.
 
     Proof.  A vector q != 0 that the scan accepts has max-norm <= M, and its
-    mpf sum satisfies |q0 + sum q_i x_i| < tol.  The exact sum differs from
-    the mpf one by at most eps, the rounding bound below, and C*eps <= 1 is
-    checked.  So the lattice vector (q, sum q_i round(C*x_i)) has last
-    coordinate below C*tol + C*eps + ||q||_1/2 <= 2 + n*M/2 in magnitude,
-    and norm^2 < R^2 = n*M^2 + (2 + n*M/2)^2.  Every nonzero lattice vector
-    has norm >= min ||b*_i|| over the Gram-Schmidt vectors of any basis, so
-    ||b*_i||^2 = d_{i+1}/d_i > R^2 for every i leaves no such q.
+    exact sum satisfies |q0 + sum q_i x_i| < tol.  So the lattice vector
+    (q, sum q_i round(C*x_i)) has last coordinate below C*tol + ||q||_1/2 <=
+    1 + n*M/2 in magnitude, and norm^2 < R^2 = n*M^2 + (1 + n*M/2)^2.  Every
+    nonzero lattice vector has norm >= min ||b*_i|| over the Gram-Schmidt
+    vectors of any basis, so ||b*_i||^2 = d_{i+1}/d_i > R^2 for every i
+    leaves no such q.
     """
-    xs = [Fraction(1)] + [_exact(v) for v in vs]
-    tol = _exact(tol)
+    xs = [Fraction(1), *vs]
     n, M = len(xs), max_coeff
     C = 1 << ((tol.denominator // tol.numerator).bit_length() - 1)
-    # round-to-nearest mpf: m products and m+1 additions, each a relative
-    # error of at most 2^-p; 4 * 2^-p covers the second-order terms
-    eps = Fraction(4, 1 << precision_bits()) * (tol + n * M * sum(abs(x) for x in xs))
-    if C * eps > 1:
-        return False
-    R2 = n * M * M + (2 + Fraction(n * M, 2)) ** 2
+    R2 = n * M * M + (1 + Fraction(n * M, 2)) ** 2
     basis = [[int(i == j) for j in range(n)] + [round(C * x)] for i, x in enumerate(xs)]
     d = _lll_gram_dets(basis)
     return all(d[i + 1] * R2.denominator > R2.numerator * d[i] for i in range(n))

@@ -35,7 +35,7 @@ from .errors import (
     NotPrime,
     UnsupportedASet,
 )
-from .intervals import Endpoint, IntervalSet, fold_pattern, geq_levels
+from .intervals import Endpoint, IntervalSet, _json_field, fold_pattern, geq_levels
 from .minors import _is_prime
 from .spectra import (
     Spectrum,
@@ -45,11 +45,11 @@ from .spectra import (
     rational_grid_spectrum,
 )
 
-DEFAULT_CHECK_WINDOW = 2048
+CHECK_WINDOW = 2048  # integers in [-CHECK_WINDOW, CHECK_WINDOW] are checked
 
 
 def _combine_levels(
-    N: int, levels: Sequence[Spectrum], shifts: Sequence[int], check_window: int
+    N: int, levels: Sequence[Spectrum], shifts: Sequence[int]
 ) -> Spectrum:
     """Union of (level_n + shifts[n-1]) over n = 1..N.
 
@@ -62,33 +62,25 @@ def _combine_levels(
     for n, (level, shift) in enumerate(zip(levels, shifts), start=1):
         if level.is_empty:
             continue
-        if not level.subset_of_lattice(N, check_window):
+        if not level.subset_of_lattice(N, CHECK_WINDOW):
             raise LevelNotInNZ(f"level {n} spectrum is not contained in {N}Z")
         terms.extend(level.shift(shift).terms)
     result = Spectrum(Fraction(1), tuple(terms))
-    result.enumerate_integers(-check_window, check_window)  # raises on overlap
+    result.enumerate_integers(-CHECK_WINDOW, CHECK_WINDOW)  # raises on overlap
     return result
 
 
 def combine_level_spectra(
-    N: int,
-    levels: Sequence[Spectrum],
-    base_shift: int = 1,
-    *,
-    check_window: int = DEFAULT_CHECK_WINDOW,
+    N: int, levels: Sequence[Spectrum], base_shift: int = 1
 ) -> Spectrum:
     """Union of (level_n + n - 1 + base_shift) over n = 1..N, for any N."""
     if base_shift not in (0, 1):
         raise InvalidInput("base_shift must be 0 or 1")
-    return _combine_levels(N, levels, range(base_shift, N + base_shift), check_window)
+    return _combine_levels(N, levels, range(base_shift, N + base_shift))
 
 
 def combine_level_spectra_permuted(
-    N: int,
-    levels: Sequence[Spectrum],
-    shifts: Sequence[int],
-    *,
-    check_window: int = DEFAULT_CHECK_WINDOW,
+    N: int, levels: Sequence[Spectrum], shifts: Sequence[int]
 ) -> Spectrum:
     """Union of (level_n + shifts[n-1]) for an arbitrary permutation of 1..N;
     valid as a basis combination only for prime N."""
@@ -96,7 +88,7 @@ def combine_level_spectra_permuted(
         raise NotPrime(f"{N} is not prime")
     if sorted(shifts) != list(range(1, N + 1)):
         raise NotPermutation("shifts must be a permutation of 1..N")
-    return _combine_levels(N, levels, shifts, check_window)
+    return _combine_levels(N, levels, shifts)
 
 
 @dataclass(frozen=True)
@@ -146,23 +138,27 @@ class HierarchyPlan:
 
     @classmethod
     def from_json(cls, obj: dict) -> "HierarchyPlan":
+        def get(key, within=obj, what="plan"):
+            return _json_field(within, key, what)
+
+        witness = get("witness")
         return cls(
-            N=int(obj["N"]),
-            a=tuple(Endpoint.from_json(e) for e in obj["a"]),
-            b=tuple(Endpoint.from_json(e) for e in obj["b"]),
-            S=IntervalSet.from_json(obj["set"]),
-            a_sets=tuple(IntervalSet.from_json(s) for s in obj["a_sets"]),
-            level_spectra=tuple(Spectrum.from_json(s) for s in obj["level_spectra"]),
+            N=int(get("N")),
+            a=tuple(Endpoint.from_json(e) for e in get("a")),
+            b=tuple(Endpoint.from_json(e) for e in get("b")),
+            S=IntervalSet.from_json(get("set")),
+            a_sets=tuple(IntervalSet.from_json(s) for s in get("a_sets")),
+            level_spectra=tuple(Spectrum.from_json(s) for s in get("level_spectra")),
             level_interval=tuple(
-                None if v is None else int(v) for v in obj["level_interval"]
+                None if v is None else int(v) for v in get("level_interval")
             ),
-            K_ell=tuple(int(k) for k in obj["K_ell"]),
-            K=int(obj["K"]),
-            lambda_ell=tuple(Spectrum.from_json(s) for s in obj["lambda_ell"]),
+            K_ell=tuple(int(k) for k in get("K_ell")),
+            K=int(get("K")),
+            lambda_ell=tuple(Spectrum.from_json(s) for s in get("lambda_ell")),
             witness=PrimeSearchResult(
-                N=int(obj["witness"]["N"]),
-                candidates_scanned=int(obj["witness"]["candidates_scanned"]),
-                ordering_witness=tuple(obj["witness"]["ordering_witness"]),
+                N=int(get("N", witness, "plan witness")),
+                candidates_scanned=int(get("candidates_scanned", witness, "plan witness")),
+                ordering_witness=tuple(get("ordering_witness", witness, "plan witness")),
             ),
         )
 
@@ -236,7 +232,6 @@ def construct_hierarchy(
     *,
     prime_index: int = 0,
     probe_max_coeff: int = 10,
-    check_window: int = DEFAULT_CHECK_WINDOW,
 ) -> HierarchyPlan:
     """Build the hierarchical spectra for intervals [a_l, b_l) in (0,1).
 
@@ -255,7 +250,7 @@ def construct_hierarchy(
     found_any = False
     for witness in ordering_primes(a, b, prime_limit, skip_relation_probe=True):
         found_any = True
-        plan = _build_plan(witness, a, b, check_window)
+        plan = _build_plan(witness, a, b)
         if successes == prime_index:
             return plan
         successes += 1
@@ -264,13 +259,7 @@ def construct_hierarchy(
     raise NotFound(prime_limit)
 
 
-def construct_hierarchy_with_prime(
-    a: Sequence,
-    b: Sequence,
-    N: int,
-    *,
-    check_window: int = DEFAULT_CHECK_WINDOW,
-) -> HierarchyPlan:
+def construct_hierarchy_with_prime(a: Sequence, b: Sequence, N: int) -> HierarchyPlan:
     """Expert path: build the plan for an explicitly chosen prime N.
 
     Skips the ordering scan, so the fiber-count pattern may be degenerate;
@@ -283,14 +272,11 @@ def construct_hierarchy_with_prime(
     witness = PrimeSearchResult(
         N=N, candidates_scanned=0, ordering_witness=tuple(float(w) for w in chain)
     )
-    return _build_plan(witness, a, b, check_window)
+    return _build_plan(witness, a, b)
 
 
 def _build_plan(
-    witness: PrimeSearchResult,
-    a: Sequence[Endpoint],
-    b: Sequence[Endpoint],
-    check_window: int,
+    witness: PrimeSearchResult, a: Sequence[Endpoint], b: Sequence[Endpoint]
 ) -> HierarchyPlan:
     N = witness.N
     L = len(a)
@@ -342,16 +328,16 @@ def _build_plan(
         lambda_ell=tuple(lambda_ell),
         witness=witness,
     )
-    _validate_plan(plan, check_window)
+    _validate_plan(plan)
     return plan
 
 
-def _validate_plan(plan: HierarchyPlan, check_window: int) -> None:
+def _validate_plan(plan: HierarchyPlan) -> None:
     # disjoint union of the per-interval spectra equals the shifted levels
-    merged = plan.full_union().enumerate_integers(-check_window, check_window)
+    merged = plan.full_union().enumerate_integers(-CHECK_WINDOW, CHECK_WINDOW)
     by_levels = combine_level_spectra(
-        plan.N, plan.level_spectra, base_shift=1, check_window=check_window
-    ).enumerate_integers(-check_window, check_window)
+        plan.N, plan.level_spectra, base_shift=1
+    ).enumerate_integers(-CHECK_WINDOW, CHECK_WINDOW)
     if merged != by_levels:
         raise ConstructionError("per-interval union disagrees with the level union")
     # each interval's spectrum must carry exactly that interval's density
@@ -385,12 +371,7 @@ class SubsetPlan:
         }
 
 
-def subset_spectrum(
-    plan: HierarchyPlan,
-    J: Sequence[int],
-    *,
-    check_window: int = DEFAULT_CHECK_WINDOW,
-) -> SubsetPlan:
+def subset_spectrum(plan: HierarchyPlan, J: Sequence[int]) -> SubsetPlan:
     """Certification-ordered level sets for the sub-union over J.
 
     Validates, against independently recomputed fiber-count sets of S^J,
@@ -430,16 +411,16 @@ def subset_spectrum(
         # fractional levels must carry the generator of the right density
         target = levels_J[n - 1]
         dens = spec.density()
-        goal = float(target.measure_mpf())
+        goal = float(target.measure())
         if abs(float(dens) - goal) > 1e-12:
             raise ConstructionError("omega ordering does not match the level sets")
 
     sp = SubsetPlan(J=tuple(J), K_J=K_J, omega=tuple(omega), shifts=tuple(shifts))
-    mine = sp.union().enumerate_integers(-check_window, check_window)
+    mine = sp.union().enumerate_integers(-CHECK_WINDOW, CHECK_WINDOW)
     theirs: list[int] = []
     for ell in J:
         theirs.extend(
-            plan.lambda_ell[ell - 1].enumerate_integers(-check_window, check_window)
+            plan.lambda_ell[ell - 1].enumerate_integers(-CHECK_WINDOW, CHECK_WINDOW)
         )
     if mine != sorted(theirs):
         raise ConstructionError("omega union disagrees with the per-interval union")
@@ -472,11 +453,7 @@ class ComplementResult:
 
 
 def _level_spectrum_for(
-    N: int,
-    level_set: IntervalSet,
-    prime_limit_inner: int,
-    check_window: int,
-    max_grid: int,
+    N: int, level_set: IntervalSet, prime_limit_inner: int, max_grid: int
 ) -> Spectrum:
     """A subset of N*Z certifying one nonfull fiber-count level."""
     W = level_set.scale(N)  # inside [0,1)
@@ -512,8 +489,7 @@ def _level_spectrum_for(
     rights = [r for _, r in pieces]
     if lefts[0] > Endpoint(0) and rights[-1] < Endpoint(1):
         try:
-            inner = construct_hierarchy(lefts, rights, prime_limit_inner,
-                                        check_window=check_window)
+            inner = construct_hierarchy(lefts, rights, prime_limit_inner)
         except (IndependenceSuspect, NotFound) as exc:
             raise UnsupportedASet(
                 f"level set {W!r} is neither grid-aligned nor independent-constructible"
@@ -528,7 +504,6 @@ def complement_integer_spectrum(
     b: Sequence,
     *,
     prime_limit_inner: int = 10**6,
-    check_window: int = DEFAULT_CHECK_WINDOW,
     max_grid: int = 4096,
 ) -> ComplementResult:
     """Complement the integer spectrum of [0,1) across intervals in [1,N].
@@ -568,14 +543,10 @@ def complement_integer_spectrum(
             level_spectra.append(empty)
         else:
             level_spectra.append(
-                _level_spectrum_for(
-                    N, a_sets[n - 1], prime_limit_inner, check_window, max_grid
-                )
+                _level_spectrum_for(N, a_sets[n - 1], prime_limit_inner, max_grid)
             )
 
-    total = combine_level_spectra(
-        N, level_spectra, base_shift=0, check_window=check_window
-    )
+    total = combine_level_spectra(N, level_spectra, base_shift=0)
     lam_prime_terms = tuple(
         t for t in total.terms if t.offset % N != 0
     )
@@ -583,7 +554,7 @@ def complement_integer_spectrum(
         raise ConstructionError("expected exactly one integer-lattice component")
     lam_prime = Spectrum(Fraction(1), lam_prime_terms).dilate(inv).sorted_terms()
 
-    for freq in lam_prime.enumerate(check_window // N):
+    for freq in lam_prime.enumerate(CHECK_WINDOW // N):
         if freq.denominator == 1:
             raise ConstructionError("complement spectrum intersects Z")
 

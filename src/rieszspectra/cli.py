@@ -60,8 +60,18 @@ def _load_json(path: str) -> dict:
         ) from exc
 
 
-def _interval_endpoints(obj: dict):
-    S = IntervalSet.from_json(obj)
+def _load_artifact(path: str, parse):
+    """parse(the artifact in path, unwrapped from a report envelope); an
+    input error while parsing names the file."""
+    obj = _unwrap(_load_json(path))
+    try:
+        return parse(obj)
+    except InvalidInput as exc:
+        raise InvalidInput(f"{path}: {exc}") from exc
+
+
+def _interval_endpoints(path: str):
+    S = _load_artifact(path, IntervalSet.from_json)
     if S.is_empty:
         raise InvalidInput("interval specification is empty")
     a = [l for l, _ in S.pieces]
@@ -69,22 +79,25 @@ def _interval_endpoints(obj: dict):
     return a, b, S
 
 
-def _unwrap(obj: dict) -> dict:
+def _unwrap(obj):
     """Accept either a bare artifact or a full report envelope."""
-    if obj.get("schema") == SCHEMA and "result" in obj:
+    if isinstance(obj, dict) and obj.get("schema") == SCHEMA and "result" in obj:
         return obj["result"]
     return obj
 
 
 def _load_plan(path: str) -> HierarchyPlan:
-    return HierarchyPlan.from_json(_unwrap(_load_json(path)))
+    return _load_artifact(path, HierarchyPlan.from_json)
 
 
-def _load_spectrum(path: str) -> Spectrum:
-    obj = _unwrap(_load_json(path))
+def _spectrum_from_json(obj) -> Spectrum:
     if "terms" not in obj and "lambda_prime" in obj:
         obj = obj["lambda_prime"]  # complement output is directly usable
     return Spectrum.from_json(obj)
+
+
+def _load_spectrum(path: str) -> Spectrum:
+    return _load_artifact(path, _spectrum_from_json)
 
 
 def _write_report(args, payload: dict, status: str, artifact: dict = None) -> None:
@@ -122,7 +135,7 @@ def _dump(obj, *streams) -> None:
 
 
 def _cmd_find_prime(args) -> int:
-    a, b, _ = _interval_endpoints(_load_json(args.intervals))
+    a, b, _ = _interval_endpoints(args.intervals)
     result = find_ordering_prime(a, b, args.prime_limit)
     payload = result.to_json()
     _write_report(args, payload, "PASS", artifact=payload)
@@ -130,7 +143,7 @@ def _cmd_find_prime(args) -> int:
 
 
 def _cmd_construct_hierarchy(args) -> int:
-    a, b, _ = _interval_endpoints(_load_json(args.intervals))
+    a, b, _ = _interval_endpoints(args.intervals)
     plan = construct_hierarchy(
         a, b, args.prime_limit, prime_index=args.prime_index
     )
@@ -140,7 +153,7 @@ def _cmd_construct_hierarchy(args) -> int:
 
 
 def _cmd_complement(args) -> int:
-    a, b, _ = _interval_endpoints(_load_json(args.intervals))
+    a, b, _ = _interval_endpoints(args.intervals)
     result = complement_integer_spectrum(args.N, a, b)
     payload = result.to_json()
     _write_report(args, payload, "PASS", artifact=payload)
@@ -149,7 +162,7 @@ def _cmd_complement(args) -> int:
 
 def _cmd_bounds(args) -> int:
     spectrum = _load_spectrum(args.spectrum)
-    S = IntervalSet.from_json(_unwrap(_load_json(args.set)))
+    S = _load_artifact(args.set, IntervalSet.from_json)
     schedule = _parse_schedule(args.schedule)
     report = riesz_bounds_estimate(spectrum, S, schedule)
     _write_report(args, report.to_json(), report.status)

@@ -6,9 +6,11 @@ precision.  The paper's endpoints 1, a_1, ..., b_L are rationally
 independent, and every value the constructions derive from them ({N*a},
 b - a, level widths, spectrum densities) is such a form, so arithmetic
 never rounds and values equal by construction compare equal structurally.
-Only two different combinations are compared numerically, and a
-comparison that cannot be decided at working precision raises
-AmbiguousEndpoint instead of guessing.
+A generator is a binary fraction, so every form has an exact rational
+value (Endpoint.exact()), and every comparison, floor and phase is decided
+on that value; mpf is used only to make and print generators.  A
+comparison or floor of an irrational form that lands within the ambiguity
+threshold raises AmbiguousEndpoint instead of guessing.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import mpmath
+from mpmath.libmp import to_rational
 
 from .errors import AmbiguousEndpoint, InvalidInput
 from .precision import ambiguity_threshold, frac_to_mpf, workprec
@@ -28,6 +31,19 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
+def _guarded_floor(x: Fraction, what) -> int:
+    """floor(x), raising AmbiguousEndpoint when x lies within the ambiguity
+    threshold of an integer; str(what) names the value in the message, and
+    is formatted only then."""
+    floor, rem = divmod(x.numerator, x.denominator)
+    t = ambiguity_threshold()
+    if min(rem, x.denominator - rem) * t.denominator < t.numerator * x.denominator:
+        raise AmbiguousEndpoint(
+            f"{what} is within the working-precision threshold of an integer"
+        )
+    return floor
+
+
 def parse_fraction(value, field: str) -> Fraction:
     """Fraction(value), raising InvalidInput naming field when value is not
     a finite rational (a malformed string, 1/0, nan or inf)."""
@@ -35,6 +51,15 @@ def parse_fraction(value, field: str) -> Fraction:
         return Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InvalidInput(f"{field}: {value!r} is not a finite rational") from exc
+
+
+def _json_field(obj, key: str, what: str):
+    """obj[key] of a parsed JSON artifact, raising InvalidInput naming the
+    missing field."""
+    try:
+        return obj[key]
+    except (KeyError, TypeError) as exc:
+        raise InvalidInput(f"{what}: missing field {key!r}") from exc
 
 
 def _generator(x) -> dict:
@@ -103,10 +128,22 @@ class Endpoint:
                 val = val + self._irr_sum()
             return val
 
+    def exact(self) -> Fraction:
+        """The exact value: rational + sum of c_g * g, each generator g at
+        its binary value."""
+        val = self.rational
+        for g, c in self.irr.items():
+            val += c * Fraction(*to_rational(g._mpf_))
+        return val
+
     def __float__(self) -> float:
-        if not self.irr:  # correctly rounded, no working-precision pass
-            return float(self.rational)
-        return float(self.mpf())
+        return float(self.exact())  # correctly rounded
+
+    def phases(self, ks) -> list[float]:
+        """frac(k * x) for every integer k in ks, reduced exactly."""
+        x = self.exact()
+        p, q = x.numerator, x.denominator
+        return [(k * p % q) / q for k in ks]
 
     @property
     def is_rational(self) -> bool:
@@ -118,14 +155,13 @@ class Endpoint:
         other = Endpoint.coerce(other)
         if self.irr == other.irr:
             return _sign(self.rational - other.rational)
-        with workprec():
-            d = (self - other).mpf()
-            if abs(d) < ambiguity_threshold():
-                raise AmbiguousEndpoint(
-                    f"comparison of {self!r} and {other!r} is below the "
-                    f"working-precision threshold (|diff| ~ {mpmath.nstr(abs(d), 5)})"
-                )
-            return _sign(d)
+        d = (self - other).exact()
+        if abs(d) < ambiguity_threshold():
+            raise AmbiguousEndpoint(
+                f"comparison of {self!r} and {other!r} is below the "
+                f"working-precision threshold (|diff| ~ {float(abs(d)):.5g})"
+            )
+        return _sign(d)
 
     def __eq__(self, other):
         try:
@@ -184,14 +220,7 @@ class Endpoint:
     def floor(self) -> int:
         if not self.irr:
             return math.floor(self.rational)
-        with workprec():
-            x = self.mpf()
-            nearest = mpmath.nint(x)
-            if abs(x - nearest) < ambiguity_threshold():
-                raise AmbiguousEndpoint(
-                    f"floor of {self!r} is within the precision threshold of an integer"
-                )
-            return int(mpmath.floor(x))
+        return _guarded_floor(self.exact(), self)
 
     def ceil(self) -> int:
         return -((-self).floor())
@@ -301,7 +330,7 @@ class IntervalSet:
         return self.measure().mpf()
 
     def __float__(self):
-        return float(self.measure_mpf())
+        return float(self.measure())
 
     def contains(self, x) -> bool:
         x = Endpoint.coerce(x)
@@ -393,8 +422,11 @@ class IntervalSet:
     def from_json(cls, obj: dict) -> "IntervalSet":
         return cls(
             [
-                (Endpoint.from_json(item["left"]), Endpoint.from_json(item["right"]))
-                for item in obj["intervals"]
+                (
+                    Endpoint.from_json(_json_field(item, "left", "interval")),
+                    Endpoint.from_json(_json_field(item, "right", "interval")),
+                )
+                for item in _json_field(obj, "intervals", "interval set")
             ]
         )
 

@@ -1,9 +1,11 @@
-"""Working-precision context for all endpoint arithmetic.
+"""Working precision: how generators are made, and the ambiguity threshold.
 
 The default is 200 bits; it can be overridden by the RS_PRECISION_BITS
 environment variable or at runtime with set_precision_bits(); both refuse
-fewer than 64 bits.  Every high-precision computation in the package goes
-through workprec() so the active precision is consistent package-wide.
+fewer than 64 bits.  Generators (square roots, decimals read from JSON) are
+rounded to this precision inside workprec(), and printed at it; every
+decision about a value is made on its exact rational value, against
+ambiguity_threshold().
 """
 
 from __future__ import annotations
@@ -43,10 +45,10 @@ def workprec():
     return mpmath.workprec(_bits)
 
 
-def ambiguity_threshold() -> mpmath.mpf:
-    """Magnitude below which a nonzero difference is treated as undecidable."""
-    with workprec():
-        return mpmath.mpf(2) ** (-(_bits // 2))
+def ambiguity_threshold() -> Fraction:
+    """The exact 2^-(bits/2): a difference, or a distance to an integer,
+    smaller than this is treated as undecidable."""
+    return Fraction(1, 1 << (_bits // 2))
 
 
 def hp_sqrt(x) -> mpmath.mpf:

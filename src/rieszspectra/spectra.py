@@ -16,17 +16,16 @@ from typing import Optional, Sequence
 import mpmath
 
 from .errors import (
-    AmbiguousEndpoint,
     DegenerateBeta,
     IncompatibleShift,
     InvalidInput,
     OverlappingTerms,
 )
-from .intervals import Endpoint, parse_fraction
-from .precision import ambiguity_threshold, workprec
+from .intervals import Endpoint, _guarded_floor, _json_field, parse_fraction
+from .precision import workprec
 
 DEFAULT_BETA_FLOOR = Fraction(1, 64)
-_HALF = mpmath.mpf("0.5")  # exact at any precision
+_HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -46,55 +45,37 @@ class AvdoninFilter:
 
     def elements_in(self, lo: Fraction, hi: Fraction) -> list[int]:
         """All filtered values r + phase with r in the rounded image and
-        r + phase in [lo, hi]."""
-        beta = self.beta
+        r + phase in [lo, hi], ascending.
+
+        The image n -> round_half_up(n/beta) is strictly increasing for
+        0 < beta < 1, and r lies in [r_lo, r_hi] only for n within
+        beta*(r -+ 1/2).  A rational beta rounds exactly, ties up; an
+        irrational beta raises AmbiguousEndpoint on a near tie.
+        """
+        beta = self.beta.exact()
+        num, den = beta.numerator, beta.denominator
         r_lo = lo - self.phase
         r_hi = hi - self.phase
+        n_lo = math.ceil(beta * (r_lo - _HALF))
+        n_hi = math.floor(beta * (r_hi + _HALF))
+        exact = self.beta.is_rational
         out = []
-        if beta.is_rational:
-            bq = beta.rational
-            n_lo = math.ceil(bq * (Fraction(r_lo) - Fraction(1, 2)))
-            n_hi = math.floor(bq * (Fraction(r_hi) + Fraction(1, 2)))
-            for n in range(n_lo - 2, n_hi + 3):
-                r = Fraction(n, 1) / bq + Fraction(1, 2)
-                r = math.floor(r)
-                if r_lo <= r <= r_hi:
-                    out.append(r + self.phase)
-        else:
-            with workprec():
-                bm = beta.mpf()
-                threshold = ambiguity_threshold()
-                lo_m = mpmath.mpf(r_lo.numerator) / r_lo.denominator
-                hi_m = mpmath.mpf(r_hi.numerator) / r_hi.denominator
-                n_lo = int(mpmath.floor(bm * (lo_m - _HALF))) - 2
-                n_hi = int(mpmath.ceil(bm * (hi_m + _HALF))) + 2
-                for n in range(n_lo, n_hi + 1):
-                    r = _round_ratio_half_up(n, bm, threshold)
-                    if r_lo <= r <= r_hi:
-                        out.append(r + self.phase)
-        # rounded image is strictly increasing, dedupe defensively
-        return sorted(set(out))
+        for n in range(n_lo - 2, n_hi + 3):
+            x = Fraction(2 * n * den + num, 2 * num)  # n/beta + 1/2
+            r = math.floor(x) if exact else _guarded_floor(x, f"rounding of {n}/beta")
+            if r_lo <= r <= r_hi:
+                out.append(r + self.phase)
+        return out
 
     def to_json(self) -> dict:
-        with workprec():
-            digits = int(mpmath.mp.dps)
-            beta_str = mpmath.nstr(self.beta.mpf(), digits, strip_zeros=False)
+        if self.beta.is_rational:
+            q = self.beta.rational
+            beta_str = f"{q.numerator}/{q.denominator}"
+        else:
+            with workprec():
+                digits = int(mpmath.mp.dps)
+                beta_str = mpmath.nstr(self.beta.mpf(), digits, strip_zeros=False)
         return {"avdonin": {"beta": beta_str, "phase": self.phase}}
-
-
-def _round_ratio_half_up(n: int, bm: mpmath.mpf, threshold: mpmath.mpf) -> int:
-    """round_half_up(n / beta) for beta = bm, raising AmbiguousEndpoint when
-    n / beta + 1/2 lies within threshold of an integer.
-
-    Call inside workprec(), with bm = beta.mpf() and threshold =
-    ambiguity_threshold() computed once per enumeration.
-    """
-    shifted = mpmath.mpf(n) / bm + _HALF
-    if abs(shifted - mpmath.nint(shifted)) < threshold:
-        raise AmbiguousEndpoint(
-            f"rounding of {n}/beta is a tie at working precision"
-        )
-    return int(mpmath.floor(shifted))
 
 
 @dataclass(frozen=True)
@@ -132,11 +113,16 @@ class CosetTerm:
         if filt == "all" or filt is None:
             parsed = None
         else:
-            av = filt["avdonin"]
-            parsed = AvdoninFilter(
-                beta=Endpoint.coerce(str(av["beta"])), phase=int(av.get("phase", 0))
-            )
-        return cls(modulus=int(obj["modulus"]), offset=int(obj["offset"]), filter=parsed)
+            av = _json_field(filt, "avdonin", "spectrum term filter")
+            # "p/q" for a rational beta, else the decimal of a generator
+            beta = str(_json_field(av, "beta", "avdonin filter"))
+            beta = Endpoint(parse_fraction(beta, "beta")) if "/" in beta else Endpoint.coerce(beta)
+            parsed = AvdoninFilter(beta=beta, phase=int(av.get("phase", 0)))
+        return cls(
+            modulus=int(_json_field(obj, "modulus", "spectrum term")),
+            offset=int(_json_field(obj, "offset", "spectrum term")),
+            filter=parsed,
+        )
 
 
 def _term_sort_key(t: CosetTerm):
@@ -266,7 +252,7 @@ class Spectrum:
     @classmethod
     def from_json(cls, obj: dict) -> "Spectrum":
         return cls(
-            scale=parse_fraction(obj["scale"], "scale"),
+            scale=parse_fraction(_json_field(obj, "scale", "spectrum"), "scale"),
             terms=tuple(CosetTerm.from_json(t) for t in obj.get("terms", ())),
         )
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import mpmath
 import numpy as np
 
 from .errors import (
@@ -35,24 +34,12 @@ from .errors import (
 )
 from .intervals import Endpoint, IntervalSet, fold_pattern
 from .minors import _is_prime, c_prime_bound
-from .precision import workprec
 from .spectra import Spectrum
 
 DENSE_GRAM_BYTES = 2**30
 PASS_FLOOR = 1e-3
 MAX_LAST_DROP = 0.10
 TAIL_THRESHOLD = 0.01
-
-
-def _phase_floats(u: Endpoint, ds: np.ndarray) -> np.ndarray:
-    """frac(d * u) for every integer d in ds, computed at working precision."""
-    out = np.empty(len(ds))
-    with workprec():
-        um = u.mpf()
-        for i, d in enumerate(ds):
-            x = um * int(d)
-            out[i] = float(x - mpmath.floor(x))
-    return out
 
 
 def _window_integers(spectrum: Spectrum, S: IntervalSet, T) -> np.ndarray:
@@ -95,14 +82,14 @@ def _complex_gram(spectrum: Spectrum, S: IntervalSet, ms: np.ndarray) -> np.ndar
 
     # g[d] = integral over S of e^{2 pi i (d*scale) x}, d = 0..dmax
     g = np.zeros(dmax + 1, dtype=np.complex128)
-    g[0] = float(S.measure_mpf())
+    g[0] = float(S.measure())
     if dmax >= 1:
-        ds = np.arange(1, dmax + 1, dtype=np.int64)
-        deltas = ds * float(spectrum.scale)
+        ds = range(1, dmax + 1)
+        deltas = np.arange(1, dmax + 1) * float(spectrum.scale)
         acc = np.zeros(dmax, dtype=np.complex128)
         for left, right in S.pieces:
             for x, sign in ((right, +1.0), (left, -1.0)):
-                theta = _phase_floats(x * spectrum.scale, ds)
+                theta = np.array((x * spectrum.scale).phases(ds))
                 acc += sign * np.exp(2j * np.pi * theta)
         g[1:] = acc / (2j * np.pi * deltas)
     return _toeplitz(g, ms)
@@ -112,9 +99,9 @@ def gram_matrix(spectrum: Spectrum, S: IntervalSet, T) -> np.ndarray:
     """Hermitian matrix of pairwise exponential inner products over S.
 
     Entry (i, j) is the closed-form integral of e^{2 pi i (l_i - l_j) x}
-    over S; the diagonal is measure(S).  Phases are reduced mod 1 at working
-    precision before trigonometric evaluation, so large frequency gaps do
-    not lose accuracy.
+    over S; the diagonal is measure(S).  Phases are reduced mod 1 exactly
+    (Endpoint.phases) before trigonometric evaluation, so large frequency
+    gaps do not lose accuracy.
     """
     ms = _window_integers(spectrum, S, T)
     return _complex_gram(spectrum, S, ms[_window_slice(spectrum, ms, T)])
@@ -136,19 +123,19 @@ def _sinc_gram(spectrum: Spectrum, S: IntervalSet, ms: np.ndarray) -> np.ndarray
 
     G and R are unitarily similar, so their eigenvalues agree in exact
     arithmetic; R takes half the bytes and a real symmetric solve about a
-    quarter of the flops.  The phase d s w / 2 is reduced mod 1 at working
-    precision, as in gram_matrix, with one reduction per window instead of
-    one per endpoint.
+    quarter of the flops.  The phase d s w / 2 is reduced mod 1 exactly, as
+    in gram_matrix, with one reduction per window instead of one per
+    endpoint.
     """
     ((left, right),) = S.pieces
     dmax = int(ms[-1] - ms[0])
 
     r = np.empty(dmax + 1)
-    r[0] = float(S.measure_mpf())
+    r[0] = float(S.measure())
     if dmax >= 1:
-        ds = np.arange(1, dmax + 1, dtype=np.int64)
-        deltas = ds * float(spectrum.scale)
-        theta = _phase_floats((right - left) * (spectrum.scale / 2), ds)
+        ds = range(1, dmax + 1)
+        deltas = np.arange(1, dmax + 1) * float(spectrum.scale)
+        theta = np.array(((right - left) * (spectrum.scale / 2)).phases(ds))
         r[1:] = np.sin(2 * np.pi * theta) / (np.pi * deltas)
     return _toeplitz(r, ms)
 
@@ -263,7 +250,7 @@ def density_check(
     if windows:
         bound = max(windows) / spectrum.scale
         ms = np.asarray(spectrum.enumerate_integers(-bound, bound), dtype=np.int64)
-    meas = float(S.measure_mpf())
+    meas = float(S.measure())
     rows = []
     ok = True
     for T, T_exact in zip(T_list, windows):

@@ -94,7 +94,7 @@ def test_combine_non_prime_is_the_core_with_consecutive_shifts(N, base_shift):
     lat = integer_lattice(N, 0)
     levels = [lat, lat] + [empty_spectrum()] * (N - 2)
     out = combine_level_spectra(N, levels, base_shift=base_shift)
-    core = assembly._combine_levels(N, levels, range(base_shift, N + base_shift), 2048)
+    core = assembly._combine_levels(N, levels, range(base_shift, N + base_shift))
     assert out == core
     assert out.enumerate_integers(-60, 60) == [
         m for m in range(-60, 61) if m % N in (base_shift % N, (base_shift + 1) % N)
@@ -215,7 +215,7 @@ def _perturb_beta(spec: Spectrum, eps: Fraction) -> Spectrum:
 @pytest.mark.parametrize("name", ["plan_l1", "plan_l2"])
 def test_validate_plan_rejects_perturbed_beta(name, request):
     plan = request.getfixturevalue(name)
-    assembly._validate_plan(plan, 512)
+    assembly._validate_plan(plan)
     # far below the old float tolerance, and too small to move any rounded
     # frequency in the window, so only the exact density check can see it
     eps = Fraction(1, 2**80)
@@ -226,11 +226,12 @@ def test_validate_plan_rejects_perturbed_beta(name, request):
     bad = dataclasses.replace(
         plan, level_spectra=tuple(levels), lambda_ell=tuple(lambdas)
     )
-    assert bad.full_union().enumerate_integers(-512, 512) == (
-        plan.full_union().enumerate_integers(-512, 512)
+    w = assembly.CHECK_WINDOW
+    assert bad.full_union().enumerate_integers(-w, w) == (
+        plan.full_union().enumerate_integers(-w, w)
     )
     with pytest.raises(ConstructionError, match="density"):
-        assembly._validate_plan(bad, 512)
+        assembly._validate_plan(bad)
 
 
 def test_hierarchy_rejects_rational_endpoints():
@@ -312,7 +313,7 @@ def test_hierarchy_json_roundtrip(plan_l1):
     assert back.full_union().enumerate_integers(-w, w) == \
         plan_l1.full_union().enumerate_integers(-w, w)
     # the parsed plan supports the sub-union validation path end to end
-    sp = subset_spectrum(back, [1], check_window=512)
+    sp = subset_spectrum(back, [1])
     assert sp.K_J == back.K_ell[0]
 
 

@@ -327,3 +327,48 @@ def test_avdonin_beta_outside_unit_interval_is_input_error(beta, tmp_path, capsy
     _input_error(capsys, [
         "bounds", "--spectrum", str(spec_path), "--set", str(set_path), "--schedule", "8,16",
     ])
+
+
+@pytest.mark.parametrize(
+    "kind, field", [("spec", "right"), ("plan", "K"), ("term", "modulus"), ("list", "intervals")]
+)
+def test_missing_field_is_input_error(kind, field, tmp_path, capsys, plan_l1):
+    # each once exited 1 with a KeyError traceback
+    unit = tmp_path / "unit.json"
+    unit.write_text(json.dumps(IntervalSet.unit().to_json()))
+    path = tmp_path / f"{kind}.json"
+    if kind == "spec":
+        obj = {"intervals": [{"left": {"rat": "1/4"}}]}
+        argv = ["find-prime", "--intervals", str(path), "--prime-limit", "10"]
+    elif kind == "plan":
+        obj = dict(plan_l1.to_json())
+        del obj["K"]
+        argv = ["verify", "--plan", str(path), "--schedule", "8,16"]
+    elif kind == "list":  # a JSON list where an object belongs
+        obj = [{"left": {"rat": "1/4"}, "right": {"rat": "1/2"}}]
+        argv = ["find-prime", "--intervals", str(path), "--prime-limit", "10"]
+    else:
+        obj = {"scale": "1/1", "terms": [{"offset": 0, "filter": "all"}]}
+        argv = ["bounds", "--spectrum", str(path), "--set", str(unit), "--schedule", "8,16"]
+    path.write_text(json.dumps(obj))
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "input error:" in err and "Traceback" not in err
+    assert str(path) in err and repr(field) in err
+
+
+def test_rational_beta_survives_complement_then_bounds(tmp_path, capsys):
+    # complement on [1, 5/3) has the rational level beta = 2/3, whose
+    # rounding ties are real; as a decimal it made every tie ambiguous
+    v = tmp_path / "v.json"
+    lam = tmp_path / "lambda.json"
+    v.write_text(json.dumps(IntervalSet([(1, Fraction(5, 3))]).to_json()))
+    assert main(["complement", "--N", "2", "--intervals", str(v), "--out", str(lam)]) == 0
+    capsys.readouterr()
+    terms = json.loads(lam.read_text())["lambda_prime"]["terms"]
+    assert [t["filter"]["avdonin"]["beta"] for t in terms if t["filter"] != "all"] == ["2/3"]
+    code, report = _run(capsys, [
+        "bounds", "--spectrum", str(lam), "--set", str(v), "--schedule", "16,32",
+    ])
+    assert code == 0 and report["status"] == "PASS"

@@ -3,8 +3,11 @@ complex Gram, the one-build bounds schedule against a fresh Gram per window,
 the Avdonin rounding loop against the per-element formula, the
 one-enumeration density check against per-window enumeration, the
 closed-form fold pattern against the N-cell sweep, and the lattice relation
-certificate against the shell scan."""
+certificate against the shell scan.  The exact decisions (phases, Avdonin
+rounding, the relation scan) are also checked against the mpf evaluation
+at working precision that they replaced."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -107,7 +110,7 @@ def test_sinc_gram_is_unitarily_similar_to_gram(spec, S, T):
     assert R.dtype == np.float64 and R.shape == G.shape
     ((left, right),) = S.pieces
     center = (left + right) * F(1, 2)
-    d = np.exp(2j * np.pi * verify._phase_floats(center * spec.scale, ms))
+    d = np.exp(2j * np.pi * np.array((center * spec.scale).phases(ms.tolist())))
     assert np.max(np.abs(d[:, None] * R * d.conj()[None, :] - G)) <= 1e-12
     eg = np.linalg.eigvalsh(G)
     er = np.linalg.eigvalsh(R)
@@ -225,15 +228,25 @@ def test_single_interval_bounds_keep_input_checks():
 
 # -- Avdonin rounding loop vs the per-element formula -----------------------
 
+def _mpf_threshold() -> mpmath.mpf:
+    t = ambiguity_threshold()
+    with workprec():
+        return mpmath.mpf(t.numerator) / t.denominator
+
+
 def _rounded_oracle(beta: Endpoint, phase: int, lo: Fraction, hi: Fraction):
-    """Filtered values r + phase in [lo, hi], one guarded rounding per n."""
+    """Filtered values r + phase in [lo, hi], one guarded mpf rounding per n
+    at working precision (the evaluation the exact loop replaced), or None
+    when some n in a wider range than the loop's lies near a tie."""
     r_lo, r_hi = lo - phase, hi - phase
     b = float(beta)
+    threshold = _mpf_threshold()
     out = []
     for n in range(math.floor(b * (r_lo - 1)) - 2, math.ceil(b * (r_hi + 1)) + 3):
         with workprec():
             shifted = mpmath.mpf(n) / beta.mpf() + mpmath.mpf("0.5")
-            assert abs(shifted - mpmath.nint(shifted)) >= ambiguity_threshold()
+            if abs(shifted - mpmath.nint(shifted)) < threshold:
+                return None
             r = int(mpmath.floor(shifted))
         if r_lo <= r <= r_hi:
             out.append(r + phase)
@@ -249,8 +262,9 @@ def _rounded_oracle(beta: Endpoint, phase: int, lo: Fraction, hi: Fraction):
 )
 def test_elements_in_matches_per_element_rounding(beta, phase, lo, span):
     hi = lo + span
-    got = AvdoninFilter(beta=beta, phase=phase).elements_in(lo, hi)
-    assert got == _rounded_oracle(beta, phase, lo, hi)
+    expect = _rounded_oracle(beta, phase, lo, hi)
+    assume(expect is not None)
+    assert AvdoninFilter(beta=beta, phase=phase).elements_in(lo, hi) == expect
 
 
 def test_elements_in_tie_still_ambiguous():
@@ -258,6 +272,53 @@ def test_elements_in_tie_still_ambiguous():
     filt = AvdoninFilter(beta=Endpoint.coerce("0.4"))
     with pytest.raises(AmbiguousEndpoint):
         filt.elements_in(F(0), F(5))
+
+
+rational_betas = st.sampled_from([F(1, 2), F(2, 3), F(3, 7)]) | st.fractions(
+    min_value=F(1, 40), max_value=F(39, 40), max_denominator=40
+)
+
+
+@SETTINGS
+@given(
+    beta=rational_betas,
+    phase=st.integers(-5, 5),
+    lo=st.fractions(min_value=-300, max_value=300, max_denominator=4),
+    span=st.fractions(min_value=0, max_value=600, max_denominator=3),
+)
+def test_rational_elements_in_matches_per_element_floor(beta, phase, lo, span):
+    # rational ties are real and round half up, with no guard
+    hi = lo + span
+    r_lo, r_hi = lo - phase, hi - phase
+    n_range = range(math.floor(beta * (r_lo - 1)) - 2, math.ceil(beta * (r_hi + 1)) + 3)
+    rounded = (math.floor(Fraction(n) / beta + F(1, 2)) for n in n_range)
+    expect = [r + phase for r in rounded if r_lo <= r <= r_hi]
+    assert AvdoninFilter(beta=Endpoint(beta), phase=phase).elements_in(lo, hi) == expect
+
+
+# -- exact phases vs mpf frac(d*u) at working precision -----------------------
+
+@st.composite
+def forms(draw):
+    """rational + c*sqrt(p) over 0-3 distinct roots, of either sign."""
+    e = Endpoint(draw(st.fractions(min_value=-50, max_value=50, max_denominator=60)))
+    coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=500).filter(bool)
+    for p in draw(st.lists(st.sampled_from(ROOTS), max_size=3, unique=True)):
+        e = e + sqrt_multiple(p, draw(coeffs))
+    return e
+
+
+@SETTINGS
+@given(u=forms(), ds=st.lists(st.integers(-10**4, 10**4), min_size=1, max_size=20))
+def test_phases_match_mpf_reduction(u, ds):
+    got = u.phases(ds)
+    with workprec():
+        um = u.mpf()
+        expect = [float(mpmath.frac(d * um)) for d in ds]
+    for x, y in zip(got, expect):
+        assert 0 <= x < 1
+        gap = abs(x - y)
+        assert min(gap, 1 - gap) <= 1e-15  # circular: 1 - tiny and tiny agree
 
 
 # -- density check: one enumeration vs per-window enumeration ---------------
@@ -470,14 +531,42 @@ def test_relation_probe_matches_shell_scan(instance):
     )
 
 
+def _mpf_relation_scan(values, max_coeff: int):
+    """The shell scan summed in mpf at working precision, the evaluation
+    the exact scan replaced."""
+    float_input = any(isinstance(v, float) for v in values)
+    with workprec():
+        vs = [Endpoint.coerce(v).mpf() for v in values]
+        tol = mpmath.mpf("1e-9") if float_input else _mpf_threshold()
+        for shell in range(1, max_coeff + 1):
+            for q in itertools.product(range(-shell, shell + 1), repeat=len(vs)):
+                if max(abs(c) for c in q) != shell or next(c for c in q if c) < 0:
+                    continue
+                s = mpmath.mpf(0)
+                for c, v in zip(q, vs):
+                    if c:
+                        s += c * v
+                q0 = int(mpmath.nint(-s))
+                if abs(q0) <= max_coeff and abs(s + q0) < tol:
+                    return (q0, *q)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=relation_instances())
+def test_exact_relation_scan_matches_mpf_scan(instance):
+    values, M = instance
+    vs, tol = _scan_values(values)
+    assert _relation_scan(vs, tol, M, DEFAULT_PROBE_BUDGET) == _mpf_relation_scan(values, M)
+
+
 @settings(max_examples=150, deadline=None)
 @given(instance=relation_instances(), bits=st.integers(6, 40))
 def test_relation_certificate_implies_empty_scan(instance, bits):
     # a coarse tolerance 2^-bits puts near-relations close to the lattice bound
     values, M = instance
     vs, _ = _scan_values(values)
-    with workprec():
-        tol = mpmath.mpf(2) ** -bits
+    tol = F(1, 2**bits)
     if _no_relation_certified(vs, tol, M):
         assert _relation_scan(vs, tol, M, DEFAULT_PROBE_BUDGET) is None
 

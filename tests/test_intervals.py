@@ -150,18 +150,17 @@ def near_pairs(draw):
 
 
 def _check_cmp(x: Endpoint, y: Endpoint) -> None:
+    """Equal maps compare their rational parts; otherwise _cmp is the sign
+    of the exact difference and raises exactly when that lies below the
+    threshold 2^-(bits/2)."""
     diff = exact(x) - exact(y)
-    d = x - y
-    # mpf evaluation of d: a few roundings per term, each relative 2^-bits
-    scale = abs(d.rational) + sum(abs(c) * abs(_exact_mpf(g)) for g, c in d.irr.items())
-    err = Fraction(4 * (len(d.irr) + 1), 2 ** precision_bits()) * scale
+    sign = (diff > 0) - (diff < 0)
     threshold = Fraction(1, 2 ** (precision_bits() // 2))
-    try:
-        got = x._cmp(y)
-    except AmbiguousEndpoint:
-        assert abs(diff) < threshold + err
-        return
-    assert got == (diff > 0) - (diff < 0)
+    if x.irr != y.irr and abs(diff) < threshold:
+        with pytest.raises(AmbiguousEndpoint):
+            x._cmp(y)
+    else:
+        assert x._cmp(y) == sign
 
 
 @settings(max_examples=150, deadline=None)
@@ -189,6 +188,23 @@ def test_endpoint_cmp_near_threshold_is_exact_or_raises(pair):
     assert x.irr != y.irr
     _check_cmp(x, y)
     _check_cmp(y, x)
+
+
+def test_endpoint_cmp_threshold_is_exact():
+    # a generator whose exact value is offset by d from zero: |d| at the
+    # threshold decides, anything below it raises
+    bits = precision_bits()
+    t = Fraction(1, 2 ** (bits // 2))
+    (g,) = ROOTS[2].irr
+    zero = ROOTS[2] - _exact_mpf(g)
+    for d in (t, -t, t * 3 / 2):
+        assert (zero + d)._cmp(0) == (d > 0) - (d < 0)
+        assert (zero + d).floor() == (0 if d > 0 else -1)
+    for d in (t / 2, -t / 2, t - Fraction(1, 2**bits), Fraction(0)):
+        with pytest.raises(AmbiguousEndpoint):
+            (zero + d)._cmp(0)
+        with pytest.raises(AmbiguousEndpoint):
+            (zero + d).floor()
 
 
 def test_endpoint_mixed_sum_cancels_structurally():

@@ -188,3 +188,14 @@ def test_spectrum_json_roundtrip():
 def test_empty_spectrum():
     assert empty_spectrum().enumerate(100) == []
     assert empty_spectrum().density() == 0
+
+
+def test_rational_beta_json_roundtrip():
+    spec = avdonin_interval_spectrum(Fraction(2, 3))
+    back = Spectrum.from_json(spec.to_json())
+    assert back.terms[0].filter.beta.is_rational
+    got = back.enumerate_integers(-20, 20)
+    assert got == spec.enumerate_integers(-20, 20) and len(got) == 27
+    # an irrational beta still prints as a decimal generator
+    irr = avdonin_interval_spectrum(Endpoint.coerce("0.4142135623730950488"))
+    assert "/" not in irr.to_json()["terms"][0]["filter"]["avdonin"]["beta"]
