@@ -91,7 +91,7 @@ def _load_plan(path: str) -> HierarchyPlan:
 
 
 def _spectrum_from_json(obj) -> Spectrum:
-    if "terms" not in obj and "lambda_prime" in obj:
+    if isinstance(obj, dict) and "terms" not in obj and "lambda_prime" in obj:
         obj = obj["lambda_prime"]  # complement output is directly usable
     return Spectrum.from_json(obj)
 
@@ -292,7 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("check-chebotarev", help="exhaust minors of the character matrix")
+    p = sub.add_parser(
+        "check-chebotarev",
+        help="cover every square minor of the character matrix, one SVD per symmetry orbit",
+    )
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--max-size", type=int, required=True)
     p.add_argument("--out")

@@ -16,6 +16,7 @@ threshold raises AmbiguousEndpoint instead of guessing.
 from __future__ import annotations
 
 import functools
+import json
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -60,6 +61,13 @@ def _json_field(obj, key: str, what: str):
         return obj[key]
     except (KeyError, TypeError) as exc:
         raise InvalidInput(f"{what}: missing field {key!r}") from exc
+
+
+def _json_object(obj, what: str) -> dict:
+    """obj if it is a JSON object, else InvalidInput naming what it holds."""
+    if not isinstance(obj, dict):
+        raise InvalidInput(f"{what} must be a JSON object, not {json.dumps(obj)[:40]}")
+    return obj
 
 
 def _generator(x) -> dict:
@@ -244,6 +252,7 @@ class Endpoint:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Endpoint":
+        obj = _json_object(obj, "endpoint")
         return cls(parse_fraction(obj.get("rat", "0"), "rat"), obj.get("irr"))
 
     def __repr__(self):
@@ -420,12 +429,13 @@ class IntervalSet:
 
     @classmethod
     def from_json(cls, obj: dict) -> "IntervalSet":
+        def endpoint(item, key):
+            value = _json_field(item, key, "interval")
+            return Endpoint.from_json(_json_object(value, f"interval field {key!r}"))
+
         return cls(
             [
-                (
-                    Endpoint.from_json(_json_field(item, "left", "interval")),
-                    Endpoint.from_json(_json_field(item, "right", "interval")),
-                )
+                (endpoint(item, "left"), endpoint(item, "right"))
                 for item in _json_field(obj, "intervals", "interval set")
             ]
         )

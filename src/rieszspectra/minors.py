@@ -76,34 +76,205 @@ class ChebotarevReport:
         }
 
 
+def _sigmas(rows: np.ndarray, cols: np.ndarray, N: int) -> np.ndarray:
+    """Minimal singular values of the minors [e^{-2*pi*i*a*b/N}], a in
+    rows[k], b in cols[k], for int64 arrays rows and cols of shape (K, n).
+    Minors with the same reduced exponents are the same float matrix, so
+    when those exponents fit one int64 key each distinct matrix is
+    decomposed once (size 1 has only N of them among N^2 minors)."""
+    prod = rows[:, :, None] * cols[:, None, :]
+    n, inverse = rows.shape[1], slice(None)
+    if N ** (n * n) < 2**63:
+        key = (prod % N).reshape(len(prod), -1) @ N ** np.arange(n * n, dtype=np.int64)
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        prod = prod[first]
+    mats = np.exp(-2j * np.pi * (prod % N) / N)
+    return np.linalg.svd(mats, compute_uv=False)[..., -1][inverse]
+
+
+def _translation_class(S, N: int) -> tuple[int, ...]:
+    """The least translate of the subset S of Z_N; it contains 0."""
+    return min(tuple(sorted((x - s) % N for x in S)) for s in S)
+
+
+def _affine_representatives(N: int, n: int) -> list[tuple[int, ...]]:
+    """The least member of each orbit of the n-subsets of Z_N under the maps
+    x -> u*x + t (u a unit).  For n >= 2 it contains 0 and 1, because
+    x -> (x - a)/(b - a) sends any a != b of a member to 0 and 1; so the sets
+    containing {0, 1} are scanned in order and each new one marks the n(n-1)
+    members of its orbit that contain {0, 1}."""
+    if n == 1:
+        return [(0,)]
+    reps, seen = [], set()
+    for rest in combinations(range(2, N), n - 2):
+        S = (0, 1) + rest
+        if S in seen:
+            continue
+        reps.append(S)
+        for a in S:
+            for b in S:
+                if a != b:
+                    inv = pow(b - a, -1, N)
+                    seen.add(tuple(sorted((x - a) * inv % N for x in S)))
+    return reps
+
+
+def _orbit_classes(A, B, N: int) -> frozenset:
+    """The pairs (class of X, class of Y) of translation classes over the
+    members (X, Y) of the orbit of (A, B): the images (uA, u^-1 B) and their
+    transposes, translation being absorbed by the classes."""
+    keys = set()
+    for X, Y in ((A, B), (B, A)):
+        for u in range(1, N):
+            v = pow(u, -1, N)
+            keys.add(
+                (
+                    _translation_class([u * x % N for x in X], N),
+                    _translation_class([v * y % N for y in Y], N),
+                )
+            )
+    return frozenset(keys)
+
+
+def _translates(C: tuple[int, ...], N: int) -> np.ndarray:
+    """The distinct translates of C, sorted, starting with C itself; a proper
+    nonempty subset of Z_N (N prime) has N of them, Z_N only itself."""
+    if len(C) == N:
+        return np.array([C], dtype=np.int64)
+    shifted = np.asarray(C, dtype=np.int64)[None, :] + np.arange(N, dtype=np.int64)[:, None]
+    return np.sort(shifted % N, axis=1)
+
+
+def _expand(classes: frozenset, reps: set, N: int):
+    """The members (rows, cols) of the orbit with these translation classes,
+    less the representatives among them, which were evaluated already.  A
+    representative row set is the least of its translates, so only tx[0] ==
+    cx can be one, paired with the column sets that hold 0.  Distinct class
+    pairs hold distinct members, so no member appears twice."""
+    rows, cols = [], []
+    for cx, cy in classes:
+        tx, ty = _translates(cx, N), _translates(cy, N)
+        keep = np.ones(len(tx) * len(ty), dtype=bool)
+        if cx in reps:
+            keep[: len(ty)] = ~(ty == 0).any(axis=1)
+        rows.append(np.repeat(tx, len(ty), axis=0)[keep])
+        cols.append(np.tile(ty, (len(tx), 1))[keep])
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+def _expanded_count(classes: frozenset, reps: set, N: int) -> int:
+    """len(_expand(classes, reps, N)[0]) without building the members."""
+    n = len(next(iter(classes))[0])
+    size, zero_cols = (1, 1) if n == N else (N, n)
+    return sum(size * size - (cx in reps) * zero_cols for cx, _ in classes)
+
+
+def _first_min(rows: np.ndarray, cols: np.ndarray, sigmas: np.ndarray) -> int:
+    """Index of the least (sigma, rows, cols), comparing row and column
+    tuples lexicographically."""
+    idx = np.flatnonzero(sigmas == sigmas.min())
+    keys = np.hstack([rows[idx], cols[idx]])
+    for j in range(keys.shape[1]):
+        keep = keys[:, j] == keys[:, j].min()
+        idx, keys = idx[keep], keys[keep]
+    return int(idx[0])
+
+
 def chebotarev_check(
     N: int, max_size: int, budget: int = DEFAULT_ENUM_BUDGET
 ) -> ChebotarevReport:
-    """Exhaust all square minors of size <= max_size and return the worst
-    (smallest) minimal singular value; positive for prime N."""
+    """Cover all square minors of size <= max_size and return the worst
+    (smallest) minimal singular value; positive for prime N (Chebotarev).
+
+    One SVD is taken per orbit of a symmetry group, not per minor.  Write
+    sigma(A, B) for the spectrum of M = [w^{ab}], a in A, b in B, w =
+    e^{-2*pi*i/N}, rows and columns in increasing order.  It is unchanged by:
+
+    * A -> A + s: entry w^{(a+s)b} = w^{ab} w^{sb}, so M is multiplied on the
+      right by the unitary diagonal diag(w^{sb}) (and reordered rows are a
+      permutation); likewise B -> B + t multiplies on the left by
+      diag(w^{ta}).  Unitary factors keep singular values.
+    * (A, B) -> (uA, u^-1 B), u a unit mod N: (ua)(u^-1 b) = ab mod N, so the
+      new matrix has the same entries, rows and columns permuted; the
+      reduced exponents are equal integers, so even the float entries agree.
+    * (A, B) -> (B, A): the matrix is M transposed.
+
+    (A, B) -> (uA, B) alone is not an invariance: it maps each entry w^{ab}
+    to w^{uab}, a Galois conjugation, which moves singular values.
+
+    Every (A, B) is equivalent to a representative (A0, B0): pick (u, t)
+    with uA + t = A0, the least member of the affine orbit of A, apply
+    (uA, u^-1 B) and both translations, then translate B to contain 0.  So
+    the representatives are the least members A0 of the affine orbits of
+    n-subsets against every n-subset B0 containing 0.
+
+    Tie-break.  The report must name the same minor as the exhaustive sweep:
+    the least key (sigma, n, rows, cols) over float sigmas, rows and cols
+    compared lexicographically (row-major argmin over lexicographic subsets
+    within a size, strict < across sizes).  Let m be the least float sigma
+    over the representatives.  Members of one orbit have the same exact
+    sigma, and a backward-stable SVD of an n x n matrix with unimodular
+    entries errs by about n*eps*|M| <= n^2*eps (a few ulps here), far below
+    1e-12.  The float minimum g <= m is attained by a member whose
+    representative has float sigma within those few ulps of g, hence <=
+    m + 1e-12.  So every orbit whose representative has sigma <= m + 1e-12
+    is expanded into its distinct members, each is evaluated by the same
+    formula as a representative, and the least key over the representatives
+    and those members is the exhaustive sweep's, bit for bit.
+
+    ``budget`` caps the distinct (A, B) whose SVD is taken, representatives
+    plus expanded members; it is checked before each batch of SVDs.
+    ``specs_checked`` is the number of minors covered, sum C(N, n)^2.
+    """
     if not _is_prime(N):
         raise NotPrime(f"{N} is not prime")
     if not 1 <= max_size <= N:
         raise InvalidInput("max_size must lie in 1..N")
     total = sum(math.comb(N, n) ** 2 for n in range(1, max_size + 1))
-    if total > budget:
-        raise ResourceLimit(f"{total} minors exceed budget {budget}")
-    worst_sigma = None
-    worst_spec = None
-    for n in range(1, max_size + 1):
-        subsets = np.array(list(combinations(range(N), n)), dtype=np.int64)
-        # batch of all row-choice x col-choice minors of size n
-        prod = subsets[:, None, :, None] * subsets[None, :, None, :]
-        mats = np.exp(-2j * np.pi * (prod % N) / N)
-        sigmas = np.linalg.svd(mats, compute_uv=False)[..., -1]
-        idx = np.unravel_index(np.argmin(sigmas), sigmas.shape)
-        sigma = float(sigmas[idx])
-        if worst_sigma is None or sigma < worst_sigma:
-            worst_sigma = sigma
-            worst_spec = MinorSpec(
-                N, tuple(subsets[idx[0]].tolist()), tuple(subsets[idx[1]].tolist())
-            )
-    return ChebotarevReport(worst_spec=worst_spec, worst_sigma=worst_sigma, specs_checked=total)
+    sizes = range(1, max_size + 1)
+    reps, taken = {}, 0
+    for n in sizes:
+        reps[n] = _affine_representatives(N, n)
+        taken += len(reps[n]) * math.comb(N - 1, n - 1)
+        if taken > budget:
+            raise ResourceLimit(f"{taken} minors to evaluate exceed budget {budget}")
+    evaluated = {}  # size -> [(rows, cols, sigmas)], representatives first
+    for n in sizes:
+        zero_cols = np.array(
+            [(0,) + c for c in combinations(range(1, N), n - 1)], dtype=np.int64
+        )
+        rows = np.repeat(np.array(reps[n], dtype=np.int64), len(zero_cols), axis=0)
+        cols = np.tile(zero_cols, (len(reps[n]), 1))
+        evaluated[n] = [(rows, cols, _sigmas(rows, cols, N))]
+    m = min(float(evaluated[n][0][2].min()) for n in sizes)
+    orbits = {n: set() for n in sizes}
+    for n in sizes:
+        rows, cols, sigmas = evaluated[n][0]
+        for k in np.flatnonzero(sigmas <= m + 1e-12):
+            orbits[n].add(_orbit_classes(rows[k].tolist(), cols[k].tolist(), N))
+    rep_sets = {n: set(reps[n]) for n in sizes}
+    taken += sum(
+        _expanded_count(classes, rep_sets[n], N) for n in sizes for classes in orbits[n]
+    )
+    if taken > budget:
+        raise ResourceLimit(f"{taken} minors to evaluate exceed budget {budget}")
+    for n in sizes:
+        for classes in orbits[n]:
+            rows, cols = _expand(classes, rep_sets[n], N)
+            if len(rows):
+                evaluated[n].append((rows, cols, _sigmas(rows, cols, N)))
+    worst = None
+    for n in sizes:
+        rows, cols, sigmas = (np.concatenate(parts) for parts in zip(*evaluated[n]))
+        i = _first_min(rows, cols, sigmas)
+        if worst is None or sigmas[i] < worst[0]:  # ties keep the smaller size
+            worst = (sigmas[i], rows[i], cols[i])
+    sigma, rows, cols = worst
+    return ChebotarevReport(
+        worst_spec=MinorSpec(N, tuple(rows.tolist()), tuple(cols.tolist())),
+        worst_sigma=float(sigma),
+        specs_checked=total,
+    )
 
 
 def c_prime_bound(N: int, shifts: Sequence[int], fiber_sets: Sequence[Sequence[int]]) -> float:

@@ -21,7 +21,7 @@ from .errors import (
     InvalidInput,
     OverlappingTerms,
 )
-from .intervals import Endpoint, _guarded_floor, _json_field, parse_fraction
+from .intervals import Endpoint, _guarded_floor, _json_field, _json_object, parse_fraction
 from .precision import workprec
 
 DEFAULT_BETA_FLOOR = Fraction(1, 64)
@@ -109,6 +109,7 @@ class CosetTerm:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CosetTerm":
+        obj = _json_object(obj, "spectrum term")
         filt = obj.get("filter", "all")
         if filt == "all" or filt is None:
             parsed = None
@@ -251,9 +252,13 @@ class Spectrum:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Spectrum":
+        obj = _json_object(obj, "spectrum")
+        terms = obj.get("terms", [])
+        if not isinstance(terms, list):
+            raise InvalidInput("spectrum: field 'terms' must be a JSON array")
         return cls(
             scale=parse_fraction(_json_field(obj, "scale", "spectrum"), "scale"),
-            terms=tuple(CosetTerm.from_json(t) for t in obj.get("terms", ())),
+            terms=tuple(CosetTerm.from_json(t) for t in terms),
         )
 
 

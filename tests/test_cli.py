@@ -372,3 +372,32 @@ def test_rational_beta_survives_complement_then_bounds(tmp_path, capsys):
         "bounds", "--spectrum", str(lam), "--set", str(v), "--schedule", "16,32",
     ])
     assert code == 0 and report["status"] == "PASS"
+
+
+@pytest.mark.parametrize(
+    "kind, named",
+    [
+        ("endpoint", "interval field 'left'"),
+        ("term", "spectrum term"),
+        ("terms entry", "spectrum term"),
+        ("terms", "'terms'"),
+    ],
+)
+def test_non_object_field_is_input_error(kind, named, tmp_path, capsys):
+    # each once exited 1 with an AttributeError or TypeError traceback
+    unit = tmp_path / "unit.json"
+    unit.write_text(json.dumps(IntervalSet.unit().to_json()))
+    path = tmp_path / "artifact.json"
+    if kind == "endpoint":
+        obj = {"intervals": [{"left": "1/4", "right": "1/2"}]}
+        argv = ["find-prime", "--intervals", str(path), "--prime-limit", "100"]
+    else:
+        terms = {"term": ["1Z+0"], "terms entry": [[1, 0]], "terms": 7}[kind]
+        obj = {"scale": "1/1", "terms": terms}
+        argv = ["bounds", "--spectrum", str(path), "--set", str(unit), "--schedule", "8,16"]
+    path.write_text(json.dumps(obj))
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "input error:" in err and "Traceback" not in err
+    assert str(path) in err and named in err

@@ -3,13 +3,16 @@ complex Gram, the one-build bounds schedule against a fresh Gram per window,
 the Avdonin rounding loop against the per-element formula, the
 one-enumeration density check against per-window enumeration, the
 closed-form fold pattern against the N-cell sweep, and the lattice relation
-certificate against the shell scan.  The exact decisions (phases, Avdonin
+certificate against the shell scan, and the orbit sweep of Chebotarev
+minors against the exhaustive one.  The exact decisions (phases, Avdonin
 rounding, the relation scan) are also checked against the mpf evaluation
 at working precision that they replaced."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import mpmath
 import numpy as np
@@ -28,6 +31,7 @@ from rieszspectra.arith import (
 from rieszspectra import (
     AmbiguousEndpoint,
     AvdoninFilter,
+    ChebotarevReport,
     CosetTerm,
     EmptyWindow,
     Endpoint,
@@ -35,8 +39,12 @@ from rieszspectra import (
     a_geq_all,
     IntervalSet,
     InvalidInput,
+    MinorSpec,
+    NotPrime,
+    ResourceLimit,
     Spectrum,
     avdonin_interval_spectrum,
+    chebotarev_check,
     density_check,
     fold_pattern,
     gram_matrix,
@@ -44,6 +52,7 @@ from rieszspectra import (
     rational_relation_probe,
     riesz_bounds_estimate,
 )
+from rieszspectra.minors import DEFAULT_ENUM_BUDGET, _is_prime
 from rieszspectra.precision import ambiguity_threshold, hp_sqrt, workprec
 
 F = Fraction
@@ -579,3 +588,72 @@ def test_relation_certificate_decides_both_ways():
     assert _no_relation_certified(vs, tol, 10)
     vs, tol = _scan_values([s2 - 1, s2 * 2 - 2])
     assert not _no_relation_certified(vs, tol, 3)
+
+
+def _exhaustive_chebotarev(
+    N: int, max_size: int, budget: int = DEFAULT_ENUM_BUDGET
+) -> ChebotarevReport:
+    """Exhaust all square minors of size <= max_size and return the worst
+    (smallest) minimal singular value; positive for prime N."""
+    if not _is_prime(N):
+        raise NotPrime(f"{N} is not prime")
+    if not 1 <= max_size <= N:
+        raise InvalidInput("max_size must lie in 1..N")
+    total = sum(math.comb(N, n) ** 2 for n in range(1, max_size + 1))
+    if total > budget:
+        raise ResourceLimit(f"{total} minors exceed budget {budget}")
+    worst_sigma = None
+    worst_spec = None
+    for n in range(1, max_size + 1):
+        subsets = np.array(list(combinations(range(N), n)), dtype=np.int64)
+        # batch of all row-choice x col-choice minors of size n
+        prod = subsets[:, None, :, None] * subsets[None, :, None, :]
+        mats = np.exp(-2j * np.pi * (prod % N) / N)
+        sigmas = np.linalg.svd(mats, compute_uv=False)[..., -1]
+        idx = np.unravel_index(np.argmin(sigmas), sigmas.shape)
+        sigma = float(sigmas[idx])
+        if worst_sigma is None or sigma < worst_sigma:
+            worst_sigma = sigma
+            worst_spec = MinorSpec(
+                N, tuple(subsets[idx[0]].tolist()), tuple(subsets[idx[1]].tolist())
+            )
+    return ChebotarevReport(worst_spec=worst_spec, worst_sigma=worst_sigma, specs_checked=total)
+
+
+def _report_bytes(report: ChebotarevReport) -> str:
+    return json.dumps(report.to_json())
+
+
+# every (prime N, max_size) whose exhaustive sweep has at most 2*10^5 minors
+CHEBOTAREV_CASES = [
+    (N, k)
+    for N in (2, 3, 5, 7, 11, 13)
+    for k in range(1, N + 1)
+    if sum(math.comb(N, n) ** 2 for n in range(1, k + 1)) <= 2 * 10**5
+]
+
+
+@settings(max_examples=4 * len(CHEBOTAREV_CASES), deadline=None)
+@given(case=st.sampled_from(CHEBOTAREV_CASES))
+def test_orbit_sweep_matches_exhaustive_sweep(case):
+    N, max_size = case
+    assert _report_bytes(chebotarev_check(N, max_size)) == _report_bytes(
+        _exhaustive_chebotarev(N, max_size)
+    )
+
+
+@pytest.mark.parametrize("N, max_size", [(11, 5), (31, 2), (101, 1), (997, 1)])
+def test_orbit_sweep_matches_exhaustive_sweep_fixed(N, max_size):
+    # (997, 1) is one orbit of N^2 minors, expanded in full
+    assert _report_bytes(chebotarev_check(N, max_size)) == _report_bytes(
+        _exhaustive_chebotarev(N, max_size)
+    )
+
+
+def test_orbit_sweep_matches_benchmark_reference():
+    # the check-chebotarev --N 11 --max-size 5 reference of the benchmark
+    assert chebotarev_check(11, 5).to_json() == {
+        "worst_spec": {"N": 11, "rows": [2, 3, 4, 7, 10], "cols": [0, 5, 6, 7, 9]},
+        "worst_sigma": 0.029766929720968484,
+        "specs_checked": 352715,
+    }

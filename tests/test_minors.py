@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import rieszspectra as rs
+import rieszspectra.minors as minors
 from rieszspectra import (
     InvalidInput,
     MinorSpec,
@@ -65,6 +66,21 @@ def test_min_singular_invariant_under_offsets():
         cols2 = tuple(sorted((c + c_off) % N for c in cols))
         shifted = min_singular(MinorSpec(N, rows2, cols2))
         assert abs(base - shifted) < 1e-10
+        # (uA, u^-1 B) keeps the products ab mod N; (B, A) transposes
+        u = int(rng.choice([u for u in range(1, N) if math.gcd(u, N) == 1]))
+        v = pow(u, -1, N)
+        rows3 = tuple(sorted(u * r % N for r in rows2))
+        cols3 = tuple(sorted(v * c % N for c in cols2))
+        scaled = min_singular(MinorSpec(N, rows3, cols3))
+        assert abs(base - scaled) < 1e-10
+        assert abs(base - min_singular(MinorSpec(N, cols3, rows3))) < 1e-10
+
+
+def test_min_singular_not_invariant_under_galois_conjugation():
+    # (uA, B) alone maps w^{ab} to w^{uab}: sigma moves
+    base = min_singular(MinorSpec(7, (0, 1), (0, 1)))
+    conj = min_singular(MinorSpec(7, (0, 2), (0, 1)))
+    assert abs(base - conj) > 1e-3
 
 
 def test_minor_spec_validation():
@@ -95,6 +111,32 @@ def test_chebotarev_requires_prime():
 def test_chebotarev_budget():
     with pytest.raises(ResourceLimit):
         chebotarev_check(13, 13, budget=10**4)
+
+
+def test_chebotarev_budget_counts_evaluated_minors():
+    # 5200299 minors are covered by about 2*10^4 evaluations
+    r = chebotarev_check(13, 6)
+    assert r.specs_checked == 5200299
+    assert r.worst_sigma > 0
+
+
+@pytest.mark.parametrize("N, max_size", [(2, 2), (7, 7), (11, 5), (13, 6), (101, 1)])
+def test_chebotarev_evaluates_at_most_every_minor_once(N, max_size, monkeypatch):
+    evaluated = []
+
+    def counting(rows, cols, N_):
+        evaluated.append(len(rows))
+        return sigmas(rows, cols, N_)
+
+    sigmas = minors._sigmas
+    monkeypatch.setattr(minors, "_sigmas", counting)
+    r = chebotarev_check(N, max_size, budget=10**7)
+    count = sum(evaluated)
+    assert count <= r.specs_checked
+    # the budget caps exactly the evaluated pairs
+    assert chebotarev_check(N, max_size, budget=count) == r
+    with pytest.raises(ResourceLimit):
+        chebotarev_check(N, max_size, budget=count - 1)
 
 
 def test_chebotarev_worst_spec_is_argmin():
