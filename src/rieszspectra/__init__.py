@@ -71,7 +71,7 @@ from .minors import (
     min_singular,
     minor_matrix,
 )
-from .precision import precision_bits, set_precision_bits
+from .precision import DEFAULT_PRECISION_BITS
 from .spectra import (
     AvdoninFilter,
     CosetTerm,

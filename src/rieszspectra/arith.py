@@ -86,12 +86,7 @@ def ordering_primes(
         # chain 0 < {Na_1} < ... < {Na_L} < {Nb_L} < ... < {Nb_1} < 1
         witness = [(x * N).frac() for x in a] + [(y * N).frac() for y in reversed(b)]
         ok = Endpoint(0) < witness[0] and witness[-1] < Endpoint(1)
-        if ok:
-            for u, v in zip(witness, witness[1:]):
-                if not u < v:
-                    ok = False
-                    break
-        if not ok:
+        if not (ok and all(u < v for u, v in zip(witness, witness[1:]))):
             continue
         if not grid_separation_ok(N, endpoints):
             continue
@@ -177,8 +172,9 @@ def rational_relation_probe(
 
     The search box is every (q0, q1, ..., qm) with max-norm <= max_coeff,
     and a relation holds when |q0 + sum q_i v_i| < tol, evaluated exactly on
-    the values' generators at their binary values.  tol is
-    ambiguity_threshold(), or exactly 1/10^9 when any value is a float.
+    the values' generators at their binary values.  tol is the ambiguity
+    threshold of all the values' generators, or exactly 1/10^9 when any
+    value is a float.
 
     Returns the coefficient vector of the first relation found on an
     expanding max-norm shell scan, or None.  A returned relation disproves
@@ -205,9 +201,10 @@ def rational_relation_probe(
 def _scan_values(values: Sequence):
     """The exact values and the relation tolerance."""
     float_input = any(isinstance(v, float) for v in values)
-    vs = [Endpoint.coerce(v).exact() for v in values]
-    tol = Fraction(1, 10**9) if float_input else ambiguity_threshold()
-    return vs, tol
+    es = [Endpoint.coerce(v) for v in values]
+    generators = (g for e in es for g in e.irr)
+    tol = Fraction(1, 10**9) if float_input else ambiguity_threshold(generators)
+    return [e.exact() for e in es], tol
 
 
 def _relation_scan(vs, tol, max_coeff: int, budget: int) -> Optional[tuple[int, ...]]:

@@ -35,8 +35,10 @@ from .errors import (
     NotPrime,
     UnsupportedASet,
 )
-from .intervals import Endpoint, IntervalSet, _json_field, fold_pattern, geq_levels
+from .intervals import Endpoint, IntervalSet, fold_pattern, geq_levels
+from .intervals import _json_array, _json_field, _json_value
 from .minors import _is_prime
+from .precision import DEFAULT_PRECISION_BITS
 from .spectra import (
     Spectrum,
     avdonin_interval_spectrum,
@@ -137,28 +139,33 @@ class HierarchyPlan:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "HierarchyPlan":
-        def get(key, within=obj, what="plan"):
-            return _json_field(within, key, what)
+    def from_json(cls, obj: dict, *, bits=DEFAULT_PRECISION_BITS) -> "HierarchyPlan":
+        def each(key, parse):
+            return tuple(parse(v, bits=bits) for v in _json_array(obj, key, "plan"))
 
-        witness = get("witness")
+        def ints(key, optional=False):
+            what = f"plan field {key!r} entry"
+            return tuple(
+                v if optional and v is None else _json_value(v, int, what)
+                for v in _json_array(obj, key, "plan")
+            )
+
+        witness = _json_field(obj, "witness", "plan")
         return cls(
-            N=int(get("N")),
-            a=tuple(Endpoint.from_json(e) for e in get("a")),
-            b=tuple(Endpoint.from_json(e) for e in get("b")),
-            S=IntervalSet.from_json(get("set")),
-            a_sets=tuple(IntervalSet.from_json(s) for s in get("a_sets")),
-            level_spectra=tuple(Spectrum.from_json(s) for s in get("level_spectra")),
-            level_interval=tuple(
-                None if v is None else int(v) for v in get("level_interval")
-            ),
-            K_ell=tuple(int(k) for k in get("K_ell")),
-            K=int(get("K")),
-            lambda_ell=tuple(Spectrum.from_json(s) for s in get("lambda_ell")),
+            N=_json_field(obj, "N", "plan", int),
+            a=each("a", Endpoint.from_json),
+            b=each("b", Endpoint.from_json),
+            S=IntervalSet.from_json(_json_field(obj, "set", "plan"), bits=bits),
+            a_sets=each("a_sets", IntervalSet.from_json),
+            level_spectra=each("level_spectra", Spectrum.from_json),
+            level_interval=ints("level_interval", optional=True),
+            K_ell=ints("K_ell"),
+            K=_json_field(obj, "K", "plan", int),
+            lambda_ell=each("lambda_ell", Spectrum.from_json),
             witness=PrimeSearchResult(
-                N=int(get("N", witness, "plan witness")),
-                candidates_scanned=int(get("candidates_scanned", witness, "plan witness")),
-                ordering_witness=tuple(get("ordering_witness", witness, "plan witness")),
+                N=_json_field(witness, "N", "plan witness", int),
+                candidates_scanned=_json_field(witness, "candidates_scanned", "plan witness", int),
+                ordering_witness=tuple(_json_array(witness, "ordering_witness", "plan witness")),
             ),
         )
 
@@ -246,15 +253,13 @@ def construct_hierarchy(
     relation = rational_relation_probe(list(a) + list(b), probe_max_coeff)
     if relation is not None:
         raise IndependenceSuspect(relation)
-    successes = 0
-    found_any = False
-    for witness in ordering_primes(a, b, prime_limit, skip_relation_probe=True):
-        found_any = True
+    witnesses = ordering_primes(a, b, prime_limit, skip_relation_probe=True)
+    found = 0
+    for found, witness in enumerate(witnesses, start=1):
         plan = _build_plan(witness, a, b)
-        if successes == prime_index:
+        if found > prime_index:
             return plan
-        successes += 1
-    if found_any:
+    if found:
         raise NotFound(prime_limit, "admissible primes found but not enough of them")
     raise NotFound(prime_limit)
 

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .intervals import Endpoint, IntervalSet, parse_fraction
 from .minors import chebotarev_check
-from .precision import hp_sqrt, precision_bits, set_precision_bits
+from .precision import DEFAULT_PRECISION_BITS, checked_bits, hp_sqrt
 from .spectra import Spectrum
 from .verify import density_check, folding_probe, riesz_bounds_estimate
 
@@ -60,44 +60,30 @@ def _load_json(path: str) -> dict:
         ) from exc
 
 
-def _load_artifact(path: str, parse):
-    """parse(the artifact in path, unwrapped from a report envelope); an
-    input error while parsing names the file."""
-    obj = _unwrap(_load_json(path))
+def _load_artifact(path: str, parse, bits: int):
+    """parse(the artifact in path, bits=bits), where the file holds either a
+    bare artifact or a full report envelope; an input error while parsing
+    names the file."""
+    obj = _load_json(path)
+    if isinstance(obj, dict) and obj.get("schema") == SCHEMA and "result" in obj:
+        obj = obj["result"]
     try:
-        return parse(obj)
+        return parse(obj, bits=bits)
     except InvalidInput as exc:
         raise InvalidInput(f"{path}: {exc}") from exc
 
 
-def _interval_endpoints(path: str):
-    S = _load_artifact(path, IntervalSet.from_json)
+def _interval_endpoints(path: str, bits: int):
+    S = _load_artifact(path, IntervalSet.from_json, bits)
     if S.is_empty:
         raise InvalidInput("interval specification is empty")
-    a = [l for l, _ in S.pieces]
-    b = [r for _, r in S.pieces]
-    return a, b, S
+    return [l for l, _ in S.pieces], [r for _, r in S.pieces]
 
 
-def _unwrap(obj):
-    """Accept either a bare artifact or a full report envelope."""
-    if isinstance(obj, dict) and obj.get("schema") == SCHEMA and "result" in obj:
-        return obj["result"]
-    return obj
-
-
-def _load_plan(path: str) -> HierarchyPlan:
-    return _load_artifact(path, HierarchyPlan.from_json)
-
-
-def _spectrum_from_json(obj) -> Spectrum:
+def _spectrum_from_json(obj, *, bits: int) -> Spectrum:
     if isinstance(obj, dict) and "terms" not in obj and "lambda_prime" in obj:
         obj = obj["lambda_prime"]  # complement output is directly usable
-    return Spectrum.from_json(obj)
-
-
-def _load_spectrum(path: str) -> Spectrum:
-    return _load_artifact(path, _spectrum_from_json)
+    return Spectrum.from_json(obj, bits=bits)
 
 
 def _write_report(args, payload: dict, status: str, artifact: dict = None) -> None:
@@ -134,35 +120,32 @@ def _dump(obj, *streams) -> None:
             fh.write(block)
 
 
-def _cmd_find_prime(args) -> int:
-    a, b, _ = _interval_endpoints(args.intervals)
-    result = find_ordering_prime(a, b, args.prime_limit)
+def _pass_with_artifact(args, result) -> int:
+    """Report result as a PASS; --out stores result alone."""
     payload = result.to_json()
     _write_report(args, payload, "PASS", artifact=payload)
     return EXIT_PASS
 
 
-def _cmd_construct_hierarchy(args) -> int:
-    a, b, _ = _interval_endpoints(args.intervals)
-    plan = construct_hierarchy(
-        a, b, args.prime_limit, prime_index=args.prime_index
-    )
-    payload = plan.to_json()
-    _write_report(args, payload, "PASS", artifact=payload)
-    return EXIT_PASS
+def _cmd_find_prime(args, bits: int) -> int:
+    a, b = _interval_endpoints(args.intervals, bits)
+    return _pass_with_artifact(args, find_ordering_prime(a, b, args.prime_limit))
 
 
-def _cmd_complement(args) -> int:
-    a, b, _ = _interval_endpoints(args.intervals)
-    result = complement_integer_spectrum(args.N, a, b)
-    payload = result.to_json()
-    _write_report(args, payload, "PASS", artifact=payload)
-    return EXIT_PASS
+def _cmd_construct_hierarchy(args, bits: int) -> int:
+    a, b = _interval_endpoints(args.intervals, bits)
+    plan = construct_hierarchy(a, b, args.prime_limit, prime_index=args.prime_index)
+    return _pass_with_artifact(args, plan)
 
 
-def _cmd_bounds(args) -> int:
-    spectrum = _load_spectrum(args.spectrum)
-    S = _load_artifact(args.set, IntervalSet.from_json)
+def _cmd_complement(args, bits: int) -> int:
+    a, b = _interval_endpoints(args.intervals, bits)
+    return _pass_with_artifact(args, complement_integer_spectrum(args.N, a, b))
+
+
+def _cmd_bounds(args, bits: int) -> int:
+    spectrum = _load_artifact(args.spectrum, _spectrum_from_json, bits)
+    S = _load_artifact(args.set, IntervalSet.from_json, bits)
     schedule = _parse_schedule(args.schedule)
     report = riesz_bounds_estimate(spectrum, S, schedule)
     _write_report(args, report.to_json(), report.status)
@@ -173,77 +156,61 @@ def _parse_schedule(text: str) -> list[Fraction]:
     return [parse_fraction(x, "--schedule") for x in text.split(",")]
 
 
-def _cmd_verify(args) -> int:
-    plan = _load_plan(args.plan)
+def _cmd_verify(args, bits: int) -> int:
+    plan = _load_artifact(args.plan, HierarchyPlan.from_json, bits)
     schedule = _parse_schedule(args.schedule)
     density_windows = [schedule[-1] * m for m in (1, 2, 4)]
-    subsets = []
-    if args.all_subsets:
-        L = plan.L
-        for mask in range(1, 2**L):
-            subsets.append([ell for ell in range(1, L + 1) if mask & (1 << (ell - 1))])
-    else:
-        subsets.append(list(range(1, plan.L + 1)))
+    L = plan.L
+    masks = range(1, 2**L) if args.all_subsets else [2**L - 1]
+    subsets = [[ell for ell in range(1, L + 1) if mask >> (ell - 1) & 1] for mask in masks]
     rows = []
     all_ok = True
     for J in subsets:
-        sp = subset_spectrum(plan, J)
-        spec = sp.union()
-        S_J = IntervalSet(
-            (plan.a[ell - 1], plan.b[ell - 1]) for ell in J
-        )
+        spec = subset_spectrum(plan, J).union()
+        S_J = IntervalSet((plan.a[ell - 1], plan.b[ell - 1]) for ell in J)
         dens = density_check(spec, S_J, density_windows)
         gram = riesz_bounds_estimate(spec, S_J, schedule)
         ok = dens.passed and gram.passed
         all_ok = all_ok and ok
-        rows.append(
-            {
-                "J": J,
-                "density": dens.to_json(),
-                "gram": gram.to_json(),
-                "status": "PASS" if ok else "FAIL",
-            }
-        )
+        status = "PASS" if ok else "FAIL"
+        rows.append({"J": J, "density": dens.to_json(), "gram": gram.to_json(), "status": status})
     _write_report(args, {"subsets": rows}, "PASS" if all_ok else "FAIL")
     return EXIT_PASS if all_ok else EXIT_FAIL
 
 
-def _cmd_check_chebotarev(args) -> int:
+def _cmd_check_chebotarev(args, bits: int) -> int:
     report = chebotarev_check(args.N, args.max_size)
-    payload = report.to_json()
     ok = report.worst_sigma > 0
-    _write_report(args, payload, "PASS" if ok else "FAIL")
+    _write_report(args, report.to_json(), "PASS" if ok else "FAIL")
     return EXIT_PASS if ok else EXIT_FAIL
 
 
-def _cmd_probe_folding(args) -> int:
-    plan = _load_plan(args.plan)
+def _cmd_probe_folding(args, bits: int) -> int:
+    plan = _load_artifact(args.plan, HierarchyPlan.from_json, bits)
     if args.permutation:
         shifts = [int(x) for x in args.permutation.split(",")]
     else:
         shifts = list(range(1, plan.N + 1))
-    report = folding_probe(
-        plan.N, plan.S, plan.level_spectra, shifts, args.trials, args.seed
-    )
+    report = folding_probe(plan.N, plan.S, plan.level_spectra, shifts, args.trials, args.seed)
     ok = report.empirical_c > 0
     _write_report(args, report.to_json(), "PASS" if ok else "FAIL")
     return EXIT_PASS if ok else EXIT_FAIL
 
 
-def _parse_value_token(token: str) -> Endpoint:
+def _parse_value_token(token: str, bits: int = DEFAULT_PRECISION_BITS) -> Endpoint:
     token = token.strip()
     if token.startswith("sqrt(") and token.endswith(")"):
         radicand = int(token[5:-1])
         if radicand < 0:
             raise InvalidInput(f"--values: negative radicand in {token!r}")
-        return Endpoint(0, hp_sqrt(radicand))
+        return Endpoint(0, hp_sqrt(radicand, bits))
     if "/" in token:
         return Endpoint(parse_fraction(token, "--values"))
-    return Endpoint.coerce(token)
+    return Endpoint(0, token, bits=bits)
 
 
-def _cmd_equidist(args) -> int:
-    values = [_parse_value_token(tok) for tok in args.values.split(",")]
+def _cmd_equidist(args, bits: int) -> int:
+    values = [_parse_value_token(tok, bits) for tok in args.values.split(",")]
     disc = weyl_discrepancy(values, args.prime_limit, args.boxes)
     _write_report(args, {"discrepancy": disc, "dimension": len(values)}, "PASS")
     return EXIT_PASS
@@ -255,78 +222,68 @@ def build_parser() -> argparse.ArgumentParser:
         description="Constructive exponential Riesz spectra with numerical certification",
     )
     parser.add_argument(
-        "--precision-bits", type=int, default=None, help="working precision override"
+        "--precision-bits", type=int, default=None, help="bits of the parsed generators"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("find-prime", help="scan for the smallest admissible prime")
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("find-prime", _cmd_find_prime, "scan for the smallest admissible prime")
     p.add_argument("--intervals", required=True)
     p.add_argument("--prime-limit", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_find_prime)
 
-    p = sub.add_parser("construct-hierarchy", help="build the hierarchical spectra")
+    p = command("construct-hierarchy", _cmd_construct_hierarchy, "build the hierarchical spectra")
     p.add_argument("--intervals", required=True)
     p.add_argument("--prime-limit", type=int, required=True)
     p.add_argument("--prime-index", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_construct_hierarchy)
 
-    p = sub.add_parser("complement", help="complement the integer spectrum")
+    p = command("complement", _cmd_complement, "complement the integer spectrum")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--intervals", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_complement)
 
-    p = sub.add_parser("bounds", help="Riesz bound estimates on a window schedule")
+    p = command("bounds", _cmd_bounds, "Riesz bound estimates on a window schedule")
     p.add_argument("--spectrum", required=True)
     p.add_argument("--set", required=True)
     p.add_argument("--schedule", default="256,512,1024,2048")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("verify", help="density + bound certification of a plan")
+    p = command("verify", _cmd_verify, "density + bound certification of a plan")
     p.add_argument("--plan", required=True)
     p.add_argument("--schedule", default="256,512,1024")
     p.add_argument("--all-subsets", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser(
+    p = command(
         "check-chebotarev",
-        help="cover every square minor of the character matrix, one SVD per symmetry orbit",
+        _cmd_check_chebotarev,
+        "cover every square minor of the character matrix, one SVD per symmetry orbit",
     )
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--max-size", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_check_chebotarev)
 
-    p = sub.add_parser("probe-folding", help="randomized folding-inequality probe")
+    p = command("probe-folding", _cmd_probe_folding, "randomized folding-inequality probe")
     p.add_argument("--plan", required=True)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--permutation", default=None)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_probe_folding)
 
-    p = sub.add_parser("equidist", help="discrepancy of {p*a} over primes")
+    p = command("equidist", _cmd_equidist, "discrepancy of {p*a} over primes")
     p.add_argument("--values", required=True, help="comma list: decimals, p/q, or sqrt(k)")
     p.add_argument("--prime-limit", type=int, required=True)
     p.add_argument("--boxes", type=int, default=64)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_equidist)
 
+    for p in sub.choices.values():
+        p.add_argument("--out")
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    previous_bits = precision_bits()
     try:
-        if args.precision_bits is not None:
-            set_precision_bits(args.precision_bits)
-        return args.func(args)
+        bits = args.precision_bits
+        return args.func(args, checked_bits(DEFAULT_PRECISION_BITS if bits is None else bits))
     except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -348,9 +305,6 @@ def main(argv=None) -> int:
         print(f"failure: {exc}", file=sys.stderr)
         _write_report(args, {"error": str(exc)}, "FAIL")
         return EXIT_FAIL
-    finally:
-        if precision_bits() != previous_bits:
-            set_precision_bits(previous_bits)
 
 
 if __name__ == "__main__":

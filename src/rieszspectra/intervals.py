@@ -1,7 +1,7 @@
 """Exact interval-set arithmetic on [0,1) and the fiber-counting partitions.
 
 An endpoint is an exact Q-linear form: a rational part plus rational
-multiples of generators, finite nonzero mpf values made at working
+multiples of generators, finite nonzero binary values each made at its own
 precision.  The paper's endpoints 1, a_1, ..., b_L are rationally
 independent, and every value the constructions derive from them ({N*a},
 b - a, level widths, spectrum densities) is such a form, so arithmetic
@@ -10,7 +10,7 @@ A generator is a binary fraction, so every form has an exact rational
 value (Endpoint.exact()), and every comparison, floor and phase is decided
 on that value; mpf is used only to make and print generators.  A
 comparison or floor of an irrational form that lands within the ambiguity
-threshold raises AmbiguousEndpoint instead of guessing.
+threshold of its generators raises AmbiguousEndpoint instead of guessing.
 """
 
 from __future__ import annotations
@@ -21,23 +21,22 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import mpmath
-from mpmath.libmp import to_rational
+from mpmath import mpf
+from mpmath.libmp import fzero, from_int, mpf_add, mpf_div, mpf_mul_int, prec_to_dps, to_str
 
 from .errors import AmbiguousEndpoint, InvalidInput
-from .precision import ambiguity_threshold, frac_to_mpf, workprec
+from .precision import DEFAULT_PRECISION_BITS, ROUND, ambiguity_threshold, make_generator
 
 
 def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def _guarded_floor(x: Fraction, what) -> int:
-    """floor(x), raising AmbiguousEndpoint when x lies within the ambiguity
-    threshold of an integer; str(what) names the value in the message, and
-    is formatted only then."""
+def _guarded_floor(x: Fraction, what, t: Fraction) -> int:
+    """floor(x), raising AmbiguousEndpoint when x lies within the threshold
+    t of an integer; str(what) names the value in the message, and is
+    formatted only then."""
     floor, rem = divmod(x.numerator, x.denominator)
-    t = ambiguity_threshold()
     if min(rem, x.denominator - rem) * t.denominator < t.numerator * x.denominator:
         raise AmbiguousEndpoint(
             f"{what} is within the working-precision threshold of an integer"
@@ -54,52 +53,47 @@ def parse_fraction(value, field: str) -> Fraction:
         raise InvalidInput(f"{field}: {value!r} is not a finite rational") from exc
 
 
-def _json_field(obj, key: str, what: str):
+def _json_value(value, kind: type, what: str):
+    """value if it is a JSON value of the Python type kind (dict, list or
+    int), else InvalidInput naming what it holds."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        name = {dict: "object", list: "array", int: "integer"}[kind]
+        raise InvalidInput(f"{what} must be a JSON {name}, not {json.dumps(value)[:40]}")
+    return value
+
+
+def _json_field(obj, key: str, what: str, kind: type = None):
     """obj[key] of a parsed JSON artifact, raising InvalidInput naming the
-    missing field."""
+    field when it is missing or, given kind, not a JSON value of that type."""
     try:
-        return obj[key]
+        value = obj[key]
     except (KeyError, TypeError) as exc:
         raise InvalidInput(f"{what}: missing field {key!r}") from exc
+    return value if kind is None else _json_value(value, kind, f"{what} field {key!r}")
 
 
-def _json_object(obj, what: str) -> dict:
-    """obj if it is a JSON object, else InvalidInput naming what it holds."""
-    if not isinstance(obj, dict):
-        raise InvalidInput(f"{what} must be a JSON object, not {json.dumps(obj)[:40]}")
-    return obj
-
-
-def _generator(x) -> dict:
-    """The form {g: 1} of a generator g = x at working precision, or {} for 0.
-
-    Raises InvalidInput for NaN, infinities and non-real values, which
-    would otherwise compare as "equal" or fail deep inside arithmetic."""
-    try:
-        with workprec():
-            g = mpmath.mpf(x)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"irrational part {x!r} is not a real number") from exc
-    if not mpmath.isfinite(g):
-        raise InvalidInput(f"irrational part {x!r} is not finite")
-    return {g: Fraction(1)} if g else {}
+def _json_array(obj, key: str, what: str) -> list:
+    return _json_field(obj, key, what, list)
 
 
 class Endpoint:
     """A real number rational + sum of c_g * g over its generators g.
 
-    irr maps each generator (an mpf, identified by its value) to its
-    nonzero Fraction coefficient, in first-appearance order, and is never
-    mutated after construction.  Sums, negations, rational rescalings and
-    frac() only add or scale exact coefficients, so nothing rounds; two
-    values with equal maps compare by their rational parts alone.
+    irr maps each generator (a precision.Generator, identified by its
+    value) to its nonzero Fraction coefficient, in first-appearance order,
+    and is never mutated after construction.  Sums, negations, rational
+    rescalings and frac() only add or scale exact coefficients, so nothing
+    rounds; two values with equal maps compare by their rational parts
+    alone.  An irrational part that is not yet a generator is rounded to
+    bits.
     """
 
     __slots__ = ("rational", "irr")
 
-    def __init__(self, rational=0, irrational=None):
+    def __init__(self, rational=0, irrational=None, *, bits=DEFAULT_PRECISION_BITS):
         self.rational = Fraction(rational)
-        self.irr = {} if irrational is None else _generator(irrational)
+        g = None if irrational is None else make_generator(irrational, bits)
+        self.irr = {g: Fraction(1)} if g is not None and g.value else {}
 
     @classmethod
     def _build(cls, rational: Fraction, irr: dict) -> "Endpoint":
@@ -118,30 +112,42 @@ class Endpoint:
             return cls(x)
         if isinstance(x, float):
             return cls(parse_fraction(x, "endpoint"))
-        if isinstance(x, mpmath.mpf):
-            return cls(0, x)
-        if isinstance(x, str):
+        if isinstance(x, str) or hasattr(x, "_mpf_"):
             return cls(0, x)
         raise TypeError(f"cannot interpret {x!r} as an endpoint")
 
-    def _irr_sum(self) -> mpmath.mpf:
-        """The sum of c_g * g, added left to right in map order; call inside
-        workprec() on a value with at least one generator."""
-        return sum(g * c.numerator / c.denominator for g, c in self.irr.items())
+    def _rounded(self, with_rational: bool) -> tuple:
+        """(raw mpf value, bits): the value, or its irrational part, rounded
+        at the least bits of its generators (the default for none).  The
+        steps are those of mpf arithmetic at that precision: mpf(p)/q,
+        then g*c_num/c_den summed from 0 left to right in map order."""
+        bits = min((g.bits for g in self.irr), default=DEFAULT_PRECISION_BITS)
+        val = fzero
+        for g, c in self.irr.items():
+            term = mpf_mul_int(g._mpf_, c.numerator, bits, ROUND)
+            val = mpf_add(val, mpf_div(term, from_int(c.denominator), bits, ROUND), bits, ROUND)
+        if with_rational:
+            q = self.rational
+            rat = mpf_div(from_int(q.numerator, bits, ROUND), from_int(q.denominator), bits, ROUND)
+            val = mpf_add(rat, val, bits, ROUND) if self.irr else rat
+        return val, bits
 
-    def mpf(self) -> mpmath.mpf:
-        with workprec():
-            val = frac_to_mpf(self.rational)
-            if self.irr:
-                val = val + self._irr_sum()
-            return val
+    def mpf(self) -> mpf:
+        val, bits = self._rounded(True)
+        return mpf(val, prec=bits, rounding=ROUND)
+
+    def decimal(self, *, irrational_only: bool = False) -> str:
+        """The value, or its irrational part, as a decimal of the digits its
+        generators' bits carry."""
+        val, bits = self._rounded(not irrational_only)
+        return to_str(val, prec_to_dps(bits), strip_zeros=False)
 
     def exact(self) -> Fraction:
         """The exact value: rational + sum of c_g * g, each generator g at
         its binary value."""
         val = self.rational
         for g, c in self.irr.items():
-            val += c * Fraction(*to_rational(g._mpf_))
+            val += c * g.value
         return val
 
     def __float__(self) -> float:
@@ -163,8 +169,9 @@ class Endpoint:
         other = Endpoint.coerce(other)
         if self.irr == other.irr:
             return _sign(self.rational - other.rational)
-        d = (self - other).exact()
-        if abs(d) < ambiguity_threshold():
+        diff = self - other
+        d = diff.exact()
+        if abs(d) < ambiguity_threshold(diff.irr):
             raise AmbiguousEndpoint(
                 f"comparison of {self!r} and {other!r} is below the "
                 f"working-precision threshold (|diff| ~ {float(abs(d)):.5g})"
@@ -228,7 +235,7 @@ class Endpoint:
     def floor(self) -> int:
         if not self.irr:
             return math.floor(self.rational)
-        return _guarded_floor(self.exact(), self)
+        return _guarded_floor(self.exact(), self, ambiguity_threshold(self.irr))
 
     def ceil(self) -> int:
         return -((-self).floor())
@@ -243,20 +250,16 @@ class Endpoint:
     # -- serialization ------------------------------------------------
 
     def to_json(self) -> dict:
-        rat = f"{self.rational.numerator}/{self.rational.denominator}"
-        irr = None
-        if self.irr:
-            with workprec():
-                irr = mpmath.nstr(self._irr_sum(), int(mpmath.mp.dps), strip_zeros=False)
-        return {"rat": rat, "irr": irr}
+        irr = self.decimal(irrational_only=True) if self.irr else None
+        return {"rat": f"{self.rational.numerator}/{self.rational.denominator}", "irr": irr}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "Endpoint":
-        obj = _json_object(obj, "endpoint")
-        return cls(parse_fraction(obj.get("rat", "0"), "rat"), obj.get("irr"))
+    def from_json(cls, obj: dict, *, bits=DEFAULT_PRECISION_BITS) -> "Endpoint":
+        obj = _json_value(obj, dict, "endpoint")
+        return cls(parse_fraction(obj.get("rat", "0"), "rat"), obj.get("irr"), bits=bits)
 
     def __repr__(self):
-        terms = "".join(f" + {c}*{mpmath.nstr(g, 20)}" for g, c in self.irr.items())
+        terms = "".join(f" + {c}*{to_str(g._mpf_, 20)}" for g, c in self.irr.items())
         return f"Endpoint({self.rational}{terms})"
 
 
@@ -269,7 +272,7 @@ def frac(x):
         return x.frac()
     if isinstance(x, (int, Fraction)):
         return Fraction(x) - math.floor(Fraction(x))
-    if isinstance(x, mpmath.mpf):
+    if isinstance(x, mpf):
         return Endpoint.coerce(x).frac().mpf()
     if isinstance(x, float):
         if not math.isfinite(x):
@@ -335,7 +338,7 @@ class IntervalSet:
             total = total + (right - left)
         return total
 
-    def measure_mpf(self) -> mpmath.mpf:
+    def measure_mpf(self) -> mpf:
         return self.measure().mpf()
 
     def __float__(self):
@@ -428,15 +431,14 @@ class IntervalSet:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "IntervalSet":
+    def from_json(cls, obj: dict, *, bits=DEFAULT_PRECISION_BITS) -> "IntervalSet":
         def endpoint(item, key):
-            value = _json_field(item, key, "interval")
-            return Endpoint.from_json(_json_object(value, f"interval field {key!r}"))
+            return Endpoint.from_json(_json_field(item, key, "interval", dict), bits=bits)
 
         return cls(
             [
                 (endpoint(item, "left"), endpoint(item, "right"))
-                for item in _json_field(obj, "intervals", "interval set")
+                for item in _json_array(obj, "intervals", "interval set")
             ]
         )
 
@@ -560,10 +562,7 @@ def grid_separation_ok(N: int, endpoints: Sequence) -> bool:
     contains some k/N as an interior point."""
     if N < 1:
         raise InvalidInput("N must be a positive integer")
-    pts = [Endpoint(0)]
-    for e in endpoints:
-        pts.append(Endpoint.coerce(e))
-    pts.append(Endpoint(1))
+    pts = [Endpoint(0), *map(Endpoint.coerce, endpoints), Endpoint(1)]
     for p, q in zip(pts, pts[1:]):
         if not p < q:
             raise InvalidInput("endpoints must be strictly increasing in (0,1)")

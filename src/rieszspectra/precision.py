@@ -1,61 +1,98 @@
-"""Working precision: how generators are made, and the ambiguity threshold.
+"""Generators and the precision each one carries.
 
-The default is 200 bits; it can be overridden by the RS_PRECISION_BITS
-environment variable or at runtime with set_precision_bits(); both refuse
-fewer than 64 bits.  Generators (square roots, decimals read from JSON) are
-rounded to this precision inside workprec(), and printed at it; every
-decision about a value is made on its exact rational value, against
-ambiguity_threshold().
+A generator is an irrational input (a square root, a decimal read from
+JSON) rounded to bits chosen where it is made, by the `bits` keyword of
+parsing (default DEFAULT_PRECISION_BITS, at least 64).  It keeps its exact
+binary value and its bits.  It is made with the pure mpmath.libmp
+functions, which take the precision as an argument, so nothing reads or
+switches mpmath's shared context.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import from_float, from_int, from_str, mpf_pos, mpf_sqrt, to_rational
+
+from .errors import InvalidInput
 
 DEFAULT_PRECISION_BITS = 200
-_ENV_VAR = "RS_PRECISION_BITS"
+ROUND = "n"  # round to nearest, mpmath's default
+
+# The library never reads this: it is the precision of callers' own mpf
+# arithmetic, for example on the values Endpoint.mpf() returns.
+mpmath.mp.prec = DEFAULT_PRECISION_BITS
 
 
-def _checked_bits(bits, name: str = "working precision") -> int:
+def checked_bits(bits) -> int:
     bits = int(bits)
     if bits < 64:
-        raise ValueError(f"{name} must be at least 64 bits")
+        raise ValueError("working precision must be at least 64 bits")
     return bits
 
 
-_bits = _checked_bits(os.environ.get(_ENV_VAR, DEFAULT_PRECISION_BITS), _ENV_VAR)
-mpmath.mp.prec = _bits  # so ad-hoc mpf arithmetic outside workprec() is safe too
+class Generator:
+    """The exact binary value of a real number rounded to bits.
+
+    Identified by its value, with the hash computed once; never mutated.
+    The raw mpf value _mpf_ lets mpmath functions accept it.
+    """
+
+    __slots__ = ("value", "bits", "_mpf_", "_hash")
+
+    def __init__(self, raw: tuple, bits: int):
+        self.value = Fraction(*to_rational(raw))
+        self.bits = bits
+        self._mpf_ = raw
+        self._hash = hash(self.value)
+
+    def __eq__(self, other):
+        return isinstance(other, Generator) and self.value == other.value
+
+    def __hash__(self):
+        return self._hash
 
 
-def precision_bits() -> int:
-    return _bits
+def _raw(x, bits: int) -> tuple:
+    """x as a raw mpf value, read as mpf(x) reads it: ints, floats and mpf
+    values exactly, a decimal string rounded to bits."""
+    if isinstance(x, str):
+        return from_str(x, bits, ROUND)
+    if hasattr(x, "_mpf_"):
+        return x._mpf_
+    if isinstance(x, (int, float)):
+        return from_float(x) if isinstance(x, float) else from_int(x)
+    raise TypeError(f"cannot read {x!r} as a real number")
 
 
-def set_precision_bits(bits: int) -> None:
-    global _bits
-    _bits = _checked_bits(bits)
-    mpmath.mp.prec = _bits
+def make_generator(x, bits: int = DEFAULT_PRECISION_BITS) -> Generator:
+    """x rounded to bits, or x itself when it is a generator.
+
+    Raises InvalidInput for NaN, infinities and non-real values, which
+    would otherwise compare as "equal" or fail deep inside arithmetic, and
+    ValueError below 64 bits."""
+    if isinstance(x, Generator):
+        return x
+    bits = checked_bits(bits)
+    try:
+        raw = mpf_pos(_raw(x, bits), bits, ROUND)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"irrational part {x!r} is not a real number") from exc
+    if raw[2] and not raw[1]:  # NaN or an infinity
+        raise InvalidInput(f"irrational part {x!r} is not finite")
+    return Generator(raw, bits)
 
 
-def workprec():
-    """Context manager switching mpmath to the working precision."""
-    return mpmath.workprec(_bits)
+def hp_sqrt(x, bits: int = DEFAULT_PRECISION_BITS) -> Generator:
+    """sqrt(x) rounded to bits."""
+    bits = checked_bits(bits)
+    return Generator(mpf_sqrt(_raw(x, bits), bits, ROUND), bits)
 
 
-def ambiguity_threshold() -> Fraction:
-    """The exact 2^-(bits/2): a difference, or a distance to an integer,
-    smaller than this is treated as undecidable."""
-    return Fraction(1, 1 << (_bits // 2))
-
-
-def hp_sqrt(x) -> mpmath.mpf:
-    with workprec():
-        return mpmath.sqrt(x)
-
-
-def frac_to_mpf(q: Fraction) -> mpmath.mpf:
-    with workprec():
-        return mpmath.mpf(q.numerator) / q.denominator
+def ambiguity_threshold(generators=()) -> Fraction:
+    """The exact 2^-(bits/2) for the least bits among the generators, or
+    the default bits without one: a difference, or a distance to an
+    integer, smaller than this is treated as undecidable."""
+    bits = min((g.bits for g in generators), default=DEFAULT_PRECISION_BITS)
+    return Fraction(1, 1 << (bits // 2))

@@ -13,16 +13,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import mpmath
-
 from .errors import (
     DegenerateBeta,
     IncompatibleShift,
     InvalidInput,
     OverlappingTerms,
 )
-from .intervals import Endpoint, _guarded_floor, _json_field, _json_object, parse_fraction
-from .precision import workprec
+from .intervals import Endpoint, _guarded_floor, parse_fraction
+from .intervals import _json_array, _json_field, _json_value
+from .precision import DEFAULT_PRECISION_BITS, ambiguity_threshold
 
 DEFAULT_BETA_FLOOR = Fraction(1, 64)
 _HALF = Fraction(1, 2)
@@ -59,23 +58,19 @@ class AvdoninFilter:
         n_lo = math.ceil(beta * (r_lo - _HALF))
         n_hi = math.floor(beta * (r_hi + _HALF))
         exact = self.beta.is_rational
+        t = ambiguity_threshold(self.beta.irr)
         out = []
         for n in range(n_lo - 2, n_hi + 3):
             x = Fraction(2 * n * den + num, 2 * num)  # n/beta + 1/2
-            r = math.floor(x) if exact else _guarded_floor(x, f"rounding of {n}/beta")
+            r = math.floor(x) if exact else _guarded_floor(x, f"rounding of {n}/beta", t)
             if r_lo <= r <= r_hi:
                 out.append(r + self.phase)
         return out
 
     def to_json(self) -> dict:
-        if self.beta.is_rational:
-            q = self.beta.rational
-            beta_str = f"{q.numerator}/{q.denominator}"
-        else:
-            with workprec():
-                digits = int(mpmath.mp.dps)
-                beta_str = mpmath.nstr(self.beta.mpf(), digits, strip_zeros=False)
-        return {"avdonin": {"beta": beta_str, "phase": self.phase}}
+        q = self.beta.rational
+        beta = f"{q.numerator}/{q.denominator}" if self.beta.is_rational else self.beta.decimal()
+        return {"avdonin": {"beta": beta, "phase": self.phase}}
 
 
 @dataclass(frozen=True)
@@ -108,8 +103,8 @@ class CosetTerm:
         return {"modulus": self.modulus, "offset": self.offset, "filter": filt}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "CosetTerm":
-        obj = _json_object(obj, "spectrum term")
+    def from_json(cls, obj: dict, *, bits=DEFAULT_PRECISION_BITS) -> "CosetTerm":
+        obj = _json_value(obj, dict, "spectrum term")
         filt = obj.get("filter", "all")
         if filt == "all" or filt is None:
             parsed = None
@@ -117,11 +112,15 @@ class CosetTerm:
             av = _json_field(filt, "avdonin", "spectrum term filter")
             # "p/q" for a rational beta, else the decimal of a generator
             beta = str(_json_field(av, "beta", "avdonin filter"))
-            beta = Endpoint(parse_fraction(beta, "beta")) if "/" in beta else Endpoint.coerce(beta)
-            parsed = AvdoninFilter(beta=beta, phase=int(av.get("phase", 0)))
+            if "/" in beta:
+                beta = Endpoint(parse_fraction(beta, "beta"))
+            else:
+                beta = Endpoint(0, beta, bits=bits)
+            phase = _json_value(av.get("phase", 0), int, "avdonin filter field 'phase'")
+            parsed = AvdoninFilter(beta=beta, phase=phase)
         return cls(
-            modulus=int(_json_field(obj, "modulus", "spectrum term")),
-            offset=int(_json_field(obj, "offset", "spectrum term")),
+            modulus=_json_field(obj, "modulus", "spectrum term", int),
+            offset=_json_field(obj, "offset", "spectrum term", int),
             filter=parsed,
         )
 
@@ -251,14 +250,13 @@ class Spectrum:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "Spectrum":
-        obj = _json_object(obj, "spectrum")
-        terms = obj.get("terms", [])
-        if not isinstance(terms, list):
-            raise InvalidInput("spectrum: field 'terms' must be a JSON array")
+    def from_json(cls, obj: dict, *, bits=DEFAULT_PRECISION_BITS) -> "Spectrum":
+        obj = _json_value(obj, dict, "spectrum")
         return cls(
             scale=parse_fraction(_json_field(obj, "scale", "spectrum"), "scale"),
-            terms=tuple(CosetTerm.from_json(t) for t in terms),
+            terms=tuple(
+                CosetTerm.from_json(t, bits=bits) for t in _json_array(obj, "terms", "spectrum")
+            ),
         )
 
 

@@ -285,23 +285,13 @@ def duality_finite_test(N: int, J: Sequence[int], M_dim: Sequence[int]) -> dict:
     Jc = [n for n in range(N) if n not in J]
     Mc = [m for m in range(N) if m not in M_rows]
 
-    if J:
-        V = F[np.ix_(M_rows, J)]
-        if len(J) < len(M_rows):
-            alpha_frame = 0.0
-        else:
-            alpha_frame = float(np.linalg.svd(V, compute_uv=False)[-1] ** 2)
-    else:
-        alpha_frame = 0.0
+    def sigma_min_sq(rows, cols) -> float:
+        return float(np.linalg.svd(F[np.ix_(rows, cols)], compute_uv=False)[-1] ** 2)
 
+    alpha_frame = sigma_min_sq(M_rows, J) if J and len(J) >= len(M_rows) else 0.0
+    alpha_riesz = 1.0  # an empty family: vacuous Riesz side
     if Jc:
-        W = F[np.ix_(Mc, Jc)]
-        if len(Jc) > len(Mc):
-            alpha_riesz = 0.0
-        else:
-            alpha_riesz = float(np.linalg.svd(W, compute_uv=False)[-1] ** 2)
-    else:
-        alpha_riesz = 1.0  # empty family: vacuous Riesz side
+        alpha_riesz = sigma_min_sq(Mc, Jc) if len(Jc) <= len(Mc) else 0.0
     return {"alpha_frame": alpha_frame, "alpha_riesz": alpha_riesz}
 
 

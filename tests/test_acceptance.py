@@ -201,7 +201,7 @@ def test_c04_cell_folding_identities():
 
 def test_c05_equidistribution_along_primes():
     primes = primes_up_to(100000)
-    s2 = hp_sqrt(2)
+    s2 = mpmath.mpf(hp_sqrt(2))
     hits = sum(1 for p in primes if mpmath.frac(p * s2) < mpmath.mpf("0.5"))
     fraction = hits / len(primes)
     assert abs(fraction - 0.5) <= 0.02

@@ -369,7 +369,7 @@ def test_complement_irrational_case():
     t = terms[0]
     assert (t.modulus, t.offset) == (2, 1)
     assert t.filter is not None
-    assert abs(float(t.filter.beta) - float(hp_sqrt(2)) / 2) < 1e-50
+    assert abs(float(t.filter.beta) - float(Endpoint(0, hp_sqrt(2))) / 2) < 1e-50
     # disjoint from the integers on a window
     assert all(f.denominator == 2 for f in res.lambda_prime.enumerate(300))
 

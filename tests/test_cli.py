@@ -4,13 +4,14 @@ import io
 import json
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 import rieszspectra as rs
 import rieszspectra.cli as cli
 from rieszspectra.cli import main
 from rieszspectra.intervals import Endpoint, IntervalSet
-from rieszspectra.precision import hp_sqrt, precision_bits
+from rieszspectra.precision import hp_sqrt
 
 
 @pytest.fixture()
@@ -189,32 +190,35 @@ def test_construction_failure_writes_report(tmp_path, capsys):
 
 @pytest.mark.parametrize("bits", ["32", "0"])
 def test_precision_bits_below_minimum_is_input_error(capsys, sqrt_interval_file, bits):
-    before = precision_bits()
     code = main([
         "--precision-bits", bits, "find-prime", "--intervals", sqrt_interval_file,
         "--prime-limit", "100",
     ])
     assert code == 2
     assert "at least 64 bits" in capsys.readouterr().err
-    assert precision_bits() == before
 
 
 def test_precision_bits_apply_to_one_call_only(monkeypatch, capsys, sqrt_interval_file):
+    # the flag is a parse parameter: it reaches the generators of its own
+    # call and touches neither mpmath's context nor the next call
     seen = []
     real = cli.find_ordering_prime
 
-    def spy(*args, **kwargs):
-        seen.append(precision_bits())
-        return real(*args, **kwargs)
+    def spy(a, b, *args, **kwargs):
+        seen.append({g.bits for e in (*a, *b) for g in e.irr})
+        return real(a, b, *args, **kwargs)
 
     monkeypatch.setattr(cli, "find_ordering_prime", spy)
-    before = precision_bits()
+    prec = mpmath.mp.prec
     argv = ["find-prime", "--intervals", sqrt_interval_file, "--prime-limit", "100"]
-    assert main(["--precision-bits", "96", *argv]) == 0
     assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main(["--precision-bits", "96", *argv]) == 0
     capsys.readouterr()
-    assert seen == [96, before]
-    assert precision_bits() == before
+    assert mpmath.mp.prec == prec
+    assert main(argv) == 0
+    assert capsys.readouterr().out == default
+    assert seen == [{200}, {96}, {200}]
 
 
 def test_construct_hierarchy_negative_prime_index(capsys, sqrt_interval_file):
@@ -330,25 +334,40 @@ def test_avdonin_beta_outside_unit_interval_is_input_error(beta, tmp_path, capsy
 
 
 @pytest.mark.parametrize(
-    "kind, field", [("spec", "right"), ("plan", "K"), ("term", "modulus"), ("list", "intervals")]
+    "kind, field",
+    [
+        ("spec", "right"),
+        ("plan", "K"),
+        ("term", "modulus"),
+        ("list", "intervals"),
+        ("spec array", "intervals"),
+        ("plan array", "a"),
+        ("term integer", "modulus"),
+    ],
 )
 def test_missing_field_is_input_error(kind, field, tmp_path, capsys, plan_l1):
-    # each once exited 1 with a KeyError traceback
+    # each once exited 1 with a KeyError or TypeError traceback; the last
+    # three hold a field of the wrong JSON type
     unit = tmp_path / "unit.json"
     unit.write_text(json.dumps(IntervalSet.unit().to_json()))
     path = tmp_path / f"{kind}.json"
-    if kind == "spec":
-        obj = {"intervals": [{"left": {"rat": "1/4"}}]}
+    if kind.startswith("spec"):
+        missing_right = [{"left": {"rat": "1/4"}}]
+        obj = {"intervals": 5 if kind == "spec array" else missing_right}
         argv = ["find-prime", "--intervals", str(path), "--prime-limit", "10"]
-    elif kind == "plan":
+    elif kind.startswith("plan"):
         obj = dict(plan_l1.to_json())
-        del obj["K"]
+        if kind == "plan array":
+            obj["a"] = 5
+        else:
+            del obj["K"]
         argv = ["verify", "--plan", str(path), "--schedule", "8,16"]
     elif kind == "list":  # a JSON list where an object belongs
         obj = [{"left": {"rat": "1/4"}, "right": {"rat": "1/2"}}]
         argv = ["find-prime", "--intervals", str(path), "--prime-limit", "10"]
     else:
-        obj = {"scale": "1/1", "terms": [{"offset": 0, "filter": "all"}]}
+        term = {"modulus": [1], "offset": 0} if kind == "term integer" else {"offset": 0}
+        obj = {"scale": "1/1", "terms": [dict(term, filter="all")]}
         argv = ["bounds", "--spectrum", str(path), "--set", str(unit), "--schedule", "8,16"]
     path.write_text(json.dumps(obj))
     code = main(argv)

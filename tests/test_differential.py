@@ -6,7 +6,9 @@ closed-form fold pattern against the N-cell sweep, and the lattice relation
 certificate against the shell scan, and the orbit sweep of Chebotarev
 minors against the exhaustive one.  The exact decisions (phases, Avdonin
 rounding, the relation scan) are also checked against the mpf evaluation
-at working precision that they replaced."""
+at working precision that they replaced, and generators made and printed
+at explicit precision against the same steps in mpmath's shared context
+switched by workprec()."""
 
 import itertools
 import json
@@ -17,7 +19,7 @@ from itertools import combinations
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 import rieszspectra.intervals as intervals
@@ -53,7 +55,7 @@ from rieszspectra import (
     riesz_bounds_estimate,
 )
 from rieszspectra.minors import DEFAULT_ENUM_BUDGET, _is_prime
-from rieszspectra.precision import ambiguity_threshold, hp_sqrt, workprec
+from rieszspectra.precision import DEFAULT_PRECISION_BITS, ambiguity_threshold, hp_sqrt
 
 F = Fraction
 ROOTS = (2, 3, 5, 7)
@@ -63,6 +65,12 @@ SETTINGS = settings(max_examples=40, deadline=None)
 
 def sqrt_multiple(p: int, c: Fraction) -> Endpoint:
     return Endpoint(0, hp_sqrt(p)) * c
+
+
+def workprec(bits: int = DEFAULT_PRECISION_BITS):
+    """mpmath's shared context switched to bits: how generators were made
+    and printed before each one carried its precision."""
+    return mpmath.workprec(bits)
 
 
 @st.composite
@@ -328,6 +336,68 @@ def test_phases_match_mpf_reduction(u, ds):
         assert 0 <= x < 1
         gap = abs(x - y)
         assert min(gap, 1 - gap) <= 1e-15  # circular: 1 - tiny and tiny agree
+
+
+# -- generators at explicit precision vs mpmath's shared context -------------
+
+def _workprec_generator(kind: str, x, bits: int) -> mpmath.mpf:
+    with workprec(bits):
+        return mpmath.sqrt(x) if kind == "sqrt" else mpmath.mpf(x)
+
+
+def _workprec_value(rational, irr, bits: int) -> tuple:
+    """(mpf, decimal) of rational + sum c*g over the (mpf g, c) pairs of
+    irr, as Endpoint.mpf() computed it and Endpoint.to_json (rational None:
+    the irrational part only) and AvdoninFilter.to_json printed it in the
+    shared context."""
+    with workprec(bits):
+        val = sum(g * c.numerator / c.denominator for g, c in irr)
+        if rational is not None:
+            val = mpmath.mpf(rational.numerator) / rational.denominator + val
+        return val, mpmath.nstr(val, int(mpmath.mp.dps), strip_zeros=False)
+
+
+@st.composite
+def generator_inputs(draw):
+    """sqrt(k), a decimal string or a 400-bit mpf, each nonzero."""
+    kind = draw(st.sampled_from(["sqrt", "decimal", "mpf"]))
+    if kind == "sqrt":
+        return kind, draw(st.integers(2, 10**6))
+    if kind == "decimal":
+        digits = draw(st.from_regex(r"[0-9]{1,3}\.[0-9]{0,80}[1-9]", fullmatch=True))
+        return kind, draw(st.sampled_from(["", "-"])) + digits
+    with mpmath.workprec(400):
+        return kind, mpmath.mpf(draw(st.integers(1, 10**40))) / draw(st.integers(1, 10**40))
+
+
+nonzero_coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=999).filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    inputs=st.lists(generator_inputs(), min_size=1, max_size=3),
+    coeffs=st.lists(nonzero_coeffs, min_size=3, max_size=3),
+    rational=st.fractions(min_value=-5, max_value=5, max_denominator=999),
+    bits=st.sampled_from([64, 96, 200, 300]),
+)
+def test_generators_match_workprec(inputs, coeffs, rational, bits):
+    old = [_workprec_generator(kind, x, bits) for kind, x in inputs]
+    assume(len(set(old)) == len(old))
+    e = Endpoint(rational)
+    for (kind, x), c in zip(inputs, coeffs):
+        e = e + Endpoint(0, hp_sqrt(x, bits) if kind == "sqrt" else x, bits=bits) * c
+    assert [(g.value, g.bits) for g in e.irr] == [
+        (Fraction(*mpmath.libmp.to_rational(g._mpf_)), bits) for g in old
+    ]
+    irr = list(zip(old, coeffs))
+    assert e.to_json()["irr"] == _workprec_value(None, irr, bits)[1]
+    try:
+        beta = e.frac()
+    except AmbiguousEndpoint:  # an input at an integer, e.g. sqrt(4)
+        reject()
+    value, decimal = _workprec_value(beta.rational, irr, bits)
+    assert AvdoninFilter(beta=beta).to_json()["avdonin"]["beta"] == decimal
+    assert beta.mpf()._mpf_ == value._mpf_
 
 
 # -- density check: one enumeration vs per-window enumeration ---------------

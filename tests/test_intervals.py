@@ -21,7 +21,7 @@ from rieszspectra import (
     frac,
     grid_separation_ok,
 )
-from rieszspectra.precision import hp_sqrt, precision_bits
+from rieszspectra.precision import DEFAULT_PRECISION_BITS, hp_sqrt
 
 
 def F(n, d=1):
@@ -145,7 +145,7 @@ def near_pairs(draw):
     root = ROOTS[draw(st.sampled_from(sorted(ROOTS)))]
     (g,) = root.irr
     s = draw(st.integers(-3, 3))
-    k = draw(st.integers(precision_bits() // 2 - 6, precision_bits() // 2 + 6))
+    k = draw(st.integers(DEFAULT_PRECISION_BITS // 2 - 6, DEFAULT_PRECISION_BITS // 2 + 6))
     return x, x + root - _exact_mpf(g) + Fraction(s, 2**k)
 
 
@@ -155,7 +155,7 @@ def _check_cmp(x: Endpoint, y: Endpoint) -> None:
     threshold 2^-(bits/2)."""
     diff = exact(x) - exact(y)
     sign = (diff > 0) - (diff < 0)
-    threshold = Fraction(1, 2 ** (precision_bits() // 2))
+    threshold = Fraction(1, 2 ** (DEFAULT_PRECISION_BITS // 2))
     if x.irr != y.irr and abs(diff) < threshold:
         with pytest.raises(AmbiguousEndpoint):
             x._cmp(y)
@@ -190,21 +190,30 @@ def test_endpoint_cmp_near_threshold_is_exact_or_raises(pair):
     _check_cmp(y, x)
 
 
-def test_endpoint_cmp_threshold_is_exact():
-    # a generator whose exact value is offset by d from zero: |d| at the
-    # threshold decides, anything below it raises
-    bits = precision_bits()
+def _exact_zero(p: int, bits: int) -> Endpoint:
+    """sqrt(p) made at bits minus its exact value: the form of 0 that
+    carries one bits-bit generator."""
+    root = Endpoint(0, hp_sqrt(p, bits))
+    return root - root.exact()
+
+
+@pytest.mark.parametrize("bits, partner_bits", [(64, None), (96, None), (200, None), (64, 200)])
+def test_endpoint_cmp_threshold_is_exact(bits, partner_bits):
+    # a form whose exact value is offset by d from a zero: |d| at the
+    # threshold 2^-(least bits/2) of the generators involved decides,
+    # anything below it raises; a 64-bit generator against a 200-bit one
+    # is decided at 2^-32
     t = Fraction(1, 2 ** (bits // 2))
-    (g,) = ROOTS[2].irr
-    zero = ROOTS[2] - _exact_mpf(g)
+    zero = _exact_zero(2, bits)
+    other = Endpoint(0) if partner_bits is None else _exact_zero(3, partner_bits)
     for d in (t, -t, t * 3 / 2):
-        assert (zero + d)._cmp(0) == (d > 0) - (d < 0)
-        assert (zero + d).floor() == (0 if d > 0 else -1)
+        assert (zero + d)._cmp(other) == (d > 0) - (d < 0)
+        assert (zero + d - other).floor() == (0 if d > 0 else -1)
     for d in (t / 2, -t / 2, t - Fraction(1, 2**bits), Fraction(0)):
         with pytest.raises(AmbiguousEndpoint):
-            (zero + d)._cmp(0)
+            (zero + d)._cmp(other)
         with pytest.raises(AmbiguousEndpoint):
-            (zero + d).floor()
+            (zero + d - other).floor()
 
 
 def test_endpoint_mixed_sum_cancels_structurally():
