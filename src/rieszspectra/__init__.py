@@ -85,7 +85,6 @@ from .verify import (
     DensityReport,
     FoldingReport,
     GramReport,
-    TestFunction,
     density_check,
     duality_finite_test,
     folding_probe,

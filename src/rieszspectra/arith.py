@@ -16,6 +16,7 @@ from .precision import ambiguity_threshold
 DEFAULT_SIEVE_BUDGET = 10**8
 DEFAULT_PROBE_BUDGET = 2 * 10**6
 DEFAULT_BOX_BUDGET = 10**7
+RELATION_MAX_COEFF = 10  # max-norm of the integer relations the scans rule out
 
 
 def primes_up_to(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> list[int]:
@@ -67,14 +68,13 @@ def ordering_primes(
     prime_limit: int,
     *,
     skip_relation_probe: bool = False,
-    probe_max_coeff: int = 10,
 ) -> Iterator[PrimeSearchResult]:
     """Yield every prime N <= prime_limit passing the fractional-part
     ordering chain, the grid separation test, and 2L+1 <= N."""
     a, b = interval_chain(a, b)
     L = len(a)
     if not skip_relation_probe:
-        relation = rational_relation_probe(list(a) + list(b), probe_max_coeff)
+        relation = rational_relation_probe(list(a) + list(b), RELATION_MAX_COEFF)
         if relation is not None:
             raise IndependenceSuspect(relation)
     endpoints = [e for pair in zip(a, b) for e in pair]
@@ -104,18 +104,11 @@ def find_ordering_prime(
     *,
     index: int = 0,
     skip_relation_probe: bool = False,
-    probe_max_coeff: int = 10,
 ) -> PrimeSearchResult:
     """The (index+1)-th prime passing the ordering and separation tests."""
     if index < 0:
         raise InvalidInput("index must be non-negative")
-    gen = ordering_primes(
-        a,
-        b,
-        prime_limit,
-        skip_relation_probe=skip_relation_probe,
-        probe_max_coeff=probe_max_coeff,
-    )
+    gen = ordering_primes(a, b, prime_limit, skip_relation_probe=skip_relation_probe)
     for i, result in enumerate(gen):
         if i == index:
             return result

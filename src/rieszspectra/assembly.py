@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .arith import (
+    RELATION_MAX_COEFF,
     PrimeSearchResult,
     interval_chain,
     ordering_primes,
@@ -48,6 +49,8 @@ from .spectra import (
 )
 
 CHECK_WINDOW = 2048  # integers in [-CHECK_WINDOW, CHECK_WINDOW] are checked
+INNER_PRIME_LIMIT = 10**6  # prime scan of a multi-interval complement level
+GRID_DENOMINATOR_LIMIT = 4096  # largest grid 1/q a rational complement level may use
 
 
 def _combine_levels(
@@ -103,7 +106,7 @@ class HierarchyPlan:
     S: IntervalSet
     a_sets: tuple[IntervalSet, ...]          # fiber-count sets, levels 1..N
     level_spectra: tuple[Spectrum, ...]      # subsets of N*Z, levels 1..N
-    level_interval: tuple[Optional[int], ...]  # 1-based owning interval per level
+    level_interval: tuple[Optional[int], ...]  # _level_owners(N, K_ell)
     K_ell: tuple[int, ...]
     K: int
     lambda_ell: tuple[Spectrum, ...]
@@ -113,15 +116,8 @@ class HierarchyPlan:
     def L(self) -> int:
         return len(self.a)
 
-    def level_blocks(self) -> list[range]:
-        """Full-cell level indices owned by each interval, in block order."""
-        return _level_blocks(self.K_ell)
-
     def full_union(self) -> Spectrum:
-        out = Spectrum(Fraction(1), ())
-        for lam in self.lambda_ell:
-            out = out.union(lam)
-        return out
+        return Spectrum().union(*self.lambda_ell)
 
     def to_json(self) -> dict:
         return {
@@ -140,26 +136,30 @@ class HierarchyPlan:
 
     @classmethod
     def from_json(cls, obj: dict, *, bits=DEFAULT_PRECISION_BITS) -> "HierarchyPlan":
-        def each(key, parse):
-            return tuple(parse(v, bits=bits) for v in _json_array(obj, key, "plan"))
+        """Parse a plan, one object per run of equal consecutive entries, and
+        check that its level table is the one K_ell and N determine; any
+        disagreement is InvalidInput naming the field."""
 
-        def ints(key, optional=False):
-            what = f"plan field {key!r} entry"
-            return tuple(
-                v if optional and v is None else _json_value(v, int, what)
-                for v in _json_array(obj, key, "plan")
-            )
+        def each(key, parse):
+            out, prev = [], None
+            for v in _json_array(obj, key, "plan"):
+                if not out or v != prev:
+                    parsed, prev = parse(v, bits=bits), v
+                out.append(parsed)
+            return tuple(out)
 
         witness = _json_field(obj, "witness", "plan")
-        return cls(
+        fields = dict(
             N=_json_field(obj, "N", "plan", int),
             a=each("a", Endpoint.from_json),
             b=each("b", Endpoint.from_json),
             S=IntervalSet.from_json(_json_field(obj, "set", "plan"), bits=bits),
             a_sets=each("a_sets", IntervalSet.from_json),
             level_spectra=each("level_spectra", Spectrum.from_json),
-            level_interval=ints("level_interval", optional=True),
-            K_ell=ints("K_ell"),
+            K_ell=tuple(
+                _json_value(v, int, "plan field 'K_ell' entry")
+                for v in _json_array(obj, "K_ell", "plan")
+            ),
             K=_json_field(obj, "K", "plan", int),
             lambda_ell=each("lambda_ell", Spectrum.from_json),
             witness=PrimeSearchResult(
@@ -168,6 +168,39 @@ class HierarchyPlan:
                 ordering_witness=tuple(_json_array(witness, "ordering_witness", "plan witness")),
             ),
         )
+        owners = _checked_owners(fields, _json_array(obj, "level_interval", "plan"))
+        return cls(level_interval=owners, **fields)
+
+
+def _checked_owners(f: dict, level_interval: list) -> tuple[Optional[int], ...]:
+    """_level_owners of a parsed plan's fields f, after checking in order
+    that f holds the level table of N and K_ell (K full cells NZ, one
+    boundary level per interval, then empty levels) and that level_interval
+    lists those owners; the first field that disagrees is InvalidInput."""
+
+    def need(ok: bool, key: str, why: str) -> None:
+        if not ok:
+            raise InvalidInput(f"plan field {key!r} {why}")
+
+    N, K, L, K_ell, levels = f["N"], f["K"], len(f["a"]), f["K_ell"], f["level_spectra"]
+    need(L >= 1, "a", "must hold at least one interval")
+    for key in ("b", "K_ell", "lambda_ell"):
+        need(len(f[key]) == L, key, "must have as many entries as 'a'")
+    need(min(K_ell) >= 1, "K_ell", "entries must be at least 1")
+    need(K == sum(K_ell), "K", "must equal the sum of 'K_ell'")
+    need(K + L <= N, "N", "must be at least K + L")
+    for key in ("a_sets", "level_spectra"):
+        need(len(f[key]) == N, key, "must have N entries")
+    owners = _level_owners(N, K_ell)
+    need(level_interval == list(owners), "level_interval",
+         "must list the interval owning each level as 'K_ell' assigns them")
+    need(levels[:K] == (integer_lattice(N, 0),) * K, "level_spectra",
+         "levels 1..K must be the lattice NZ")
+    need(all(s.is_empty for s in levels[K + L:]), "level_spectra",
+         "levels after K + L must be empty")
+    need(f["S"] == IntervalSet(zip(f["a"], f["b"])), "set",
+         "must be the union of the intervals [a, b)")
+    return owners
 
 
 def _shared_json(objs: Sequence) -> list[dict]:
@@ -185,13 +218,23 @@ def _shared_json(objs: Sequence) -> list[dict]:
     return out
 
 
-def _level_blocks(K_ell: Sequence[int]) -> list[range]:
-    blocks = []
-    start = 1
-    for K_l in K_ell:
-        blocks.append(range(start, start + K_l))
-        start += K_l
-    return blocks
+def _level_owners(N: int, K_ell: Sequence[int]) -> tuple[Optional[int], ...]:
+    """The 1-based interval owning each level 1..N: K_ell[0] full cells of
+    interval 1, K_ell[1] of interval 2, ..., then the boundary piece of each
+    interval in order, then None for the empty levels."""
+    owners = [ell for ell, K_l in enumerate(K_ell, start=1) for _ in range(K_l)]
+    owners += range(1, len(K_ell) + 1)
+    return tuple(owners + [None] * (N - len(owners)))
+
+
+def _owned_levels(
+    levels: Sequence[Spectrum], owners: Sequence[Optional[int]], J
+) -> tuple[list[Spectrum], list[int]]:
+    """The levels owned by an interval in J, each shifted by its level index
+    n, and those indices, in level order: full cells first, interval by
+    interval, then the boundary pieces."""
+    ns = [n for n, owner in enumerate(owners, start=1) if owner in J]
+    return [levels[n - 1].shift(n) for n in ns], ns
 
 
 def _fiber_levels(N: int, S: IntervalSet):
@@ -238,7 +281,6 @@ def construct_hierarchy(
     prime_limit: int,
     *,
     prime_index: int = 0,
-    probe_max_coeff: int = 10,
 ) -> HierarchyPlan:
     """Build the hierarchical spectra for intervals [a_l, b_l) in (0,1).
 
@@ -250,7 +292,7 @@ def construct_hierarchy(
     if prime_index < 0:
         raise InvalidInput("prime_index must be non-negative")
     a, b = interval_chain(a, b)
-    relation = rational_relation_probe(list(a) + list(b), probe_max_coeff)
+    relation = rational_relation_probe(list(a) + list(b), RELATION_MAX_COEFF)
     if relation is not None:
         raise IndependenceSuspect(relation)
     witnesses = ordering_primes(a, b, prime_limit, skip_relation_probe=True)
@@ -300,25 +342,16 @@ def _build_plan(
     a_sets, betas = _level_pattern(N, a, b, range(1, L + 1), K)
 
     # levels: K full cells in interval blocks, L boundary pieces, then empty
-    blocks = _level_blocks(K_ell)
     level_spectra: list[Spectrum] = (
         [integer_lattice(N, 0)] * K
         + [avdonin_interval_spectrum(beta).scale_integers(N) for beta in betas]
         + [empty_spectrum()] * (N - K - L)
     )
-    level_interval: list[Optional[int]] = (
-        [ell for ell, block in enumerate(blocks, start=1) for _ in block]
-        + list(range(1, L + 1))
-        + [None] * (N - K - L)
-    )
-
+    level_interval = _level_owners(N, K_ell)
     lambda_ell = []
     for ell in range(1, L + 1):
-        lam = Spectrum(Fraction(1), ())
-        for n in blocks[ell - 1]:
-            lam = lam.union(level_spectra[n - 1].shift(n))
-        lam = lam.union(level_spectra[K + ell - 1].shift(K + ell))
-        lambda_ell.append(lam.sorted_terms())
+        owned, _ = _owned_levels(level_spectra, level_interval, {ell})
+        lambda_ell.append(Spectrum().union(*owned).sorted_terms())
 
     plan = HierarchyPlan(
         N=N,
@@ -327,7 +360,7 @@ def _build_plan(
         S=IntervalSet(zip(a, b)),
         a_sets=a_sets,
         level_spectra=tuple(level_spectra),
-        level_interval=tuple(level_interval),
+        level_interval=level_interval,
         K_ell=tuple(K_ell),
         K=K,
         lambda_ell=tuple(lambda_ell),
@@ -362,10 +395,7 @@ class SubsetPlan:
     shifts: tuple[int, ...]       # shift factor attached to each omega entry
 
     def union(self) -> Spectrum:
-        out = Spectrum(Fraction(1), ())
-        for om in self.omega:
-            out = out.union(om)
-        return out.sorted_terms()
+        return Spectrum().union(*self.omega).sorted_terms()
 
     def to_json(self) -> dict:
         return {
@@ -379,10 +409,10 @@ class SubsetPlan:
 def subset_spectrum(plan: HierarchyPlan, J: Sequence[int]) -> SubsetPlan:
     """Certification-ordered level sets for the sub-union over J.
 
-    Validates, against independently recomputed fiber-count sets of S^J,
-    that the n-th reordered set is a spectrum candidate for the n-th level
-    set, and that the attached shifts are distinct mod N (which is what the
-    prime-permuted combination needs).
+    omega holds the plan's levels owned by J, each shifted by its level
+    index; the indices are the shifts, distinct in 1..N.  Validates, against
+    independently recomputed fiber-count sets of S^J, that the n-th
+    reordered set is a spectrum candidate for the n-th level set.
     """
     J = sorted(set(int(ell) for ell in J))
     if not J:
@@ -390,31 +420,13 @@ def subset_spectrum(plan: HierarchyPlan, J: Sequence[int]) -> SubsetPlan:
     if any(not 1 <= ell <= plan.L for ell in J):
         raise InvalidInput(f"J must be a subset of 1..{plan.L}")
     N = plan.N
-    blocks = plan.level_blocks()
     K_J = sum(plan.K_ell[ell - 1] for ell in J)
-
-    omega: list[Spectrum] = []
-    shifts: list[int] = []
-    unshifted: list[Spectrum] = []
-    for ell in J:
-        for n in blocks[ell - 1]:
-            omega.append(integer_lattice(N, 0).shift(n))
-            unshifted.append(integer_lattice(N, 0))
-            shifts.append(n)
-    for ell in J:
-        n = plan.K + ell
-        omega.append(plan.level_spectra[n - 1].shift(n))
-        unshifted.append(plan.level_spectra[n - 1])
-        shifts.append(n)
-
-    if len(set(s % N for s in shifts)) != len(shifts):
-        raise ConstructionError("omega shifts collide mod N")
+    omega, shifts = _owned_levels(plan.level_spectra, plan.level_interval, J)
 
     # independent recomputation of the fiber-count sets of the sub-union
     levels_J, _ = _level_pattern(N, plan.a, plan.b, J, K_J)
-    for n, spec in enumerate(unshifted[K_J:], start=K_J + 1):
+    for spec, target in zip(omega[K_J:], levels_J[K_J:]):
         # fractional levels must carry the generator of the right density
-        target = levels_J[n - 1]
         dens = spec.density()
         goal = float(target.measure())
         if abs(float(dens) - goal) > 1e-12:
@@ -457,9 +469,7 @@ class ComplementResult:
         }
 
 
-def _level_spectrum_for(
-    N: int, level_set: IntervalSet, prime_limit_inner: int, max_grid: int
-) -> Spectrum:
+def _level_spectrum_for(N: int, level_set: IntervalSet) -> Spectrum:
     """A subset of N*Z certifying one nonfull fiber-count level."""
     W = level_set.scale(N)  # inside [0,1)
     pieces = W.pieces
@@ -478,7 +488,7 @@ def _level_spectrum_for(
         q = 1
         for l, r in pieces:
             q = math.lcm(q, l.rational.denominator, r.rational.denominator)
-        if q <= max_grid:
+        if q <= GRID_DENOMINATOR_LIMIT:
             cells = [
                 k
                 for k in range(q)
@@ -494,7 +504,7 @@ def _level_spectrum_for(
     rights = [r for _, r in pieces]
     if lefts[0] > Endpoint(0) and rights[-1] < Endpoint(1):
         try:
-            inner = construct_hierarchy(lefts, rights, prime_limit_inner)
+            inner = construct_hierarchy(lefts, rights, INNER_PRIME_LIMIT)
         except (IndependenceSuspect, NotFound) as exc:
             raise UnsupportedASet(
                 f"level set {W!r} is neither grid-aligned nor independent-constructible"
@@ -503,14 +513,7 @@ def _level_spectrum_for(
     raise UnsupportedASet(f"level set {W!r} is outside the supported regimes")
 
 
-def complement_integer_spectrum(
-    N: int,
-    a: Sequence,
-    b: Sequence,
-    *,
-    prime_limit_inner: int = 10**6,
-    max_grid: int = 4096,
-) -> ComplementResult:
+def complement_integer_spectrum(N: int, a: Sequence, b: Sequence) -> ComplementResult:
     """Complement the integer spectrum of [0,1) across intervals in [1,N].
 
     Returns frequencies in (1/N)Z disjoint from Z whose exponentials span
@@ -547,9 +550,7 @@ def complement_integer_spectrum(
         elif a_sets[n - 1].is_empty:
             level_spectra.append(empty)
         else:
-            level_spectra.append(
-                _level_spectrum_for(N, a_sets[n - 1], prime_limit_inner, max_grid)
-            )
+            level_spectra.append(_level_spectrum_for(N, a_sets[n - 1]))
 
     total = combine_level_spectra(N, level_spectra, base_shift=0)
     lam_prime_terms = tuple(

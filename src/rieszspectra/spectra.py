@@ -23,7 +23,7 @@ from .intervals import Endpoint, _guarded_floor, parse_fraction
 from .intervals import _json_array, _json_field, _json_value
 from .precision import DEFAULT_PRECISION_BITS, ambiguity_threshold
 
-DEFAULT_BETA_FLOOR = Fraction(1, 64)
+MIN_BETA = Fraction(1, 64)  # least density of an interval generator
 _HALF = Fraction(1, 2)
 
 
@@ -211,10 +211,11 @@ class Spectrum:
         )
         return Spectrum(self.scale, new_terms)
 
-    def union(self, other: "Spectrum") -> "Spectrum":
-        if self.scale != other.scale:
+    def union(self, *others: "Spectrum") -> "Spectrum":
+        """The terms of self, then of each of others, in one concatenation."""
+        if any(o.scale != self.scale for o in others):
             raise InvalidInput("can only union spectra with equal scale")
-        return Spectrum(self.scale, self.terms + other.terms)
+        return Spectrum(self.scale, self.terms + tuple(t for o in others for t in o.terms))
 
     def sorted_terms(self) -> "Spectrum":
         return Spectrum(self.scale, tuple(sorted(self.terms, key=_term_sort_key)))
@@ -269,14 +270,12 @@ def empty_spectrum() -> Spectrum:
     return Spectrum(Fraction(1), ())
 
 
-def avdonin_interval_spectrum(beta, beta_floor=DEFAULT_BETA_FLOOR) -> Spectrum:
-    """Integer spectrum {round_half_up(n/beta)} of density beta in (0,1);
-    the single-interval generator."""
+def avdonin_interval_spectrum(beta) -> Spectrum:
+    """Integer spectrum {round_half_up(n/beta)} of density beta in
+    [MIN_BETA, 1); the single-interval generator."""
     filt = AvdoninFilter(beta=Endpoint.coerce(beta))
-    if filt.beta < Endpoint(Fraction(beta_floor)):
-        raise DegenerateBeta(
-            f"beta={float(filt.beta):.6g} below floor {float(Fraction(beta_floor)):.6g}"
-        )
+    if filt.beta < Endpoint(MIN_BETA):
+        raise DegenerateBeta(f"beta={float(filt.beta):.6g} below floor {float(MIN_BETA):.6g}")
     return Spectrum(Fraction(1), (CosetTerm(1, 0, filt),))
 
 

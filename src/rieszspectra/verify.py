@@ -295,24 +295,11 @@ def duality_finite_test(N: int, J: Sequence[int], M_dim: Sequence[int]) -> dict:
     return {"alpha_frame": alpha_frame, "alpha_riesz": alpha_riesz}
 
 
-@dataclass(frozen=True)
-class TestFunction:
-    """Piecewise-constant function on cells refining S."""
-
-    cells: tuple[tuple[Endpoint, Endpoint], ...]
-    values: np.ndarray
-
-    def norm_sq(self) -> float:
-        lens = np.array([float(r - l) for l, r in self.cells])
-        return float(np.sum(np.abs(self.values) ** 2 * lens))
-
-
-def _draw_test_function(cells, seed: int, trial: int) -> TestFunction:
-    """Complex-Gaussian piecewise-constant draw on an independent substream."""
+def _draw_test_function(n: int, seed: int, trial: int) -> np.ndarray:
+    """Complex-Gaussian values of a piecewise-constant function on n cells,
+    drawn on an independent substream."""
     rng = np.random.default_rng([int(seed), trial])
-    n = len(cells)
-    vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return TestFunction(cells=tuple(cells), values=vals)
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
 @dataclass(frozen=True)
@@ -433,8 +420,7 @@ def folding_probe(
     tail_max = 0.0
     used_trials = 0
     for t in range(trials):
-        f = _draw_test_function(cells, seed, t)
-        vals = f.values
+        vals = _draw_test_function(n_cells, seed, t)
         norm_all = float(np.sum(np.abs(vals) ** 2 * cell_lens))
         if norm_all <= 0.0:
             continue  # zero draw has no normalizable slice

@@ -333,6 +333,30 @@ def test_avdonin_beta_outside_unit_interval_is_input_error(beta, tmp_path, capsy
     ])
 
 
+# Edits of the L=1 plan at N=5 (K_ell = [1]) that disagree with its level
+# table, each with the field named: the first six once exited 1 with an
+# IndexError or ZeroDivisionError traceback, the rest were accepted.
+_BAD_PLANS = {
+    "short level_spectra": ("level_spectra", lambda p: {"level_spectra": p["level_spectra"][:1]}),
+    "no K_ell": ("K_ell", lambda p: {"K_ell": []}),
+    "no b": ("b", lambda p: {"b": []}),
+    "no lambda_ell": ("lambda_ell", lambda p: {"lambda_ell": []}),
+    "K over N": ("K", lambda p: {"K": 7}),
+    "N zero": ("N", lambda p: {"N": 0}),
+    "no a_sets": ("a_sets", lambda p: {"a_sets": []}),
+    "wrong level_interval": ("level_interval", lambda p: {"level_interval": [None, 1, 1, None, None]}),
+    "full cell 10Z": ("level_spectra", lambda p: {
+        "level_spectra": [rs.integer_lattice(10).to_json()] + p["level_spectra"][1:]
+    }),
+    "no interval": ("a", lambda p: {"a": [], "b": [], "K_ell": [], "lambda_ell": []}),
+    "K_ell zero": ("K_ell", lambda p: {"K_ell": [0], "K": 0}),
+    "late level": ("level_spectra", lambda p: {
+        "level_spectra": p["level_spectra"][:4] + [rs.integer_lattice(5).to_json()]
+    }),
+    "wrong set": ("set", lambda p: {"set": IntervalSet.unit().to_json()}),
+}
+
+
 @pytest.mark.parametrize(
     "kind, field",
     [
@@ -343,11 +367,13 @@ def test_avdonin_beta_outside_unit_interval_is_input_error(beta, tmp_path, capsy
         ("spec array", "intervals"),
         ("plan array", "a"),
         ("term integer", "modulus"),
+        *((f"plan {name}", field) for name, (field, _) in _BAD_PLANS.items()),
     ],
 )
 def test_missing_field_is_input_error(kind, field, tmp_path, capsys, plan_l1):
-    # each once exited 1 with a KeyError or TypeError traceback; the last
-    # three hold a field of the wrong JSON type
+    # the first seven once exited 1 with a KeyError or TypeError traceback;
+    # "spec array", "plan array" and "term integer" hold a field of the
+    # wrong JSON type, and the _BAD_PLANS plans disagree with their level table
     unit = tmp_path / "unit.json"
     unit.write_text(json.dumps(IntervalSet.unit().to_json()))
     path = tmp_path / f"{kind}.json"
@@ -359,8 +385,10 @@ def test_missing_field_is_input_error(kind, field, tmp_path, capsys, plan_l1):
         obj = dict(plan_l1.to_json())
         if kind == "plan array":
             obj["a"] = 5
-        else:
+        elif kind == "plan":
             del obj["K"]
+        else:
+            obj.update(_BAD_PLANS[kind[len("plan "):]][1](obj))
         argv = ["verify", "--plan", str(path), "--schedule", "8,16"]
     elif kind == "list":  # a JSON list where an object belongs
         obj = [{"left": {"rat": "1/4"}, "right": {"rat": "1/2"}}]
@@ -374,7 +402,7 @@ def test_missing_field_is_input_error(kind, field, tmp_path, capsys, plan_l1):
     err = capsys.readouterr().err
     assert code == 2
     assert "input error:" in err and "Traceback" not in err
-    assert str(path) in err and repr(field) in err
+    assert str(path) in err and f"field {field!r}" in err
 
 
 def test_rational_beta_survives_complement_then_bounds(tmp_path, capsys):

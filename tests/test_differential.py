@@ -3,8 +3,9 @@ complex Gram, the one-build bounds schedule against a fresh Gram per window,
 the Avdonin rounding loop against the per-element formula, the
 one-enumeration density check against per-window enumeration, the
 closed-form fold pattern against the N-cell sweep, and the lattice relation
-certificate against the shell scan, and the orbit sweep of Chebotarev
-minors against the exhaustive one.  The exact decisions (phases, Avdonin
+certificate against the shell scan, the orbit sweep of Chebotarev minors
+against the exhaustive one, and the level-owner reads of a plan's interval
+spectra and sub-unions against the contiguous block loops.  The exact decisions (phases, Avdonin
 rounding, the relation scan) are also checked against the mpf evaluation
 at working precision that they replaced, and generators made and printed
 at explicit precision against the same steps in mpmath's shared context
@@ -32,6 +33,7 @@ from rieszspectra.arith import (
 )
 from rieszspectra import (
     AmbiguousEndpoint,
+    HierarchyPlan,
     AvdoninFilter,
     ChebotarevReport,
     CosetTerm,
@@ -53,6 +55,7 @@ from rieszspectra import (
     integer_lattice,
     rational_relation_probe,
     riesz_bounds_estimate,
+    subset_spectrum,
 )
 from rieszspectra.minors import DEFAULT_ENUM_BUDGET, _is_prime
 from rieszspectra.precision import DEFAULT_PRECISION_BITS, ambiguity_threshold, hp_sqrt
@@ -727,3 +730,48 @@ def test_orbit_sweep_matches_benchmark_reference():
         "worst_sigma": 0.029766929720968484,
         "specs_checked": 352715,
     }
+
+
+# -- level owners against the block loops --------------------------------------
+
+def _block_oracle(plan: HierarchyPlan, J):
+    """omega, shifts and the interval spectra as the contiguous level blocks
+    built them: interval l owns the full cells K_1 + ... + K_{l-1} + 1 ..
+    K_1 + ... + K_l and the boundary level K + l."""
+    blocks, start = [], 1
+    for K_l in plan.K_ell:
+        blocks.append(range(start, start + K_l))
+        start += K_l
+    omega, shifts = [], []
+    for ell in J:
+        for n in blocks[ell - 1]:
+            omega.append(integer_lattice(plan.N, 0).shift(n))
+            shifts.append(n)
+    for ell in J:
+        n = plan.K + ell
+        omega.append(plan.level_spectra[n - 1].shift(n))
+        shifts.append(n)
+    lambdas = []
+    for ell in J:
+        lam = Spectrum(F(1), ())
+        for n in [*blocks[ell - 1], plan.K + ell]:
+            lam = lam.union(plan.level_spectra[n - 1].shift(n))
+        lambdas.append(lam.sorted_terms())
+    return omega, shifts, lambdas
+
+
+@pytest.mark.parametrize("name", ["plan_l1", "plan_l2", "plan_l3"])
+@pytest.mark.parametrize("reload", [False, True], ids=["built", "reloaded"])
+def test_level_owners_match_block_loops(name, reload, request):
+    plan = request.getfixturevalue(name)
+    if reload:
+        plan = HierarchyPlan.from_json(json.loads(json.dumps(plan.to_json())))
+    for size in range(1, plan.L + 1):
+        for J in combinations(range(1, plan.L + 1), size):
+            omega, shifts, lambdas = _block_oracle(plan, J)
+            sp = subset_spectrum(plan, J)
+            assert [s.to_json() for s in sp.omega] == [s.to_json() for s in omega]
+            assert sp.shifts == tuple(shifts)
+            assert [plan.lambda_ell[ell - 1].to_json() for ell in J] == [
+                lam.to_json() for lam in lambdas
+            ]
