@@ -109,9 +109,12 @@ def find_ordering_prime(
     if index < 0:
         raise InvalidInput("index must be non-negative")
     gen = ordering_primes(a, b, prime_limit, skip_relation_probe=skip_relation_probe)
-    for i, result in enumerate(gen):
-        if i == index:
+    found = 0
+    for found, result in enumerate(gen, start=1):
+        if found > index:
             return result
+    if found:
+        raise NotFound(prime_limit, "admissible primes found but not enough of them")
     raise NotFound(prime_limit)
 
 

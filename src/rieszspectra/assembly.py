@@ -17,13 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arith import (
-    RELATION_MAX_COEFF,
-    PrimeSearchResult,
-    interval_chain,
-    ordering_primes,
-    rational_relation_probe,
-)
+from .arith import PrimeSearchResult, find_ordering_prime, interval_chain
 from .errors import (
     ConstructionError,
     DegenerateCoverage,
@@ -137,8 +131,9 @@ class HierarchyPlan:
     @classmethod
     def from_json(cls, obj: dict, *, bits=DEFAULT_PRECISION_BITS) -> "HierarchyPlan":
         """Parse a plan, one object per run of equal consecutive entries, and
-        check that its level table is the one K_ell and N determine; any
-        disagreement is InvalidInput naming the field."""
+        check that its level table is the one K_ell and N determine and that
+        lambda_ell is derived from it; any disagreement is InvalidInput
+        naming the field."""
 
         def each(key, parse):
             out, prev = [], None
@@ -175,8 +170,9 @@ class HierarchyPlan:
 def _checked_owners(f: dict, level_interval: list) -> tuple[Optional[int], ...]:
     """_level_owners of a parsed plan's fields f, after checking in order
     that f holds the level table of N and K_ell (K full cells NZ, one
-    boundary level per interval, then empty levels) and that level_interval
-    lists those owners; the first field that disagrees is InvalidInput."""
+    boundary level per interval, then empty levels), that level_interval
+    lists those owners and that lambda_ell is _interval_spectra of the
+    table; the first field that disagrees is InvalidInput."""
 
     def need(ok: bool, key: str, why: str) -> None:
         if not ok:
@@ -200,6 +196,8 @@ def _checked_owners(f: dict, level_interval: list) -> tuple[Optional[int], ...]:
          "levels after K + L must be empty")
     need(f["S"] == IntervalSet(zip(f["a"], f["b"])), "set",
          "must be the union of the intervals [a, b)")
+    need(f["lambda_ell"] == _interval_spectra(levels, owners, L), "lambda_ell",
+         "must hold, for each interval, the union of the levels it owns")
     return owners
 
 
@@ -235,6 +233,17 @@ def _owned_levels(
     interval, then the boundary pieces."""
     ns = [n for n, owner in enumerate(owners, start=1) if owner in J]
     return [levels[n - 1].shift(n) for n in ns], ns
+
+
+def _interval_spectra(
+    levels: Sequence[Spectrum], owners: Sequence[Optional[int]], L: int
+) -> tuple[Spectrum, ...]:
+    """lambda_1..lambda_L: the union of the levels interval l owns, each
+    shifted by its level index, with sorted terms."""
+    return tuple(
+        Spectrum().union(*_owned_levels(levels, owners, {ell})[0]).sorted_terms()
+        for ell in range(1, L + 1)
+    )
 
 
 def _fiber_levels(N: int, S: IntervalSet):
@@ -292,18 +301,7 @@ def construct_hierarchy(
     if prime_index < 0:
         raise InvalidInput("prime_index must be non-negative")
     a, b = interval_chain(a, b)
-    relation = rational_relation_probe(list(a) + list(b), RELATION_MAX_COEFF)
-    if relation is not None:
-        raise IndependenceSuspect(relation)
-    witnesses = ordering_primes(a, b, prime_limit, skip_relation_probe=True)
-    found = 0
-    for found, witness in enumerate(witnesses, start=1):
-        plan = _build_plan(witness, a, b)
-        if found > prime_index:
-            return plan
-    if found:
-        raise NotFound(prime_limit, "admissible primes found but not enough of them")
-    raise NotFound(prime_limit)
+    return _build_plan(find_ordering_prime(a, b, prime_limit, index=prime_index), a, b)
 
 
 def construct_hierarchy_with_prime(a: Sequence, b: Sequence, N: int) -> HierarchyPlan:
@@ -348,10 +346,6 @@ def _build_plan(
         + [empty_spectrum()] * (N - K - L)
     )
     level_interval = _level_owners(N, K_ell)
-    lambda_ell = []
-    for ell in range(1, L + 1):
-        owned, _ = _owned_levels(level_spectra, level_interval, {ell})
-        lambda_ell.append(Spectrum().union(*owned).sorted_terms())
 
     plan = HierarchyPlan(
         N=N,
@@ -363,7 +357,7 @@ def _build_plan(
         level_interval=level_interval,
         K_ell=tuple(K_ell),
         K=K,
-        lambda_ell=tuple(lambda_ell),
+        lambda_ell=_interval_spectra(level_spectra, level_interval, L),
         witness=witness,
     )
     _validate_plan(plan)
@@ -371,12 +365,10 @@ def _build_plan(
 
 
 def _validate_plan(plan: HierarchyPlan) -> None:
-    # disjoint union of the per-interval spectra equals the shifted levels
-    merged = plan.full_union().enumerate_integers(-CHECK_WINDOW, CHECK_WINDOW)
-    by_levels = combine_level_spectra(
-        plan.N, plan.level_spectra, base_shift=1
-    ).enumerate_integers(-CHECK_WINDOW, CHECK_WINDOW)
-    if merged != by_levels:
+    # equal terms are equal sets on all of Z; combining the levels checks
+    # that they lie in NZ and that no two overlap in the window
+    by_levels = combine_level_spectra(plan.N, plan.level_spectra, base_shift=1)
+    if plan.full_union().sorted_terms() != by_levels.sorted_terms():
         raise ConstructionError("per-interval union disagrees with the level union")
     # each interval's spectrum must carry exactly that interval's density
     # (K_l + {N b} - {N a}) / N = b - a holds term by term, so exactly
@@ -410,9 +402,10 @@ def subset_spectrum(plan: HierarchyPlan, J: Sequence[int]) -> SubsetPlan:
     """Certification-ordered level sets for the sub-union over J.
 
     omega holds the plan's levels owned by J, each shifted by its level
-    index; the indices are the shifts, distinct in 1..N.  Validates, against
-    independently recomputed fiber-count sets of S^J, that the n-th
-    reordered set is a spectrum candidate for the n-th level set.
+    index, so its union is that of lambda_l over J; the indices are the
+    shifts, distinct in 1..N.  Validates, against independently recomputed
+    fiber-count sets of S^J, that the n-th reordered set is a spectrum
+    candidate for the n-th level set.
     """
     J = sorted(set(int(ell) for ell in J))
     if not J:
@@ -432,16 +425,7 @@ def subset_spectrum(plan: HierarchyPlan, J: Sequence[int]) -> SubsetPlan:
         if abs(float(dens) - goal) > 1e-12:
             raise ConstructionError("omega ordering does not match the level sets")
 
-    sp = SubsetPlan(J=tuple(J), K_J=K_J, omega=tuple(omega), shifts=tuple(shifts))
-    mine = sp.union().enumerate_integers(-CHECK_WINDOW, CHECK_WINDOW)
-    theirs: list[int] = []
-    for ell in J:
-        theirs.extend(
-            plan.lambda_ell[ell - 1].enumerate_integers(-CHECK_WINDOW, CHECK_WINDOW)
-        )
-    if mine != sorted(theirs):
-        raise ConstructionError("omega union disagrees with the per-interval union")
-    return sp
+    return SubsetPlan(J=tuple(J), K_J=K_J, omega=tuple(omega), shifts=tuple(shifts))
 
 
 @dataclass(frozen=True)

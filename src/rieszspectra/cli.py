@@ -73,11 +73,20 @@ def _load_artifact(path: str, parse, bits: int):
         raise InvalidInput(f"{path}: {exc}") from exc
 
 
-def _interval_endpoints(path: str, bits: int):
-    S = _load_artifact(path, IntervalSet.from_json, bits)
+def _interval_endpoints(path: str, bits: int, parse):
+    S = _load_artifact(path, parse, bits)
     if S.is_empty:
         raise InvalidInput("interval specification is empty")
     return [l for l, _ in S.pieces], [r for _, r in S.pieces]
+
+
+def _interval_chain(obj, *, bits: int) -> IntervalSet:
+    """IntervalSet.from_json(obj), unless a listed interval touches or
+    overlaps another or is empty, so that normalizing merged or dropped it."""
+    S = IntervalSet.from_json(obj, bits=bits)
+    if len(S.pieces) != len(obj["intervals"]):
+        raise InvalidInput("interval set field 'intervals' must hold separate nonempty intervals")
+    return S
 
 
 def _spectrum_from_json(obj, *, bits: int) -> Spectrum:
@@ -128,18 +137,18 @@ def _pass_with_artifact(args, result) -> int:
 
 
 def _cmd_find_prime(args, bits: int) -> int:
-    a, b = _interval_endpoints(args.intervals, bits)
+    a, b = _interval_endpoints(args.intervals, bits, _interval_chain)
     return _pass_with_artifact(args, find_ordering_prime(a, b, args.prime_limit))
 
 
 def _cmd_construct_hierarchy(args, bits: int) -> int:
-    a, b = _interval_endpoints(args.intervals, bits)
+    a, b = _interval_endpoints(args.intervals, bits, _interval_chain)
     plan = construct_hierarchy(a, b, args.prime_limit, prime_index=args.prime_index)
     return _pass_with_artifact(args, plan)
 
 
 def _cmd_complement(args, bits: int) -> int:
-    a, b = _interval_endpoints(args.intervals, bits)
+    a, b = _interval_endpoints(args.intervals, bits, IntervalSet.from_json)
     return _pass_with_artifact(args, complement_integer_spectrum(args.N, a, b))
 
 

@@ -280,6 +280,56 @@ def test_hierarchy_prime_index_picks_later_prime():
     assert plan1.N > plan0.N
 
 
+def test_hierarchy_prime_index_builds_one_plan(monkeypatch):
+    a = Endpoint(0, hp_sqrt(2)) - 1
+    b = Endpoint(0, hp_sqrt(3)) - 1
+    built = []
+    real = assembly._build_plan
+
+    def spy(witness, a, b):
+        built.append(witness.N)
+        return real(witness, a, b)
+
+    monkeypatch.setattr(assembly, "_build_plan", spy)
+    plan = construct_hierarchy([a], [b], 200, prime_index=1)
+    assert built == [plan.N]
+    want = construct_hierarchy_with_prime([a], [b], plan.N).to_json()
+    got = plan.to_json()
+    assert got["witness"]["candidates_scanned"] > 0
+    del want["witness"], got["witness"]
+    assert got == want
+
+
+def test_hierarchy_prime_index_beyond_the_admissible_primes():
+    a = Endpoint(0, hp_sqrt(2)) - 1
+    b = Endpoint(0, hp_sqrt(3)) - 1
+    with pytest.raises(rs.NotFound, match="not enough"):
+        construct_hierarchy([a], [b], 6, prime_index=1)
+    with pytest.raises(rs.NotFound, match="no admissible prime"):
+        construct_hierarchy([a], [b], 4)
+
+
+def test_plan_checks_enumerate_the_window_once(monkeypatch, spec_l3):
+    # building checks the level combination with one enumeration of each of
+    # its K + L terms; sub-unions are read off the level owners unenumerated
+    calls = []
+    real = CosetTerm.integers_in
+
+    def counting(self, lo, hi):
+        calls.append(self)
+        return real(self, lo, hi)
+
+    monkeypatch.setattr(CosetTerm, "integers_in", counting)
+    S = IntervalSet.from_json(spec_l3)
+    plan = construct_hierarchy_with_prime([l for l, _ in S.pieces], [r for _, r in S.pieces], 1933)
+    assert len(calls) == plan.K + plan.L
+    calls.clear()
+    back = rs.HierarchyPlan.from_json(plan.to_json())
+    for mask in range(1, 2**plan.L):
+        subset_spectrum(back, [ell for ell in range(1, plan.L + 1) if mask >> (ell - 1) & 1])
+    assert calls == []
+
+
 def test_hierarchy_negative_prime_index():
     a = Endpoint(0, hp_sqrt(2)) - 1
     b = Endpoint(0, hp_sqrt(3)) - 1

@@ -354,6 +354,7 @@ _BAD_PLANS = {
         "level_spectra": p["level_spectra"][:4] + [rs.integer_lattice(5).to_json()]
     }),
     "wrong set": ("set", lambda p: {"set": IntervalSet.unit().to_json()}),
+    "wrong lambda_ell": ("lambda_ell", lambda p: {"lambda_ell": [rs.integer_lattice(5).to_json()]}),
 }
 
 
@@ -403,6 +404,64 @@ def test_missing_field_is_input_error(kind, field, tmp_path, capsys, plan_l1):
     assert code == 2
     assert "input error:" in err and "Traceback" not in err
     assert str(path) in err and f"field {field!r}" in err
+
+
+def test_swapped_lambda_ell_is_input_error(tmp_path, capsys, plan_l2):
+    # this plan once loaded, and verify exited 1 with "omega union disagrees
+    # with the per-interval union"
+    obj = plan_l2.to_json()
+    obj["lambda_ell"] = obj["lambda_ell"][::-1]
+    path = tmp_path / "swapped.json"
+    path.write_text(json.dumps(obj))
+    code = main(["verify", "--plan", str(path), "--all-subsets", "--schedule", "16,32"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "input error:" in err and "Traceback" not in err
+    assert str(path) in err and "field 'lambda_ell'" in err
+
+
+def _listed_spec(pairs) -> dict:
+    """An interval spec listing the pairs as given, unlike IntervalSet.to_json
+    of the normalized set."""
+    return {
+        "intervals": [
+            {"left": Endpoint.coerce(x).to_json(), "right": Endpoint.coerce(y).to_json()}
+            for x, y in pairs
+        ]
+    }
+
+
+@pytest.mark.parametrize("command", ["construct-hierarchy", "find-prime"])
+@pytest.mark.parametrize("kind", ["touching", "overlapping", "empty"])
+def test_merged_intervals_are_input_error(kind, command, tmp_path, capsys):
+    # each spec normalizes to the one interval [sqrt2 - 1, sqrt3 - 1), and
+    # construct-hierarchy once built its L=1 plan with exit 0 and PASS
+    a = Endpoint(0, hp_sqrt(2)) - 1
+    b = Endpoint(0, hp_sqrt(3)) - 1
+    pairs = {
+        "touching": [(a, Fraction(3, 5)), (Fraction(3, 5), b)],
+        "overlapping": [(a, Fraction(13, 20)), (Fraction(3, 5), b)],
+        "empty": [(a, b), (Fraction(4, 5), Fraction(4, 5))],
+    }[kind]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(_listed_spec(pairs)))
+    code = main([command, "--intervals", str(path), "--prime-limit", "100"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "input error:" in err and "Traceback" not in err
+    assert str(path) in err and "field 'intervals'" in err
+
+
+def test_complement_takes_the_union_of_listed_intervals(tmp_path, capsys):
+    # complement depends only on the union, so touching intervals still merge
+    reports = []
+    for name, pairs in (("merged", [(1, 2)]), ("touching", [(1, Fraction(3, 2)), (Fraction(3, 2), 2)])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(_listed_spec(pairs)))
+        code, report = _run(capsys, ["complement", "--N", "2", "--intervals", str(path)])
+        assert code == 0
+        reports.append(report["result"])
+    assert reports[0] == reports[1]
 
 
 def test_rational_beta_survives_complement_then_bounds(tmp_path, capsys):

@@ -4,8 +4,10 @@ the Avdonin rounding loop against the per-element formula, the
 one-enumeration density check against per-window enumeration, the
 closed-form fold pattern against the N-cell sweep, and the lattice relation
 certificate against the shell scan, the orbit sweep of Chebotarev minors
-against the exhaustive one, and the level-owner reads of a plan's interval
-spectra and sub-unions against the contiguous block loops.  The exact decisions (phases, Avdonin
+against the exhaustive one, the level-owner reads of a plan's interval
+spectra and sub-unions against the contiguous block loops, and the term
+comparisons that check a plan against the window enumerations they
+replaced.  The exact decisions (phases, Avdonin
 rounding, the relation scan) are also checked against the mpf evaluation
 at working precision that they replaced, and generators made and printed
 at explicit precision against the same steps in mpmath's shared context
@@ -53,10 +55,12 @@ from rieszspectra import (
     fold_pattern,
     gram_matrix,
     integer_lattice,
+    combine_level_spectra,
     rational_relation_probe,
     riesz_bounds_estimate,
     subset_spectrum,
 )
+from rieszspectra.assembly import CHECK_WINDOW
 from rieszspectra.minors import DEFAULT_ENUM_BUDGET, _is_prime
 from rieszspectra.precision import DEFAULT_PRECISION_BITS, ambiguity_threshold, hp_sqrt
 
@@ -775,3 +779,20 @@ def test_level_owners_match_block_loops(name, reload, request):
             assert [plan.lambda_ell[ell - 1].to_json() for ell in J] == [
                 lam.to_json() for lam in lambdas
             ]
+
+
+@pytest.mark.parametrize("name", ["plan_l1", "plan_l2", "plan_l3"])
+@pytest.mark.parametrize("reload", [False, True], ids=["built", "reloaded"])
+def test_plan_terms_match_window_enumeration(name, reload, request):
+    # the checks a plan once ran on the window: its full union against the
+    # level combination, and each sub-union's omega against its lambda_l
+    plan = request.getfixturevalue(name)
+    if reload:
+        plan = HierarchyPlan.from_json(json.loads(json.dumps(plan.to_json())))
+    w = CHECK_WINDOW
+    by_levels = combine_level_spectra(plan.N, plan.level_spectra, base_shift=1)
+    assert plan.full_union().enumerate_integers(-w, w) == by_levels.enumerate_integers(-w, w)
+    for size in range(1, plan.L + 1):
+        for J in combinations(range(1, plan.L + 1), size):
+            theirs = [m for ell in J for m in plan.lambda_ell[ell - 1].enumerate_integers(-w, w)]
+            assert subset_spectrum(plan, J).union().enumerate_integers(-w, w) == sorted(theirs)
