@@ -7,10 +7,17 @@ independent, and every value the constructions derive from them ({N*a},
 b - a, level widths, spectrum densities) is such a form, so arithmetic
 never rounds and values equal by construction compare equal structurally.
 A generator is a binary fraction, so every form has an exact rational
-value (Endpoint.exact()), and every comparison, floor and phase is decided
-on that value; mpf is used only to make and print generators.  A
+value (Endpoint.exact()), and every comparison and floor returns what the
+exact value decides; mpf is used only to make and print generators.  A
 comparison or floor of an irrational form that lands within the ambiguity
 threshold of its generators raises AmbiguousEndpoint instead of guessing.
+
+Each decision is filtered: a float64 enclosure of the form (a value and a
+proved radius, cached on the endpoint) decides it first whenever the
+enclosure clears the decision point by more than the threshold, and only
+the rest fall back to exact Fraction arithmetic (Shewchuk, Discrete
+Comput. Geom. 18, 1997).  The filter answers only where the exact path
+answers the same, so results and AmbiguousEndpoint are unchanged.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -28,8 +36,32 @@ from .errors import AmbiguousEndpoint, InvalidInput
 from .precision import DEFAULT_PRECISION_BITS, ROUND, ambiguity_threshold, make_generator
 
 
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
+_EPS = sys.float_info.epsilon  # 2^-52, twice the unit roundoff u of float64
+_TINY = sys.float_info.min  # 2^-1022, the least normal float64
+
+
+def _enclose(rational: Fraction, irr: dict) -> tuple:
+    """(v, e, t) for the form rational + sum of c_g * g; see
+    Endpoint._enclosure."""
+    bits = min((g.bits for g in irr), default=DEFAULT_PRECISION_BITS)
+    t = math.ldexp(1.0, -min(bits // 2, 1074))  # 2^-(bits//2), never below it
+    try:
+        v = rational.numerator / rational.denominator  # correctly rounded
+        a = abs(v)
+        for g, c in irr.items():
+            cf, gf = c.numerator / c.denominator, g._float
+            if abs(cf) < _TINY or abs(gf) < _TINY:
+                break  # underflow: the error would be scaled by the other factor
+            term = cf * gf
+            v += term
+            a += abs(term)
+        else:
+            e = (len(irr) + 3) * _EPS * a + _TINY
+            if e < math.inf and abs(v) < math.inf:
+                return v, e, t
+    except OverflowError:
+        pass
+    return 0.0, math.inf, t
 
 
 def _guarded_floor(x: Fraction, what, t: Fraction) -> int:
@@ -88,18 +120,20 @@ class Endpoint:
     bits.
     """
 
-    __slots__ = ("rational", "irr")
+    __slots__ = ("rational", "irr", "_enc")
 
     def __init__(self, rational=0, irrational=None, *, bits=DEFAULT_PRECISION_BITS):
         self.rational = Fraction(rational)
         g = None if irrational is None else make_generator(irrational, bits)
         self.irr = {g: Fraction(1)} if g is not None and g.value else {}
+        self._enc = None
 
     @classmethod
     def _build(cls, rational: Fraction, irr: dict) -> "Endpoint":
         e = cls.__new__(cls)
         e.rational = rational
         e.irr = irr
+        e._enc = None
         return e
 
     # -- conversions --------------------------------------------------
@@ -153,6 +187,32 @@ class Endpoint:
     def __float__(self) -> float:
         return float(self.exact())  # correctly rounded
 
+    def _enclosure(self) -> tuple:
+        """(v, e, t): a float64 value v with |v - exact()| <= e, and the
+        ambiguity threshold t of the least bits among the generators (the
+        default for none) as a float; computed once and cached.
+
+        v sums the k = 1 + len(irr) terms z, float(rational) and
+        float(c) * float(g), left to right.  With u = 2^-53 and
+        gamma_n = n*u / (1 - n*u), a term carries at most three roundings
+        to nearest (c, g, their product; one for the rational), so it lies
+        within gamma_3 / (1 - gamma_3) * |z| < 3.01u|z| of its exact value,
+        and the recursive sum adds at most gamma_(k-1) * A, A the sum of the
+        |z| (Higham, Accuracy and Stability of Numerical Algorithms, 2.2 and
+        4.2): |v - exact()| <= (k + 2.02)u * A.  Under gradual underflow a
+        sum is exact and a product or the rational conversion adds at most
+        2^-1075, k * 2^-1075 in all; a c or g converting below 2^-1022
+        would carry its absolute error through the product, so such a form
+        takes the fallback.  e = 2(k + 2)u * A + 2^-1022 covers both with a
+        factor 2 to spare for the rounding of A and of e, and e >= 5u|v|.
+        A form that overflows float64 (OverflowError, an infinite term or
+        sum) gets e = inf, and each of its decisions takes the exact path.
+        """
+        enc = self._enc
+        if enc is None:
+            enc = self._enc = _enclose(self.rational, self.irr)
+        return enc
+
     def phases(self, ks) -> list[float]:
         """frac(k * x) for every integer k in ks, reduced exactly."""
         x = self.exact()
@@ -166,9 +226,35 @@ class Endpoint:
     # -- comparisons ---------------------------------------------------
 
     def _cmp(self, other) -> int:
-        other = Endpoint.coerce(other)
+        """The sign of self - other, as _cmp_exact decides it; 0 at once
+        for the same object.
+
+        The float sign is returned when d = v_s - v_o of the enclosures
+        satisfies |d| > 2(e_s + e_o) + 2t, t = max(t_s, t_o) the threshold
+        of the least bits among the generators of both forms.  Then the
+        exact difference D has the sign of d and |D| >= |d| - e_s - e_o > t
+        (the factors 2 absorb the rounding of d and of the bound).  Unequal maps leave a
+        difference whose generators are among both forms', so its exact
+        threshold is at most t, and _cmp_exact returns the same sign without
+        raising.  Otherwise _cmp_exact decides.
+        """
+        if other is self:
+            return 0
+        if not isinstance(other, Endpoint):
+            other = Endpoint.coerce(other)
+        v, e, t = self._enclosure()
+        w, f, s = other._enclosure()
+        d = v - w
+        if abs(d) > 2.0 * (e + f + (t if t > s else s)):
+            return 1 if d > 0 else -1
+        return self._cmp_exact(other)
+
+    def _cmp_exact(self, other: "Endpoint") -> int:
+        """The sign of self - other on the exact values: rational parts alone
+        for equal maps, else the exact difference against the threshold."""
         if self.irr == other.irr:
-            return _sign(self.rational - other.rational)
+            a, b = self.rational, other.rational
+            return (a > b) - (a < b)
         diff = self - other
         d = diff.exact()
         if abs(d) < ambiguity_threshold(diff.irr):
@@ -176,7 +262,7 @@ class Endpoint:
                 f"comparison of {self!r} and {other!r} is below the "
                 f"working-precision threshold (|diff| ~ {float(abs(d)):.5g})"
             )
-        return _sign(d)
+        return (d > 0) - (d < 0)
 
     def __eq__(self, other):
         try:
@@ -233,6 +319,25 @@ class Endpoint:
     __rmul__ = __mul__
 
     def floor(self) -> int:
+        """floor(x), as _floor_exact decides it.
+
+        For an irrational form, with m = 2(e + t) from the enclosure and the
+        threshold t, floor(v - m) == floor(v + m) = f puts x at least t
+        inside [f, f + 1): x >= v - e and v - m rounds by at most
+        u(|v| + m) < e + t (e >= 5u|v|), likewise above, so the exact
+        guarded floor is f and does not raise.  Otherwise _floor_exact
+        decides.
+        """
+        if self.irr:
+            v, e, t = self._enclosure()
+            m = 2.0 * (e + t)
+            if m < 0.5:
+                f = math.floor(v - m)
+                if f == math.floor(v + m):
+                    return f
+        return self._floor_exact()
+
+    def _floor_exact(self) -> int:
         if not self.irr:
             return math.floor(self.rational)
         return _guarded_floor(self.exact(), self, ambiguity_threshold(self.irr))
@@ -281,8 +386,7 @@ def frac(x):
     raise TypeError(f"unsupported type for frac: {type(x)!r}")
 
 
-def _cmp_key(e: Endpoint):
-    return functools.cmp_to_key(Endpoint._cmp)(e)
+_cmp_key = functools.cmp_to_key(Endpoint._cmp)
 
 
 class IntervalSet:

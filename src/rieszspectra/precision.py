@@ -10,6 +10,7 @@ switches mpmath's shared context.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -36,16 +37,22 @@ class Generator:
     """The exact binary value of a real number rounded to bits.
 
     Identified by its value, with the hash computed once; never mutated.
-    The raw mpf value _mpf_ lets mpmath functions accept it.
+    The raw mpf value _mpf_ lets mpmath functions accept it.  _float is
+    float(value), correctly rounded, computed once for the float enclosures
+    of intervals.Endpoint (an infinity when the value overflows float64).
     """
 
-    __slots__ = ("value", "bits", "_mpf_", "_hash")
+    __slots__ = ("value", "bits", "_mpf_", "_hash", "_float")
 
     def __init__(self, raw: tuple, bits: int):
         self.value = Fraction(*to_rational(raw))
         self.bits = bits
         self._mpf_ = raw
         self._hash = hash(self.value)
+        try:
+            self._float = float(self.value)
+        except OverflowError:
+            self._float = math.inf if self.value > 0 else -math.inf
 
     def __eq__(self, other):
         return isinstance(other, Generator) and self.value == other.value

@@ -19,7 +19,7 @@ from .errors import (
     InvalidInput,
     OverlappingTerms,
 )
-from .intervals import Endpoint, _guarded_floor, parse_fraction
+from .intervals import _EPS, Endpoint, _guarded_floor, parse_fraction
 from .intervals import _json_array, _json_field, _json_value
 from .precision import DEFAULT_PRECISION_BITS, ambiguity_threshold
 
@@ -50,6 +50,17 @@ class AvdoninFilter:
         0 < beta < 1, and r lies in [r_lo, r_hi] only for n within
         beta*(r -+ 1/2).  A rational beta rounds exactly, ties up; an
         irrational beta raises AmbiguousEndpoint on a near tie.
+
+        Each floor(x), x = n/beta + 1/2, is decided first on beta's
+        enclosure (b, e, t) (Endpoint._enclosure) as Endpoint.floor decides
+        it.  With e < b/2,
+        so beta > b/2, and y = n/b + 1/2 in float64,
+        |y - x| <= |n| (e / (b - e) + u) / b + u|y|, u = 2^-53.  The bound
+        E = |n| * slope + 2u|y|, slope = (e / (b - e) + 2u) / b, doubles the
+        u terms to cover its own rounding, and floor(y - m) == floor(y + m),
+        m = 2(E + t), puts x at least t inside one unit interval, so the
+        exact floor is the same and does not raise.  Otherwise the exact
+        floor decides.
         """
         beta = self.beta.exact()
         num, den = beta.numerator, beta.denominator
@@ -59,8 +70,19 @@ class AvdoninFilter:
         n_hi = math.floor(beta * (r_hi + _HALF))
         exact = self.beta.is_rational
         t = ambiguity_threshold(self.beta.irr)
+        b, e, tf = self.beta._enclosure()
+        filtered = e < b / 2 and max(-n_lo, n_hi) < 2**50
+        slope = (e / (b - e) + _EPS) / b if filtered else 0.0
         out = []
         for n in range(n_lo - 2, n_hi + 3):
+            if filtered:
+                y = n / b + 0.5
+                m = 2.0 * (abs(n) * slope + _EPS * abs(y) + tf)
+                r = math.floor(y - m)
+                if r == math.floor(y + m):
+                    if r_lo <= r <= r_hi:
+                        out.append(r + self.phase)
+                    continue
             x = Fraction(2 * n * den + num, 2 * num)  # n/beta + 1/2
             r = math.floor(x) if exact else _guarded_floor(x, f"rounding of {n}/beta", t)
             if r_lo <= r <= r_hi:
@@ -142,6 +164,14 @@ class Spectrum:
         object.__setattr__(self, "scale", Fraction(self.scale))
         object.__setattr__(self, "terms", tuple(self.terms))
 
+    def _with_terms(self, terms: tuple) -> "Spectrum":
+        """A spectrum of this (already checked) scale with terms, without
+        the coercions of __post_init__."""
+        out = object.__new__(Spectrum)
+        object.__setattr__(out, "scale", self.scale)
+        object.__setattr__(out, "terms", terms)
+        return out
+
     @property
     def is_empty(self) -> bool:
         return not self.terms
@@ -177,11 +207,14 @@ class Spectrum:
 
     def shift(self, a) -> "Spectrum":
         """Translate by a; a must be a multiple of the scale."""
-        a = Fraction(a)
-        s = a / self.scale
-        if s.denominator != 1:
-            raise IncompatibleShift(f"shift {a} is not a multiple of scale {self.scale}")
-        s = int(s)
+        if isinstance(a, int) and self.scale == 1:
+            s = a
+        else:
+            a = Fraction(a)
+            s = a / self.scale
+            if s.denominator != 1:
+                raise IncompatibleShift(f"shift {a} is not a multiple of scale {self.scale}")
+            s = int(s)
         new_terms = []
         for t in self.terms:
             raw = t.offset + s
@@ -191,7 +224,7 @@ class Spectrum:
             if filt is not None and carry:
                 filt = AvdoninFilter(beta=filt.beta, phase=filt.phase + carry)
             new_terms.append(CosetTerm(t.modulus, off, filt))
-        return Spectrum(self.scale, tuple(new_terms))
+        return self._with_terms(tuple(new_terms))
 
     def dilate(self, c) -> "Spectrum":
         """Multiply every frequency by the positive rational c."""

@@ -7,15 +7,19 @@ certificate against the shell scan, the orbit sweep of Chebotarev minors
 against the exhaustive one, the level-owner reads of a plan's interval
 spectra and sub-unions against the contiguous block loops, and the term
 comparisons that check a plan against the window enumerations they
-replaced.  The exact decisions (phases, Avdonin
-rounding, the relation scan) are also checked against the mpf evaluation
+replaced, and the float-filtered Endpoint compares, floors and Avdonin
+roundings against their exact oracles (and against a forced fallback),
+near ties and outside the float64 range included.  The exact decisions
+(phases, Avdonin rounding, the relation scan) are also checked against the mpf evaluation
 at working precision that they replaced, and generators made and printed
 at explicit precision against the same steps in mpmath's shared context
 switched by workprec()."""
 
+import contextlib
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -41,8 +45,10 @@ from rieszspectra import (
     CosetTerm,
     EmptyWindow,
     Endpoint,
+    a_exact,
     a_geq,
     a_geq_all,
+    b_exact,
     IntervalSet,
     InvalidInput,
     MinorSpec,
@@ -796,3 +802,213 @@ def test_plan_terms_match_window_enumeration(name, reload, request):
         for J in combinations(range(1, plan.L + 1), size):
             theirs = [m for ell in J for m in plan.lambda_ell[ell - 1].enumerate_integers(-w, w)]
             assert subset_spectrum(plan, J).union().enumerate_integers(-w, w) == sorted(theirs)
+
+
+# -- filtered Endpoint decisions vs their exact oracle -----------------------
+
+FILTER_BITS = (64, 96, 200)
+near_scales = st.fractions(min_value=-6, max_value=6, max_denominator=64)
+
+
+def _decide(fn):
+    """fn()'s result, or the class AmbiguousEndpoint when fn raises it."""
+    try:
+        return fn()
+    except AmbiguousEndpoint:
+        return AmbiguousEndpoint
+
+
+@contextlib.contextmanager
+def _exact_only():
+    """Every Endpoint decision on the exact path (an infinite radius)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Endpoint, "_enclosure", lambda self: (0.0, math.inf, 1.0))
+        yield
+
+
+@st.composite
+def extreme_coeffs(draw):
+    """A nonzero rational, now and then scaled to 10^k for |k| up to 400,
+    past both ends of float64."""
+    c = draw(st.fractions(min_value=-9, max_value=9, max_denominator=10**4).filter(bool))
+    if draw(st.integers(0, 5)) == 0:
+        c *= F(10) ** draw(st.integers(-400, 400))
+    return c
+
+
+@st.composite
+def linear_forms(draw, bits: int):
+    """rational + sum of c*sqrt(p) over 0-4 of sqrt 2, 3, 5, 7 made at bits."""
+    e = Endpoint(draw(st.fractions(min_value=-50, max_value=50, max_denominator=10**6)))
+    if draw(st.integers(0, 9)) == 0:
+        e = e * F(10) ** draw(st.integers(-400, 400))
+    for p in draw(st.lists(st.sampled_from(ROOTS), max_size=4, unique=True)):
+        e = e + Endpoint(0, hp_sqrt(p, bits)) * draw(extreme_coeffs())
+    return e
+
+
+@st.composite
+def near_generators(draw):
+    return hp_sqrt(draw(st.sampled_from(ROOTS + (11, 13))), draw(st.sampled_from(FILTER_BITS)))
+
+
+def _offset(x: Endpoint, s: Fraction, g) -> Endpoint:
+    """A form of value exactly x + s*t, t the threshold of g's bits, that
+    carries g as one more irrational summand: x + g + (s*t - g.value)."""
+    return x + Endpoint(0, g) + (s * ambiguity_threshold([g]) - g.value)
+
+
+def _out_of_float_range(x: Endpoint) -> bool:
+    """Whether converting x's terms to float64 overflows, or leaves a
+    coefficient or generator below the least normal float."""
+    try:
+        float(x.rational)
+        pairs = [(float(c), g._float) for g, c in x.irr.items()]
+    except OverflowError:
+        return True
+    return any(not 2.0**-1022 <= abs(f) < math.inf for pair in pairs for f in pair)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), bits=st.sampled_from(FILTER_BITS))
+def test_filtered_cmp_matches_exact(data, bits):
+    x = data.draw(linear_forms(bits))
+    if data.draw(st.booleans()):
+        y = data.draw(linear_forms(bits))
+    else:  # within a few thresholds of x, on either side, or equal
+        y = _offset(x, data.draw(near_scales), data.draw(near_generators()))
+    assert _decide(lambda: x._cmp(y)) == _decide(lambda: x._cmp_exact(y))
+    assert _decide(lambda: y._cmp(x)) == _decide(lambda: y._cmp_exact(x))
+    for z in (x, y):
+        if _out_of_float_range(z):
+            assert z._enclosure()[1] == math.inf
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), bits=st.sampled_from(FILTER_BITS))
+def test_filtered_floor_matches_exact(data, bits):
+    x = data.draw(linear_forms(bits))
+    if data.draw(st.booleans()):  # within a few thresholds of an integer
+        n = data.draw(st.integers(-50, 50))
+        x = _offset(x - x.exact() + n, data.draw(near_scales), data.draw(near_generators()))
+    assert _decide(x.floor) == _decide(x._floor_exact)
+    assert _decide(x.round_half_up) == _decide(lambda: (x + F(1, 2))._floor_exact())
+    if _out_of_float_range(x):
+        assert x._enclosure()[1] == math.inf
+
+
+def test_near_ties_split_at_the_threshold():
+    # the exact answer flips from AmbiguousEndpoint to a sign at s = 1
+    for bits in FILTER_BITS:
+        x = Endpoint(F(1, 3)) + Endpoint(0, hp_sqrt(2, bits))
+        g = hp_sqrt(5, bits)
+        for s in (F(-3), F(-1), F(-99, 100), F(0), F(1, 2), F(99, 100), F(1), F(2), F(5)):
+            y = _offset(x, s, g)
+            want = AmbiguousEndpoint if abs(s) < 1 else (s > 0) - (s < 0)
+            assert _decide(lambda: y._cmp(x)) == want
+            z = _offset(x - x.exact() + 7, s, g)
+            want = AmbiguousEndpoint if abs(s) < 1 else 7 - (s < 0)
+            assert _decide(z.floor) == want
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        Endpoint(0, hp_sqrt(2)) * F(10) ** 400,
+        Endpoint(0, hp_sqrt(2)) * F(3, 10**320),  # the coefficient is subnormal
+        Endpoint(F(10) ** 400) + Endpoint(0, hp_sqrt(3)),
+        Endpoint(0, "1e400") + F(1, 3),
+        Endpoint(0, "1e-400") + 5,
+    ],
+    ids=["coeff-overflow", "coeff-underflow", "rational-overflow", "gen-overflow", "gen-underflow"],
+)
+def test_out_of_float_range_takes_exact_path(x):
+    assert x._enclosure()[1] == math.inf
+    for y in (Endpoint(0), Endpoint(5), x + Endpoint(0, hp_sqrt(7)) * F(1, 9), x * 2):
+        assert _decide(lambda: x._cmp(y)) == _decide(lambda: x._cmp_exact(y))
+    assert _decide(x.floor) == _decide(x._floor_exact)
+
+
+@settings(max_examples=100, deadline=None)
+@given(instance=fold_instances())
+def test_forced_fallback_matches_filtered_fold(instance):
+    N, S = instance
+
+    def run():
+        return _decide(lambda: (
+            _pattern_json(fold_pattern(N, S)),
+            [level.to_json() for level in a_geq_all(N, S)],
+            S.symmetric_difference(S.shift(F(1, 2 * N))).to_json(),
+        ))
+
+    filtered = run()
+    with _exact_only():
+        assert run() == filtered
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 300),
+    extra=st.integers(1, 300),
+    phase=st.integers(-5, 5),
+)
+def test_forced_fallback_matches_filtered_rounding(data, n, extra, phase):
+    # beta = q + s*t*q^2/n, q = 2n/(2k - 1), puts n/beta + 1/2 about s*t
+    # from the integer k
+    k = n + extra
+    q = F(2 * n, 2 * k - 1)
+    if data.draw(st.booleans()):
+        s = data.draw(near_scales) * q * q / n
+        beta = _offset(Endpoint(q), s, data.draw(near_generators()))
+    else:
+        beta = data.draw(irrational_betas())
+    filt = AvdoninFilter(beta=beta, phase=phase)
+    lo = F(k + phase - 40)
+    filtered = _decide(lambda: filt.elements_in(lo, lo + 80))
+    with _exact_only():
+        assert _decide(lambda: filt.elements_in(lo, lo + 80)) == filtered
+
+
+def test_fold_compares_decide_in_float():
+    """On the criterion-04 fold instances, no compare of two forms with
+    different irrational maps and no floor of an irrational form reaches
+    the exact path."""
+    from test_acceptance import _random_fold_instance
+
+    rnd = random.Random(20250810)
+    exact_cmp, exact_floor, enclosure = (
+        Endpoint._cmp_exact, Endpoint._floor_exact, Endpoint._enclosure,
+    )
+    reached, decisions = [], [0]
+
+    def cmp(a, b):
+        if a.irr != b.irr:
+            reached.append(("cmp", a, b))
+        return exact_cmp(a, b)
+
+    def floor(a):
+        if a.irr:
+            reached.append(("floor", a))
+        return exact_floor(a)
+
+    def counted(a):
+        decisions[0] += 1
+        return enclosure(a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Endpoint, "_cmp_exact", cmp)
+        mp.setattr(Endpoint, "_floor_exact", floor)
+        mp.setattr(Endpoint, "_enclosure", counted)
+        for _ in range(50):
+            N = rnd.randrange(2, 12)
+            S = _random_fold_instance(rnd)
+            a_geq_all(N, S)
+            a_geq_all(N, S.complement())
+            union = IntervalSet.empty()
+            for n in range(N + 1):
+                union = union.union(a_exact(N, S, n))
+            for n in range(1, N + 1):
+                b_exact(N, S, n)
+    assert decisions[0] > 10_000
+    assert reached == []
