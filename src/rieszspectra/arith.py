@@ -62,6 +62,12 @@ def interval_chain(a: Sequence, b: Sequence):
     return a, b
 
 
+def _ordering_chain(a: Sequence[Endpoint], b: Sequence[Endpoint], N: int) -> list[Endpoint]:
+    """{N a_1}, ..., {N a_L}, {N b_L}, ..., {N b_1}: the chain an ordering
+    prime N makes increasing inside (0, 1)."""
+    return [(x * N).frac() for x in a] + [(y * N).frac() for y in reversed(b)]
+
+
 def ordering_primes(
     a: Sequence,
     b: Sequence,
@@ -83,8 +89,7 @@ def ordering_primes(
         scanned += 1
         if N < 2 * L + 1:
             continue
-        # chain 0 < {Na_1} < ... < {Na_L} < {Nb_L} < ... < {Nb_1} < 1
-        witness = [(x * N).frac() for x in a] + [(y * N).frac() for y in reversed(b)]
+        witness = _ordering_chain(a, b, N)
         ok = Endpoint(0) < witness[0] and witness[-1] < Endpoint(1)
         if not (ok and all(u < v for u, v in zip(witness, witness[1:]))):
             continue

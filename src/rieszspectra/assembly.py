@@ -12,12 +12,13 @@ spectrum extends the integer spectrum of [0,1) across extra intervals in
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arith import PrimeSearchResult, find_ordering_prime, interval_chain
+from .arith import PrimeSearchResult, _ordering_chain, find_ordering_prime, interval_chain
 from .errors import (
     ConstructionError,
     DegenerateCoverage,
@@ -31,9 +32,9 @@ from .errors import (
     UnsupportedASet,
 )
 from .intervals import Endpoint, IntervalSet, fold_pattern, geq_levels
-from .intervals import _json_array, _json_field, _json_value
+from .intervals import _json_array, _json_field
 from .minors import _is_prime
-from .precision import DEFAULT_PRECISION_BITS
+from .precision import DEFAULT_PRECISION_BITS, ambiguity_threshold
 from .spectra import (
     Spectrum,
     avdonin_interval_spectrum,
@@ -92,23 +93,40 @@ def combine_level_spectra_permuted(
 
 @dataclass(frozen=True)
 class HierarchyPlan:
-    """Complete bookkeeping of the hierarchical construction."""
+    """Complete bookkeeping of the hierarchical construction: the intervals,
+    the prime witness (N is its prime), the level spectra and what
+    _geometry derives from them; everything else is derived on access."""
 
-    N: int
     a: tuple[Endpoint, ...]
     b: tuple[Endpoint, ...]
-    S: IntervalSet
     a_sets: tuple[IntervalSet, ...]          # fiber-count sets, levels 1..N
     level_spectra: tuple[Spectrum, ...]      # subsets of N*Z, levels 1..N
-    level_interval: tuple[Optional[int], ...]  # _level_owners(N, K_ell)
     K_ell: tuple[int, ...]
-    K: int
-    lambda_ell: tuple[Spectrum, ...]
     witness: PrimeSearchResult
+
+    @property
+    def N(self) -> int:
+        return self.witness.N
 
     @property
     def L(self) -> int:
         return len(self.a)
+
+    @property
+    def K(self) -> int:
+        return sum(self.K_ell)
+
+    @property
+    def S(self) -> IntervalSet:
+        return IntervalSet(zip(self.a, self.b))
+
+    @property
+    def level_interval(self) -> tuple[Optional[int], ...]:
+        return _level_owners(self.N, self.K_ell)
+
+    @functools.cached_property
+    def lambda_ell(self) -> tuple[Spectrum, ...]:
+        return _interval_spectra(self.level_spectra, self.level_interval, self.L)
 
     def full_union(self) -> Spectrum:
         return Spectrum().union(*self.lambda_ell)
@@ -130,75 +148,54 @@ class HierarchyPlan:
 
     @classmethod
     def from_json(cls, obj: dict, *, bits=DEFAULT_PRECISION_BITS) -> "HierarchyPlan":
-        """Parse a plan, one object per run of equal consecutive entries, and
-        check that its level table is the one K_ell and N determine and that
-        lambda_ell is derived from it; any disagreement is InvalidInput
-        naming the field."""
+        """Parse a, b, the witness and the L boundary level spectra, derive
+        the rest as a build does, and require every other field of obj to
+        equal its derived JSON; the first that differs is InvalidInput
+        naming it.  A boundary beta and a witness float round forms of the
+        original endpoints that the printed decimals only approximate, so
+        they stay parsed; the witness floats must lie within 2^-(bits/2)
+        of the chain the parsed endpoints derive."""
 
-        def each(key, parse):
-            out, prev = [], None
-            for v in _json_array(obj, key, "plan"):
-                if not out or v != prev:
-                    parsed, prev = parse(v, bits=bits), v
-                out.append(parsed)
-            return tuple(out)
+        def need(ok: bool, key: str, why: str, what: str = "plan") -> None:
+            if not ok:
+                raise InvalidInput(f"{what} field {key!r} {why}")
 
-        witness = _json_field(obj, "witness", "plan")
-        fields = dict(
-            N=_json_field(obj, "N", "plan", int),
-            a=each("a", Endpoint.from_json),
-            b=each("b", Endpoint.from_json),
-            S=IntervalSet.from_json(_json_field(obj, "set", "plan"), bits=bits),
-            a_sets=each("a_sets", IntervalSet.from_json),
-            level_spectra=each("level_spectra", Spectrum.from_json),
-            K_ell=tuple(
-                _json_value(v, int, "plan field 'K_ell' entry")
-                for v in _json_array(obj, "K_ell", "plan")
-            ),
-            K=_json_field(obj, "K", "plan", int),
-            lambda_ell=each("lambda_ell", Spectrum.from_json),
-            witness=PrimeSearchResult(
-                N=_json_field(witness, "N", "plan witness", int),
-                candidates_scanned=_json_field(witness, "candidates_scanned", "plan witness", int),
-                ordering_witness=tuple(_json_array(witness, "ordering_witness", "plan witness")),
-            ),
+        a, b = (
+            tuple(Endpoint.from_json(v, bits=bits) for v in _json_array(obj, key, "plan"))
+            for key in ("a", "b")
         )
-        owners = _checked_owners(fields, _json_array(obj, "level_interval", "plan"))
-        return cls(level_interval=owners, **fields)
-
-
-def _checked_owners(f: dict, level_interval: list) -> tuple[Optional[int], ...]:
-    """_level_owners of a parsed plan's fields f, after checking in order
-    that f holds the level table of N and K_ell (K full cells NZ, one
-    boundary level per interval, then empty levels), that level_interval
-    lists those owners and that lambda_ell is _interval_spectra of the
-    table; the first field that disagrees is InvalidInput."""
-
-    def need(ok: bool, key: str, why: str) -> None:
-        if not ok:
-            raise InvalidInput(f"plan field {key!r} {why}")
-
-    N, K, L, K_ell, levels = f["N"], f["K"], len(f["a"]), f["K_ell"], f["level_spectra"]
-    need(L >= 1, "a", "must hold at least one interval")
-    for key in ("b", "K_ell", "lambda_ell"):
-        need(len(f[key]) == L, key, "must have as many entries as 'a'")
-    need(min(K_ell) >= 1, "K_ell", "entries must be at least 1")
-    need(K == sum(K_ell), "K", "must equal the sum of 'K_ell'")
-    need(K + L <= N, "N", "must be at least K + L")
-    for key in ("a_sets", "level_spectra"):
-        need(len(f[key]) == N, key, "must have N entries")
-    owners = _level_owners(N, K_ell)
-    need(level_interval == list(owners), "level_interval",
-         "must list the interval owning each level as 'K_ell' assigns them")
-    need(levels[:K] == (integer_lattice(N, 0),) * K, "level_spectra",
-         "levels 1..K must be the lattice NZ")
-    need(all(s.is_empty for s in levels[K + L:]), "level_spectra",
-         "levels after K + L must be empty")
-    need(f["S"] == IntervalSet(zip(f["a"], f["b"])), "set",
-         "must be the union of the intervals [a, b)")
-    need(f["lambda_ell"] == _interval_spectra(levels, owners, L), "lambda_ell",
-         "must hold, for each interval, the union of the levels it owns")
-    return owners
+        levels = _json_array(obj, "level_spectra", "plan")
+        w = _json_field(obj, "witness", "plan", dict)
+        N, L = _json_field(w, "N", "plan witness", int), len(a)
+        # cheap shape checks first: N bounds every O(N) step below
+        need(L >= 1, "a", "must hold at least one interval")
+        need(len(b) == L, "b", "must have as many entries as 'a'")
+        need(N >= 1, "N", "must be a positive integer", "plan witness")
+        need(len(levels) == N, "level_spectra", f"must have N = {N} entries (field 'witness')")
+        try:
+            K_ell, a_sets, _ = _geometry(N, a, b)
+        except (InvalidInput, ConstructionError, DegenerateCoverage) as exc:
+            raise InvalidInput(f"plan field 'N' gives no hierarchy for 'a' and 'b': {exc}") from exc
+        K = sum(K_ell)
+        boundary = [Spectrum.from_json(v, bits=bits) for v in levels[K : K + L]]
+        witness = PrimeSearchResult(
+            N=N,
+            candidates_scanned=_json_field(w, "candidates_scanned", "plan witness", int),
+            ordering_witness=tuple(_json_array(w, "ordering_witness", "plan witness")),
+        )
+        plan = cls(a, b, a_sets, _level_table(N, K, boundary), K_ell, witness)
+        derived = plan.to_json()
+        for key in ("N", "a_sets", "K_ell", "K", "level_interval", "set", "level_spectra",
+                    "lambda_ell"):
+            need(_json_field(obj, key, "plan") == derived[key], key,
+                 "differs from the plan 'a', 'b', 'witness' and the boundary levels derive")
+        chain, ws = _ordering_chain(a, b, N), witness.ordering_witness
+        t = float(ambiguity_threshold(g for x in a + b for g in x.irr))
+        need(len(ws) == 2 * L and all(
+            type(v) is float and abs(v - float(x)) < t for v, x in zip(ws, chain)
+        ), "ordering_witness", "must list the chain {N a_l}, {N b_l} of 'a' and 'b'",
+             "plan witness")
+        return plan
 
 
 def _shared_json(objs: Sequence) -> list[dict]:
@@ -207,13 +204,9 @@ def _shared_json(objs: Sequence) -> list[dict]:
     The N levels of a plan share a few objects, so entries for one object
     share one dict; callers must not mutate the result.
     """
-    memo: dict[int, dict] = {}
-    out = []
-    for o in objs:
-        if id(o) not in memo:
-            memo[id(o)] = o.to_json()
-        out.append(memo[id(o)])
-    return out
+    ids = list(map(id, objs))
+    memo = {k: o.to_json() for k, o in dict(zip(ids, objs)).items()}
+    return list(map(memo.__getitem__, ids))
 
 
 def _level_owners(N: int, K_ell: Sequence[int]) -> tuple[Optional[int], ...]:
@@ -313,19 +306,13 @@ def construct_hierarchy_with_prime(a: Sequence, b: Sequence, N: int) -> Hierarch
     a, b = interval_chain(a, b)
     if not _is_prime(N):
         raise NotPrime(f"{N} is not prime")
-    chain = [(x * N).frac() for x in a] + [(y * N).frac() for y in reversed(b)]
-    witness = PrimeSearchResult(
-        N=N, candidates_scanned=0, ordering_witness=tuple(float(w) for w in chain)
-    )
+    witness = PrimeSearchResult(N, 0, tuple(map(float, _ordering_chain(a, b, N))))
     return _build_plan(witness, a, b)
 
 
-def _build_plan(
-    witness: PrimeSearchResult, a: Sequence[Endpoint], b: Sequence[Endpoint]
-) -> HierarchyPlan:
-    N = witness.N
-    L = len(a)
-
+def _geometry(N: int, a: Sequence[Endpoint], b: Sequence[Endpoint]):
+    """What N, a and b determine: K_ell, the N fiber-count sets of the union
+    of the intervals [a_l, b_l) and the boundary widths {N b_l} - {N a_l}."""
     # per-interval full-cell counts: interior cells plus the one cell's worth
     # contributed jointly by the two boundary fragments
     K_ell = []
@@ -336,30 +323,23 @@ def _build_plan(
                 f"interval [{float(x):.6g},{float(y):.6g}) spans no grid point at N={N}"
             )
         K_ell.append(interior + 1)
-    K = sum(K_ell)
-    a_sets, betas = _level_pattern(N, a, b, range(1, L + 1), K)
+    a_sets, betas = _level_pattern(N, a, b, range(1, len(a) + 1), sum(K_ell))
+    return tuple(K_ell), a_sets, betas
 
-    # levels: K full cells in interval blocks, L boundary pieces, then empty
-    level_spectra: list[Spectrum] = (
-        [integer_lattice(N, 0)] * K
-        + [avdonin_interval_spectrum(beta).scale_integers(N) for beta in betas]
-        + [empty_spectrum()] * (N - K - L)
-    )
-    level_interval = _level_owners(N, K_ell)
 
-    plan = HierarchyPlan(
-        N=N,
-        a=tuple(a),
-        b=tuple(b),
-        S=IntervalSet(zip(a, b)),
-        a_sets=a_sets,
-        level_spectra=tuple(level_spectra),
-        level_interval=level_interval,
-        K_ell=tuple(K_ell),
-        K=K,
-        lambda_ell=_interval_spectra(level_spectra, level_interval, L),
-        witness=witness,
-    )
+def _level_table(N: int, K: int, boundary: Sequence[Spectrum]) -> tuple[Spectrum, ...]:
+    """The N level spectra: K full cells NZ, each interval's boundary piece,
+    then empty levels."""
+    empty = (empty_spectrum(),) * (N - K - len(boundary))
+    return (integer_lattice(N, 0),) * K + tuple(boundary) + empty
+
+
+def _build_plan(witness: PrimeSearchResult, a: Sequence[Endpoint], b: Sequence[Endpoint]):
+    N = witness.N
+    K_ell, a_sets, betas = _geometry(N, a, b)
+    boundary = [avdonin_interval_spectrum(beta).scale_integers(N) for beta in betas]
+    levels = _level_table(N, sum(K_ell), boundary)
+    plan = HierarchyPlan(tuple(a), tuple(b), a_sets, levels, K_ell, witness)
     _validate_plan(plan)
     return plan
 

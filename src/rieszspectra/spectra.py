@@ -246,7 +246,9 @@ class Spectrum:
 
     def union(self, *others: "Spectrum") -> "Spectrum":
         """The terms of self, then of each of others, in one concatenation."""
-        if any(o.scale != self.scale for o in others):
+        scales = [self.scale, *(o.scale for o in others)]
+        # equal neighbours make all equal; a shared scale object skips the compare
+        if any(s is not t and s != t for s, t in zip(scales, scales[1:])):
             raise InvalidInput("can only union spectra with equal scale")
         return Spectrum(self.scale, self.terms + tuple(t for o in others for t in o.terms))
 

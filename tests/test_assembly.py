@@ -5,6 +5,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 import rieszspectra as rs
 import rieszspectra.assembly as assembly
@@ -222,10 +224,8 @@ def test_validate_plan_rejects_perturbed_beta(name, request):
     n = plan.K + 1  # the boundary level of interval 1
     levels = list(plan.level_spectra)
     levels[n - 1] = _perturb_beta(levels[n - 1], eps)
-    lambdas = [_perturb_beta(plan.lambda_ell[0], eps), *plan.lambda_ell[1:]]
-    bad = dataclasses.replace(
-        plan, level_spectra=tuple(levels), lambda_ell=tuple(lambdas)
-    )
+    bad = dataclasses.replace(plan, level_spectra=tuple(levels))  # lambda_ell follows
+    assert bad.lambda_ell[0] == _perturb_beta(plan.lambda_ell[0], eps)
     w = assembly.CHECK_WINDOW
     assert bad.full_union().enumerate_integers(-w, w) == (
         plan.full_union().enumerate_integers(-w, w)
@@ -338,8 +338,9 @@ def test_hierarchy_negative_prime_index():
 
 
 def test_hierarchy_json_serializes_shared_levels_once(plan_l3):
-    # the reloaded plan parses each run of equal entries once, so it shares
-    # its levels as the built one does and writes the same bytes
+    # the reloaded plan derives its level sets and level table as a build
+    # does, so it shares its levels as the built one does and writes the
+    # same bytes
     want = json.dumps(plan_l3.to_json(), sort_keys=True, indent=2)
     for plan in (plan_l3, rs.HierarchyPlan.from_json(json.loads(want))):
         got = plan.to_json()
@@ -357,6 +358,63 @@ def test_hierarchy_json_serializes_shared_levels_once(plan_l3):
             assert len({id(d) for d in got[key]}) == len({id(o) for o in objs})
         assert len({id(o) for o in plan.a_sets}) <= 2 * 3 + 2
         assert len({id(o) for o in plan.level_spectra}) <= 3 + 2
+
+
+@st.composite
+def plan_endpoints(draw):
+    """L = 1..3 intervals with endpoints k/(2L+1) + c_k sqrt(p_k), p_k the
+    k-th prime and c_k a rational other than 1, small enough to keep the
+    chain ordered, with the bits the roots are made at."""
+    L = draw(st.integers(1, 3))
+    bits = draw(st.sampled_from((64, 96, 200)))
+    ends = []
+    for k, p in zip(range(1, 2 * L + 1), (2, 3, 5, 7, 11, 13)):
+        sign = draw(st.sampled_from((-1, 1)))
+        c = F(sign * draw(st.integers(1, 9)), draw(st.integers(500, 5000)))
+        ends.append(Endpoint(F(k, 2 * L + 1)) + Endpoint(0, hp_sqrt(p, bits)) * c)
+    return ends[0::2], ends[1::2], bits
+
+
+@settings(max_examples=15, deadline=None)
+@given(instance=plan_endpoints())
+def test_every_built_plan_loads_back(instance):
+    # the loaded plan must equal the one its parsed fields derive, so no
+    # valid plan may be rejected; reloading prints the same bytes and the
+    # same sub-unions
+    a, b, bits = instance
+    try:
+        plan = construct_hierarchy_with_prime(
+            a, b, find_ordering_prime(a, b, 20000, skip_relation_probe=True).N
+        )
+    except (rs.NotFound, rs.DegenerateBeta):  # no plan to load
+        reject()
+    text = json.dumps(plan.to_json(), sort_keys=True)
+    back = rs.HierarchyPlan.from_json(json.loads(text), bits=bits)
+    assert json.dumps(back.to_json(), sort_keys=True) == text
+    for mask in range(1, 2**plan.L):
+        J = [ell for ell in range(1, plan.L + 1) if mask >> (ell - 1) & 1]
+        got, want = (subset_spectrum(p, J).union().to_json() for p in (back, plan))
+        assert got == want
+
+
+def test_witness_float_is_held_to_the_chain_not_its_last_bit():
+    # at 64 bits, {N b_2} rounded from the printed endpoints is one ulp off
+    # the float the build wrote, so the parsed float is kept and held to
+    # the derived chain within 2^-32
+    def e(k, p, c):
+        return Endpoint(F(k, 5)) + Endpoint(0, hp_sqrt(p, 64)) * c
+
+    a = [e(1, 2, F(-1, 500)), e(3, 5, F(-1, 500))]
+    b = [e(2, 3, F(-1, 500)), e(4, 7, F(1, 250))]
+    plan = construct_hierarchy_with_prime(a, b, 103)
+    obj = json.loads(json.dumps(plan.to_json()))
+    back = rs.HierarchyPlan.from_json(obj, bits=64)
+    chain = [float(x) for x in assembly._ordering_chain(back.a, back.b, 103)]
+    assert chain != list(plan.witness.ordering_witness)
+    assert back.witness == plan.witness
+    obj["witness"]["ordering_witness"][2] += 2.0**-31
+    with pytest.raises(InvalidInput, match="ordering_witness"):
+        rs.HierarchyPlan.from_json(obj, bits=64)
 
 
 def test_hierarchy_json_roundtrip(plan_l1):

@@ -2,12 +2,14 @@
 
 import io
 import json
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
 import pytest
 
 import rieszspectra as rs
+import rieszspectra.assembly as assembly
 import rieszspectra.cli as cli
 from rieszspectra.cli import main
 from rieszspectra.intervals import Endpoint, IntervalSet
@@ -333,9 +335,23 @@ def test_avdonin_beta_outside_unit_interval_is_input_error(beta, tmp_path, capsy
     ])
 
 
-# Edits of the L=1 plan at N=5 (K_ell = [1]) that disagree with its level
-# table, each with the field named: the first six once exited 1 with an
-# IndexError or ZeroDivisionError traceback, the rest were accepted.
+def _two_full_cells(p: dict) -> dict:
+    """K_ell = [2] with the K, level owners, level table and lambda_ell it
+    implies, all consistent with each other but not with N, a and b."""
+    levels = p["level_spectra"]
+    table = [levels[0], levels[0], levels[1], levels[2], levels[2]]
+    owners = [1, 1, 1, None, None]
+    lam = assembly._interval_spectra([rs.Spectrum.from_json(s) for s in table], owners, 1)
+    return {
+        "K_ell": [2], "K": 2, "level_interval": owners, "level_spectra": table,
+        "lambda_ell": [s.to_json() for s in lam],
+    }
+
+
+# Edits of the L=1 plan at N=5 (K_ell = [1]) that disagree with the plan its
+# a, b, witness and boundary level derive, each with the field named: the
+# first six once exited 1 with an IndexError or ZeroDivisionError
+# traceback, the rest were accepted.
 _BAD_PLANS = {
     "short level_spectra": ("level_spectra", lambda p: {"level_spectra": p["level_spectra"][:1]}),
     "no K_ell": ("K_ell", lambda p: {"K_ell": []}),
@@ -355,6 +371,13 @@ _BAD_PLANS = {
     }),
     "wrong set": ("set", lambda p: {"set": IntervalSet.unit().to_json()}),
     "wrong lambda_ell": ("lambda_ell", lambda p: {"lambda_ell": [rs.integer_lattice(5).to_json()]}),
+    "edited a_sets": ("a_sets", lambda p: {"a_sets": p["a_sets"][:1] * 2 + p["a_sets"][2:]}),
+    "witness N": ("witness", lambda p: {"witness": dict(p["witness"], N=7)}),
+    "edited ordering_witness": ("ordering_witness", lambda p: {
+        "witness": dict(p["witness"], ordering_witness=p["witness"]["ordering_witness"][::-1])
+    }),
+    "K_ell 2 with its table": ("K_ell", _two_full_cells),
+    "N 10**9": ("N", lambda p: {"N": 10**9}),
 }
 
 
@@ -404,6 +427,25 @@ def test_missing_field_is_input_error(kind, field, tmp_path, capsys, plan_l1):
     assert code == 2
     assert "input error:" in err and "Traceback" not in err
     assert str(path) in err and f"field {field!r}" in err
+
+
+@pytest.mark.parametrize("field", ["N", "witness"])
+def test_plan_with_huge_n_allocates_nothing_of_size_n(field, tmp_path, capsys, plan_l1):
+    # N is read from the witness and must match the level_spectra array
+    # before any O(N) step, so a plan claiming N = 10**9 in either place is
+    # rejected without an allocation of size N
+    obj = plan_l1.to_json()
+    edit = {"N": 10**9} if field == "N" else {"witness": dict(obj["witness"], N=10**9)}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(dict(obj, **edit)))
+    tracemalloc.start()
+    try:
+        code = main(["verify", "--plan", str(path), "--schedule", "8,16"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and f"field {field!r}" in capsys.readouterr().err
+    assert peak < 2**22  # an array of 10**9 entries would take 8 GB
 
 
 def test_swapped_lambda_ell_is_input_error(tmp_path, capsys, plan_l2):
