@@ -46,6 +46,7 @@ from .spectra import (
 CHECK_WINDOW = 2048  # integers in [-CHECK_WINDOW, CHECK_WINDOW] are checked
 INNER_PRIME_LIMIT = 10**6  # prime scan of a multi-interval complement level
 GRID_DENOMINATOR_LIMIT = 4096  # largest grid 1/q a rational complement level may use
+_DENSITY_TOL = 1e-12  # float gap allowed between a boundary spectrum's density and its set's
 
 
 def _combine_levels(
@@ -153,8 +154,10 @@ class HierarchyPlan:
         equal its derived JSON; the first that differs is InvalidInput
         naming it.  A boundary beta and a witness float round forms of the
         original endpoints that the printed decimals only approximate, so
-        they stay parsed; the witness floats must lie within 2^-(bits/2)
-        of the chain the parsed endpoints derive."""
+        they stay parsed: each boundary spectrum's float density must lie
+        within _DENSITY_TOL of its boundary piece's measure ({N b} - {N a})/N,
+        and the witness floats within 2^-(bits/2) of the chain the parsed
+        endpoints derive."""
 
         def need(ok: bool, key: str, why: str, what: str = "plan") -> None:
             if not ok:
@@ -173,7 +176,7 @@ class HierarchyPlan:
         need(N >= 1, "N", "must be a positive integer", "plan witness")
         need(len(levels) == N, "level_spectra", f"must have N = {N} entries (field 'witness')")
         try:
-            K_ell, a_sets, _ = _geometry(N, a, b)
+            K_ell, a_sets, betas = _geometry(N, a, b)
         except (InvalidInput, ConstructionError, DegenerateCoverage) as exc:
             raise InvalidInput(f"plan field 'N' gives no hierarchy for 'a' and 'b': {exc}") from exc
         K = sum(K_ell)
@@ -189,6 +192,9 @@ class HierarchyPlan:
                     "lambda_ell"):
             need(_json_field(obj, key, "plan") == derived[key], key,
                  "differs from the plan 'a', 'b', 'witness' and the boundary levels derive")
+        for n, (spec, beta) in enumerate(zip(boundary, betas), start=K + 1):
+            need(abs(float(spec.density()) - float(beta * Fraction(1, N))) <= _DENSITY_TOL,
+                 "level_spectra", f"entry {n} must have the density of its boundary piece")
         chain, ws = _ordering_chain(a, b, N), witness.ordering_witness
         t = float(ambiguity_threshold(g for x in a + b for g in x.irr))
         need(len(ws) == 2 * L and all(
@@ -402,7 +408,7 @@ def subset_spectrum(plan: HierarchyPlan, J: Sequence[int]) -> SubsetPlan:
         # fractional levels must carry the generator of the right density
         dens = spec.density()
         goal = float(target.measure())
-        if abs(float(dens) - goal) > 1e-12:
+        if abs(float(dens) - goal) > _DENSITY_TOL:
             raise ConstructionError("omega ordering does not match the level sets")
 
     return SubsetPlan(J=tuple(J), K_J=K_J, omega=tuple(omega), shifts=tuple(shifts))

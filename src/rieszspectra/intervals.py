@@ -394,10 +394,12 @@ class IntervalSet:
 
     Normalization sorts the pieces, drops empty ones, and merges adjacent
     or overlapping pieces, so the stored representation is the canonical
-    disjoint sorted form.
+    disjoint sorted form.  Only __init__ assigns pieces, so a set never
+    changes, and fold_pattern memoizes its patterns on it in _folds (None
+    until the first fold, then a dict from N to the pattern as a tuple).
     """
 
-    __slots__ = ("pieces",)
+    __slots__ = ("pieces", "_folds")
 
     def __init__(self, pairs: Iterable = ()):
         cleaned = []
@@ -419,6 +421,7 @@ class IntervalSet:
             else:
                 merged.append((left, right))
         self.pieces = tuple(merged)
+        self._folds = None
 
     # -- constructors --------------------------------------------------
 
@@ -565,9 +568,23 @@ def fold_pattern(N: int, S: IntervalSet):
     ceil(N*a - u) <= k < ceil(N*b - u), and ceil(N*x - u) = floor(N*x) +
     [u < {N*x}].  So the hit set changes only at the cuts {N*x} over the
     endpoints x of S, and between two cuts it is a union of integer ranges.
+
+    The pattern is computed once per (S, N) and memoized on S; each call
+    returns a new list of it.
     """
     if N < 1:
         raise InvalidInput("N must be a positive integer")
+    folds = S._folds
+    if folds is None:
+        folds = S._folds = {}
+    pattern = folds.get(N)
+    if pattern is None:
+        pattern = folds[N] = _fold_pattern(N, S)
+    return list(pattern)
+
+
+def _fold_pattern(N: int, S: IntervalSet) -> tuple:
+    """The pattern of fold_pattern, as a tuple, computed from S."""
     _check_subset_of_unit(S)
     scaled = [x * N for piece in S.pieces for x in piece]
     floors = [x.floor() for x in scaled]
@@ -590,7 +607,7 @@ def fold_pattern(N: int, S: IntervalSet):
             hi = floors[i + 1] + (rank[i + 1] > piece)
             ks.extend(range(lo, hi))
         out.append((bounds[piece], bounds[piece + 1], tuple(ks)))
-    return out
+    return tuple(out)
 
 
 def fold_counts(N: int, S: IntervalSet):

@@ -414,7 +414,10 @@ def folding_probe(
     fiber_sets = sorted(set(ks for _, _, ks in pieces))
     sigma_min_used = math.sqrt(c_prime_bound(N, list(shifts), fiber_sets))
 
-    max_count = int(piece_counts.max())
+    # levels n in (c', c] between two counts that occur share one tail
+    # (cell_counts >= n is cell_counts >= c), and their exact-count slice
+    # is empty below c, so each count c that occurs is evaluated once
+    counts = sorted(set(piece_counts.tolist()))
     ratio_min = math.inf
     alpha_min = [math.inf] * N
     tail_max = 0.0
@@ -434,19 +437,19 @@ def folding_probe(
         C = np.zeros((N, n_pieces), dtype=np.complex128)
         C[cell_k_arr, cell_piece_arr] = vals
 
-        for n in range(1, max_count + 1):
-            sel = cell_counts >= n
+        for c in counts:
+            sel = cell_counts >= c
             tail_vals = np.where(sel, vals, 0.0)
             coeffs = tail_vals @ ker
             energy = np.abs(coeffs) ** 2
-            piece_sel = piece_counts >= n
+            piece_sel = piece_counts >= c
             C_tail = np.where(piece_sel[None, :], C, 0.0)
-            H = fold_w @ C_tail  # h_{n, l} values per piece, rows l=1..N
+            H = fold_w @ C_tail  # h_{c, l} values per piece, rows l=1..N
             norm_fn = float(
-                np.sum(np.abs(vals[cell_counts == n]) ** 2 * cell_lens[cell_counts == n])
+                np.sum(np.abs(vals[cell_counts == c]) ** 2 * cell_lens[cell_counts == c])
             )
             level_sum = 0.0
-            for ell in range(1, n + 1):
+            for ell in range(1, c + 1):
                 ls = float(np.sum(energy[level_masks[ell - 1]]))
                 level_sum += ls
                 h_sq = float(np.sum(np.abs(H[ell - 1]) ** 2 * piece_lens))

@@ -348,6 +348,19 @@ def _two_full_cells(p: dict) -> dict:
     }
 
 
+def _half_beta_boundary(p: dict) -> dict:
+    """The boundary level replaced by the Avdonin spectrum of beta = 1/2
+    scaled by N = 5, with lambda_ell recomputed to match: every derived
+    field agrees, only the level's density is not its boundary piece's."""
+    levels = [rs.Spectrum.from_json(s) for s in p["level_spectra"]]
+    levels[p["K"]] = rs.avdonin_interval_spectrum(Fraction(1, 2)).scale_integers(5)
+    lam = assembly._interval_spectra(levels, p["level_interval"], 1)
+    return {
+        "level_spectra": [s.to_json() for s in levels],
+        "lambda_ell": [s.to_json() for s in lam],
+    }
+
+
 # Edits of the L=1 plan at N=5 (K_ell = [1]) that disagree with the plan its
 # a, b, witness and boundary level derive, each with the field named: the
 # first six once exited 1 with an IndexError or ZeroDivisionError
@@ -378,6 +391,7 @@ _BAD_PLANS = {
     }),
     "K_ell 2 with its table": ("K_ell", _two_full_cells),
     "N 10**9": ("N", lambda p: {"N": 10**9}),
+    "boundary beta half": ("level_spectra", _half_beta_boundary),
 }
 
 

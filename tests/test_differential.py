@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 import random
+import warnings
 from fractions import Fraction
 from itertools import combinations
 
@@ -55,6 +56,7 @@ from rieszspectra import (
     NotPrime,
     ResourceLimit,
     Spectrum,
+    TruncationWarning,
     avdonin_interval_spectrum,
     chebotarev_check,
     density_check,
@@ -67,7 +69,7 @@ from rieszspectra import (
     subset_spectrum,
 )
 from rieszspectra.assembly import CHECK_WINDOW
-from rieszspectra.minors import DEFAULT_ENUM_BUDGET, _is_prime
+from rieszspectra.minors import DEFAULT_ENUM_BUDGET, _is_prime, c_prime_bound
 from rieszspectra.precision import DEFAULT_PRECISION_BITS, ambiguity_threshold, hp_sqrt
 
 F = Fraction
@@ -572,6 +574,57 @@ def test_fold_pattern_shares_level_sets():
     assert len({id(s) for s in levels}) <= 8
 
 
+# -- fold pattern memo ----------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(instance=fold_instances())
+def test_second_fold_matches_sweep(instance):
+    # the second call reads the memo the first one stored
+    N, S = instance
+    try:
+        expect = _pattern_json(sweep_fold_pattern(N, S))
+        fold_pattern(N, S)
+    except AmbiguousEndpoint:
+        reject()
+    assert _pattern_json(fold_pattern(N, S)) == expect
+
+
+def test_mutating_a_fold_leaves_the_memo():
+    S = IntervalSet([(sqrt_multiple(2, F(1, 4)), F(3, 4))])
+    first = fold_pattern(7, S)
+    expect = _pattern_json(first)
+    first[0] = (Endpoint(0), Endpoint(1), (0, 1, 2))
+    first.append(first[0])
+    assert _pattern_json(fold_pattern(7, S)) == expect
+
+
+def test_fold_memo_keeps_each_n():
+    S = IntervalSet([(sqrt_multiple(2, F(1, 4)), F(3, 4))])
+    p5, p7 = fold_pattern(5, S), fold_pattern(7, S)
+    assert sorted(S._folds) == [5, 7]
+    assert _pattern_json(p5) == _pattern_json(sweep_fold_pattern(5, S))
+    assert _pattern_json(p7) == _pattern_json(sweep_fold_pattern(7, S))
+    assert _pattern_json(fold_pattern(5, S)) == _pattern_json(p5)
+
+
+def test_set_outside_unit_raises_on_every_fold():
+    S = IntervalSet([(F(1, 2), F(3, 2))])
+    for fold in (lambda: fold_pattern(5, S), lambda: fold_pattern(5, S),
+                 lambda: a_geq(5, S, 1), lambda: a_geq_all(5, S)):
+        with pytest.raises(InvalidInput):
+            fold()
+    assert not S._folds
+
+
+def test_equal_sets_fold_alike():
+    x = sqrt_multiple(2, F(1, 4))
+    S = IntervalSet([(x, F(3, 4))])
+    T = IntervalSet([(x + F(1, 8), F(7, 8))]).shift(F(-1, 8))  # another path
+    assert S == T and S is not T
+    assert _pattern_json(fold_pattern(7, T)) == _pattern_json(fold_pattern(7, S))
+    assert S._folds is not T._folds
+
+
 # -- relation probe: lattice certificate vs shell scan ------------------------
 
 RELATION_ROOTS = (2, 3, 5, 7, 11, 13, 17, 19)
@@ -1012,3 +1065,123 @@ def test_fold_compares_decide_in_float():
                 b_exact(N, S, n)
     assert decisions[0] > 10_000
     assert reached == []
+
+
+# -- folding probe: one pass per occurring count vs one per level --------------
+
+def _per_level_folding_probe(N, S, levels, shifts, trials, seed, trunc_window=2048):
+    """The probe as it ran before it skipped levels: the tail energies and
+    the folded values are recomputed for every level n = 1..max count.
+    Input checks are left out; the report and the warning are the same."""
+    pieces = [(l, r, ks) for l, r, ks in fold_pattern(N, S) if ks]
+    cellw = F(1, N)
+    n_pieces = len(pieces)
+    piece_lens = np.array([float(r - l) for l, r, _ in pieces])
+    piece_counts = np.array([len(ks) for _, _, ks in pieces])
+    cells, cell_piece, cell_k = [], [], []
+    for p_idx, (left, right, ks) in enumerate(pieces):
+        for k in ks:
+            cells.append((left + k * cellw, right + k * cellw))
+            cell_piece.append(p_idx)
+            cell_k.append(k)
+    n_cells = len(cells)
+    cell_piece_arr = np.asarray(cell_piece)
+    cell_k_arr = np.asarray(cell_k)
+    cell_lens = piece_lens[cell_piece_arr]
+    cell_counts = piece_counts[cell_piece_arr]
+
+    lambdas = np.arange(-trunc_window, trunc_window + 1)
+    lefts = np.array([float(l) for l, _ in cells])
+    rights = np.array([float(r) for _, r in cells])
+    nz = lambdas != 0
+    lam_nz = lambdas[nz]
+    ker = np.empty((n_cells, len(lambdas)), dtype=np.complex128)
+    ker[:, nz] = (
+        np.exp(-2j * np.pi * np.outer(rights, lam_nz))
+        - np.exp(-2j * np.pi * np.outer(lefts, lam_nz))
+    ) / (-2j * np.pi * lam_nz[None, :])
+    ker[:, ~nz] = cell_lens[:, None]
+
+    level_masks = []
+    for n in range(1, N + 1):
+        mask = np.zeros(len(lambdas), dtype=bool)
+        if not levels[n - 1].is_empty:
+            shifted = levels[n - 1].shift(shifts[n - 1])
+            lam_vals = shifted.enumerate_integers(-trunc_window, trunc_window)
+            mask[np.asarray(lam_vals, dtype=np.int64) + trunc_window] = True
+        level_masks.append(mask)
+    fold_w = np.exp(-2j * np.pi * np.outer(np.asarray(shifts), np.arange(N)) / N)
+    fiber_sets = sorted(set(ks for _, _, ks in pieces))
+    sigma_min_used = math.sqrt(c_prime_bound(N, list(shifts), fiber_sets))
+
+    max_count = int(piece_counts.max())
+    ratio_min = math.inf
+    alpha_min = [math.inf] * N
+    tail_max = 0.0
+    used_trials = 0
+    for t in range(trials):
+        vals = verify._draw_test_function(n_cells, seed, t)
+        norm_all = float(np.sum(np.abs(vals) ** 2 * cell_lens))
+        if norm_all <= 0.0:
+            continue
+        used_trials += 1
+        c_all = vals @ ker
+        captured = float(np.sum(np.abs(c_all) ** 2))
+        tail_max = max(tail_max, max(0.0, 1.0 - captured / norm_all))
+        C = np.zeros((N, n_pieces), dtype=np.complex128)
+        C[cell_k_arr, cell_piece_arr] = vals
+        for n in range(1, max_count + 1):
+            sel = cell_counts >= n
+            tail_vals = np.where(sel, vals, 0.0)
+            coeffs = tail_vals @ ker
+            energy = np.abs(coeffs) ** 2
+            piece_sel = piece_counts >= n
+            C_tail = np.where(piece_sel[None, :], C, 0.0)
+            H = fold_w @ C_tail
+            norm_fn = float(
+                np.sum(np.abs(vals[cell_counts == n]) ** 2 * cell_lens[cell_counts == n])
+            )
+            level_sum = 0.0
+            for ell in range(1, n + 1):
+                ls = float(np.sum(energy[level_masks[ell - 1]]))
+                level_sum += ls
+                h_sq = float(np.sum(np.abs(H[ell - 1]) ** 2 * piece_lens))
+                if h_sq > 1e-12 * norm_all:
+                    alpha_min[ell - 1] = min(alpha_min[ell - 1], ls / h_sq)
+            if norm_fn > 1e-12 * norm_all:
+                ratio_min = min(ratio_min, level_sum / norm_fn)
+
+    if tail_max > verify.TAIL_THRESHOLD:
+        warnings.warn(
+            f"coefficient tail {tail_max:.3%} exceeds {verify.TAIL_THRESHOLD:.0%} of energy",
+            TruncationWarning,
+        )
+    return verify.FoldingReport(
+        empirical_c=float(ratio_min),
+        per_level_alpha=tuple(a for a in alpha_min if math.isfinite(a)),
+        sigma_min_used=sigma_min_used,
+        trials=used_trials,
+        tail_fraction_max=tail_max,
+    )
+
+
+def _probe_with_warnings(probe, *args, **kwargs):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = probe(*args, **kwargs)
+    return report, [str(w.message) for w in caught]
+
+
+@SETTINGS
+@given(
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    trials=st.integers(1, 5),
+    window=st.sampled_from([16, 256, 2048]),
+)
+def test_probe_per_count_matches_per_level(plan_l1, plan_l2, data, seed, trials, window):
+    plan = data.draw(st.sampled_from([plan_l1, plan_l2]))
+    shifts = data.draw(st.permutations(range(1, plan.N + 1)))
+    args = (plan.N, plan.S, plan.level_spectra, shifts, trials, seed)
+    got = _probe_with_warnings(verify.folding_probe, *args, trunc_window=window)
+    assert got == _probe_with_warnings(_per_level_folding_probe, *args, trunc_window=window)

@@ -289,6 +289,18 @@ def test_folding_truncation_warning(plan_l1):
         )
 
 
+def test_folding_probe_runs_at_l3(plan_l3):
+    # N = 1933 with counts up to 548: the probe once ran one pass per level
+    # and did not finish; the truncation warning reflects the 4097-frequency
+    # window, not the probe loop
+    plan = plan_l3
+    with pytest.warns(TruncationWarning):
+        rep = folding_probe(
+            plan.N, plan.S, plan.level_spectra, list(range(1, plan.N + 1)), 2, seed=0
+        )
+    assert rep.trials == 2
+
+
 def _seg_coeff(lam, lf, rf):
     if lam == 0:
         return rf - lf
