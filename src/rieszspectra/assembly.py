@@ -43,7 +43,6 @@ from .spectra import (
     rational_grid_spectrum,
 )
 
-CHECK_WINDOW = 2048  # integers in [-CHECK_WINDOW, CHECK_WINDOW] are checked
 INNER_PRIME_LIMIT = 10**6  # prime scan of a multi-interval complement level
 GRID_DENOMINATOR_LIMIT = 4096  # largest grid 1/q a rational complement level may use
 _DENSITY_TOL = 1e-12  # float gap allowed between a boundary spectrum's density and its set's
@@ -55,7 +54,8 @@ def _combine_levels(
     """Union of (level_n + shifts[n-1]) over n = 1..N.
 
     Levels must be subsets of N*Z; with shifts distinct mod N the shifted
-    levels occupy distinct residues, so the union is disjoint.
+    levels occupy distinct residues, so the union is disjoint.  Terms of one
+    level that overlap raise OverlappingTerms where they are enumerated.
     """
     if len(levels) != N:
         raise InvalidInput(f"need exactly {N} level spectra")
@@ -63,12 +63,10 @@ def _combine_levels(
     for n, (level, shift) in enumerate(zip(levels, shifts), start=1):
         if level.is_empty:
             continue
-        if not level.subset_of_lattice(N, CHECK_WINDOW):
+        if not level.subset_of_lattice(N):
             raise LevelNotInNZ(f"level {n} spectrum is not contained in {N}Z")
         terms.extend(level.shift(shift).terms)
-    result = Spectrum(Fraction(1), tuple(terms))
-    result.enumerate_integers(-CHECK_WINDOW, CHECK_WINDOW)  # raises on overlap
-    return result
+    return Spectrum(Fraction(1), tuple(terms))
 
 
 def combine_level_spectra(
@@ -154,10 +152,10 @@ class HierarchyPlan:
         equal its derived JSON; the first that differs is InvalidInput
         naming it.  A boundary beta and a witness float round forms of the
         original endpoints that the printed decimals only approximate, so
-        they stay parsed: each boundary spectrum's float density must lie
-        within _DENSITY_TOL of its boundary piece's measure ({N b} - {N a})/N,
-        and the witness floats within 2^-(bits/2) of the chain the parsed
-        endpoints derive."""
+        they stay parsed: each boundary spectrum must lie in NZ, its float
+        density within _DENSITY_TOL of its boundary piece's measure
+        ({N b} - {N a})/N, and the witness floats within 2^-(bits/2) of the
+        chain the parsed endpoints derive."""
 
         def need(ok: bool, key: str, why: str, what: str = "plan") -> None:
             if not ok:
@@ -193,6 +191,7 @@ class HierarchyPlan:
             need(_json_field(obj, key, "plan") == derived[key], key,
                  "differs from the plan 'a', 'b', 'witness' and the boundary levels derive")
         for n, (spec, beta) in enumerate(zip(boundary, betas), start=K + 1):
+            need(spec.subset_of_lattice(N), "level_spectra", f"entry {n} must lie in {N}Z")
             need(abs(float(spec.density()) - float(beta * Fraction(1, N))) <= _DENSITY_TOL,
                  "level_spectra", f"entry {n} must have the density of its boundary piece")
         chain, ws = _ordering_chain(a, b, N), witness.ordering_witness
@@ -352,7 +351,7 @@ def _build_plan(witness: PrimeSearchResult, a: Sequence[Endpoint], b: Sequence[E
 
 def _validate_plan(plan: HierarchyPlan) -> None:
     # equal terms are equal sets on all of Z; combining the levels checks
-    # that they lie in NZ and that no two overlap in the window
+    # that they lie in NZ, so that no two overlap
     by_levels = combine_level_spectra(plan.N, plan.level_spectra, base_shift=1)
     if plan.full_union().sorted_terms() != by_levels.sorted_terms():
         raise ConstructionError("per-interval union disagrees with the level union")
@@ -443,32 +442,17 @@ def _level_spectrum_for(N: int, level_set: IntervalSet) -> Spectrum:
     """A subset of N*Z certifying one nonfull fiber-count level."""
     W = level_set.scale(N)  # inside [0,1)
     pieces = W.pieces
-    if len(pieces) == 1:
-        beta = pieces[0][1] - pieces[0][0]
-        return avdonin_interval_spectrum(beta).scale_integers(N)
-    if (
-        len(pieces) == 2
-        and pieces[0][0] == Endpoint(0)
-        and pieces[1][1] == Endpoint(1)
+    if len(pieces) == 1 or (
+        len(pieces) == 2 and pieces[0][0] == Endpoint(0) and pieces[1][1] == Endpoint(1)
     ):
-        # wrap-around pair: treat as one interval modulo the cell period
-        beta = (pieces[0][1] - pieces[0][0]) + (pieces[1][1] - pieces[1][0])
-        return avdonin_interval_spectrum(beta).scale_integers(N)
+        # one interval, or a wrap-around pair: one interval modulo the period
+        return avdonin_interval_spectrum(W.measure()).scale_integers(N)
     if all(l.is_rational and r.is_rational for l, r in pieces):
-        q = 1
-        for l, r in pieces:
-            q = math.lcm(q, l.rational.denominator, r.rational.denominator)
+        q = math.lcm(*(x.rational.denominator for piece in pieces for x in piece))
         if q <= GRID_DENOMINATOR_LIMIT:
-            cells = [
-                k
-                for k in range(q)
-                if W.contains(Endpoint(Fraction(2 * k + 1, 2 * q)))
-            ]
-            covered = IntervalSet(
-                (Fraction(k, q), Fraction(k + 1, q)) for k in cells
-            )
-            if covered == W:
-                return rational_grid_spectrum(q, cells).scale_integers(N)
+            # q is a common denominator, so the pieces are exactly these cells
+            cells = [k for l, r in pieces for k in range(int(l.exact() * q), int(r.exact() * q))]
+            return rational_grid_spectrum(q, cells).scale_integers(N)
     # multi-interval with independent interior endpoints: recurse once
     lefts = [l for l, _ in pieces]
     rights = [r for _, r in pieces]
@@ -528,12 +512,8 @@ def complement_integer_spectrum(N: int, a: Sequence, b: Sequence) -> ComplementR
     )
     if len(lam_prime_terms) != len(total.terms) - 1:
         raise ConstructionError("expected exactly one integer-lattice component")
+    # level moduli are multiples of N, so these terms, and lambda', miss Z
     lam_prime = Spectrum(Fraction(1), lam_prime_terms).dilate(inv).sorted_terms()
-
-    for freq in lam_prime.enumerate(CHECK_WINDOW // N):
-        if freq.denominator == 1:
-            raise ConstructionError("complement spectrum intersects Z")
-
     return ComplementResult(
         N=N, M=M, lambda_prime=lam_prime, level_spectra=tuple(level_spectra), S=S
     )

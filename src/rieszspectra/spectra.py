@@ -9,6 +9,7 @@ single-interval generator used throughout the constructions.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -259,23 +260,33 @@ class Spectrum:
 
     def density(self) -> Endpoint:
         """Limiting count density #(spectrum in [-T,T]) / (2T), exact: a
-        term contributes 1/modulus, or beta/modulus under a filter."""
-        total = Endpoint(0)
+        term contributes 1/modulus, or beta/modulus under a filter; the
+        unfiltered terms are summed once per modulus."""
+        full = Counter(t.modulus for t in self.terms if t.filter is None)
+        total = Endpoint(sum(Fraction(c, M) for M, c in full.items()))
         for t in self.terms:
-            share = Endpoint(1) if t.filter is None else t.filter.beta
-            total = total + share * Fraction(1, t.modulus)
+            if t.filter is not None:
+                total = total + t.filter.beta * Fraction(1, t.modulus)
         return total * (1 / self.scale)
 
-    def subset_of_lattice(self, N: int, window: int = 2048) -> bool:
-        """True iff every enumerated integer in [-window, window] is = 0 mod N."""
+    def subset_of_lattice(self, N: int) -> bool:
+        """True iff the spectrum lies in N*Z, decided exactly on its terms.
+
+        A term M*(r + phase) + j, r over Z or over a rounded image whose
+        gaps are the coprime floor(1/beta) and ceil(1/beta), lies in N*Z iff
+        N | M and N | j; an exact beta = 1/q makes it (q*M)Z + M*phase + j.
+        """
         if self.scale != 1:
             return False
-        structural = all(
-            t.modulus % N == 0 and t.offset % N == 0 for t in self.terms
-        )
-        if structural:
-            return True
-        return all(m % N == 0 for m in self.enumerate_integers(-window, window))
+        for t in self.terms:
+            M, j = t.modulus, t.offset
+            if t.filter is not None:
+                beta = t.filter.beta.exact()
+                if beta.numerator == 1:
+                    M, j = beta.denominator * M, M * t.filter.phase + j
+            if M % N or j % N:
+                return False
+        return True
 
     # -- serialization ---------------------------------------------------
 

@@ -40,6 +40,7 @@ DENSE_GRAM_BYTES = 2**30
 PASS_FLOOR = 1e-3
 MAX_LAST_DROP = 0.10
 TAIL_THRESHOLD = 0.01
+_KER_ROWS = 256  # folding-probe kernel rows computed at once
 
 
 def _window_integers(spectrum: Spectrum, S: IntervalSet, T) -> np.ndarray:
@@ -358,8 +359,10 @@ def folding_probe(
     piece_lens = np.array([float(r - l) for l, r, _ in pieces])
     piece_counts = np.array([len(ks) for _, _, ks in pieces])
 
-    # bookkeeping: level densities must match the fiber-count measures
+    # bookkeeping: levels must lie in NZ and match the fiber-count measures
     for n in range(1, N + 1):
+        if not levels[n - 1].subset_of_lattice(N):
+            raise InvalidInput(f"level {n} spectrum is not contained in {N}Z")
         level_measure = sum(piece_lens[piece_counts >= n])
         dens = float(levels[n - 1].density())
         if abs(dens - level_measure) > 1e-9:
@@ -391,10 +394,12 @@ def folding_probe(
     nz = lambdas != 0
     lam_nz = lambdas[nz]
     ker = np.empty((n_cells, len(lambdas)), dtype=np.complex128)
-    ker[:, nz] = (
-        np.exp(-2j * np.pi * np.outer(rights, lam_nz))
-        - np.exp(-2j * np.pi * np.outer(lefts, lam_nz))
-    ) / (-2j * np.pi * lam_nz[None, :])
+    for i in range(0, n_cells, _KER_ROWS):  # bounds the temporaries to one block
+        rows = slice(i, i + _KER_ROWS)
+        ker[rows, nz] = (
+            np.exp(-2j * np.pi * np.outer(rights[rows], lam_nz))
+            - np.exp(-2j * np.pi * np.outer(lefts[rows], lam_nz))
+        ) / (-2j * np.pi * lam_nz[None, :])
     ker[:, ~nz] = cell_lens[:, None]
 
     # index masks of the shifted levels inside the integer window

@@ -226,7 +226,7 @@ def test_validate_plan_rejects_perturbed_beta(name, request):
     levels[n - 1] = _perturb_beta(levels[n - 1], eps)
     bad = dataclasses.replace(plan, level_spectra=tuple(levels))  # lambda_ell follows
     assert bad.lambda_ell[0] == _perturb_beta(plan.lambda_ell[0], eps)
-    w = assembly.CHECK_WINDOW
+    w = 2048
     assert bad.full_union().enumerate_integers(-w, w) == (
         plan.full_union().enumerate_integers(-w, w)
     )
@@ -310,8 +310,9 @@ def test_hierarchy_prime_index_beyond_the_admissible_primes():
 
 
 def test_plan_checks_enumerate_the_window_once(monkeypatch, spec_l3):
-    # building checks the level combination with one enumeration of each of
-    # its K + L terms; sub-unions are read off the level owners unenumerated
+    # a build decides the level combination on its terms, and sub-unions are
+    # read off the level owners: neither enumerates a window (the build once
+    # enumerated each of its K + L = 548 terms)
     calls = []
     real = CosetTerm.integers_in
 
@@ -322,8 +323,7 @@ def test_plan_checks_enumerate_the_window_once(monkeypatch, spec_l3):
     monkeypatch.setattr(CosetTerm, "integers_in", counting)
     S = IntervalSet.from_json(spec_l3)
     plan = construct_hierarchy_with_prime([l for l, _ in S.pieces], [r for _, r in S.pieces], 1933)
-    assert len(calls) == plan.K + plan.L
-    calls.clear()
+    assert calls == []
     back = rs.HierarchyPlan.from_json(plan.to_json())
     for mask in range(1, 2**plan.L):
         subset_spectrum(back, [ell for ell in range(1, plan.L + 1) if mask >> (ell - 1) & 1])
@@ -518,6 +518,20 @@ def test_complement_unsupported_level_set():
     b2 = Endpoint(F(3, 2)) + Endpoint(0, hp_sqrt(3)) * F(1, 8)
     with pytest.raises(UnsupportedASet):
         complement_integer_spectrum(2, [a1, a2], [b1, b2])
+
+
+def test_complement_recursive_level(plan_l2):
+    # 1 + the L=2 intervals at N=2: level 2 is the pair [a_l, b_l) with
+    # independent interior endpoints, certified by an inner plan at N=7
+    a = [x + 1 for x in plan_l2.a]
+    b = [y + 1 for y in plan_l2.b]
+    res = complement_integer_spectrum(2, a, b)
+    assert res.M == 1
+    level = res.level_spectra[1]
+    assert level.sorted_terms() == plan_l2.full_union().scale_integers(2).sorted_terms()
+    assert [t.modulus for t in level.terms] == [14] * 4
+    assert level.subset_of_lattice(2)
+    assert all(f.denominator == 2 for f in res.lambda_prime.enumerate(100))
 
 
 def test_complement_validation():

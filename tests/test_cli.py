@@ -361,6 +361,20 @@ def _half_beta_boundary(p: dict) -> dict:
     }
 
 
+def _offset_two_boundary(p: dict) -> dict:
+    """The boundary term's offset moved from 0 to 2, with lambda_ell
+    recomputed to match: the density is unchanged, but the level is no
+    longer a subset of 5Z."""
+    levels = [rs.Spectrum.from_json(s) for s in p["level_spectra"]]
+    (t,) = levels[p["K"]].terms
+    levels[p["K"]] = rs.Spectrum(Fraction(1), (rs.CosetTerm(t.modulus, 2, t.filter),))
+    lam = assembly._interval_spectra(levels, p["level_interval"], 1)
+    return {
+        "level_spectra": [s.to_json() for s in levels],
+        "lambda_ell": [s.to_json() for s in lam],
+    }
+
+
 # Edits of the L=1 plan at N=5 (K_ell = [1]) that disagree with the plan its
 # a, b, witness and boundary level derive, each with the field named: the
 # first six once exited 1 with an IndexError or ZeroDivisionError
@@ -392,7 +406,20 @@ _BAD_PLANS = {
     "K_ell 2 with its table": ("K_ell", _two_full_cells),
     "N 10**9": ("N", lambda p: {"N": 10**9}),
     "boundary beta half": ("level_spectra", _half_beta_boundary),
+    "boundary offset 2": ("level_spectra", _offset_two_boundary),
 }
+
+
+def test_probe_folding_rejects_a_level_outside_nz(tmp_path, capsys, plan_l1):
+    obj = dict(plan_l1.to_json())
+    obj.update(_offset_two_boundary(obj))
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(obj))
+    _input_error(capsys, ["probe-folding", "--plan", str(path), "--trials", "3"])
+    levels = list(plan_l1.level_spectra)
+    levels[plan_l1.K] = rs.Spectrum.from_json(obj["level_spectra"][plan_l1.K])
+    with pytest.raises(rs.InvalidInput, match="not contained in 5Z"):
+        rs.folding_probe(5, plan_l1.S, levels, [1, 2, 3, 4, 5], 3, 42)
 
 
 @pytest.mark.parametrize(

@@ -7,9 +7,11 @@ certificate against the shell scan, the orbit sweep of Chebotarev minors
 against the exhaustive one, the level-owner reads of a plan's interval
 spectra and sub-unions against the contiguous block loops, and the term
 comparisons that check a plan against the window enumerations they
-replaced, and the float-filtered Endpoint compares, floors and Avdonin
-roundings against their exact oracles (and against a forced fallback),
-near ties and outside the float64 range included.  The exact decisions
+replaced, lattice membership, grid cells and complement checks decided on
+terms against the window scans and midpoint scan they replaced, and the
+float-filtered Endpoint compares, floors and Avdonin roundings against
+their exact oracles (and against a forced fallback), near ties and outside
+the float64 range included.  The exact decisions
 (phases, Avdonin rounding, the relation scan) are also checked against the mpf evaluation
 at working precision that they replaced, and generators made and printed
 at explicit precision against the same steps in mpmath's shared context
@@ -27,9 +29,10 @@ from itertools import combinations
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
+import rieszspectra.assembly as assembly
 import rieszspectra.intervals as intervals
 import rieszspectra.verify as verify
 from rieszspectra.arith import (
@@ -64,11 +67,14 @@ from rieszspectra import (
     gram_matrix,
     integer_lattice,
     combine_level_spectra,
+    complement_integer_spectrum,
+    empty_spectrum,
+    LevelNotInNZ,
+    OverlappingTerms,
     rational_relation_probe,
     riesz_bounds_estimate,
     subset_spectrum,
 )
-from rieszspectra.assembly import CHECK_WINDOW
 from rieszspectra.minors import DEFAULT_ENUM_BUDGET, _is_prime, c_prime_bound
 from rieszspectra.precision import DEFAULT_PRECISION_BITS, ambiguity_threshold, hp_sqrt
 
@@ -76,6 +82,7 @@ F = Fraction
 ROOTS = (2, 3, 5, 7)
 HALF = IntervalSet([(0, F(1, 2))])
 SETTINGS = settings(max_examples=40, deadline=None)
+WINDOW = 2048  # the integer window the plan and complement checks once scanned
 
 
 def sqrt_multiple(p: int, c: Fraction) -> Endpoint:
@@ -848,13 +855,141 @@ def test_plan_terms_match_window_enumeration(name, reload, request):
     plan = request.getfixturevalue(name)
     if reload:
         plan = HierarchyPlan.from_json(json.loads(json.dumps(plan.to_json())))
-    w = CHECK_WINDOW
+    w = WINDOW
     by_levels = combine_level_spectra(plan.N, plan.level_spectra, base_shift=1)
     assert plan.full_union().enumerate_integers(-w, w) == by_levels.enumerate_integers(-w, w)
     for size in range(1, plan.L + 1):
         for J in combinations(range(1, plan.L + 1), size):
             theirs = [m for ell in J for m in plan.lambda_ell[ell - 1].enumerate_integers(-w, w)]
             assert subset_spectrum(plan, J).union().enumerate_integers(-w, w) == sorted(theirs)
+
+
+# -- lattice facts decided on terms vs the window scans they replaced ------
+
+@st.composite
+def lattice_terms(draw):
+    """A coset term of modulus 1..12: unfiltered, or filtered by a rational
+    beta p/q (q <= 12) or a generator beta, phases -3..3."""
+    M = draw(st.integers(1, 12))
+    j = draw(st.integers(0, M - 1))
+    kind = draw(st.sampled_from(["all", "rational", "generator"]))
+    if kind == "all":
+        return CosetTerm(M, j)
+    if kind == "rational":
+        q = draw(st.integers(2, 12))
+        beta = Endpoint(F(draw(st.integers(1, q - 1)), q))
+    else:
+        beta = draw(st.sampled_from([Endpoint(0, "0.25"), Endpoint(0, "0.5")]) | irrational_betas())
+    return CosetTerm(M, j, AvdoninFilter(beta, draw(st.integers(-3, 3))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms=st.lists(lattice_terms(), max_size=3), N=st.integers(1, 7))
+# beta = 1/q: 1/3 at M = 1, and the generator 0.25 at M = 3, phase 2 (12Z + 6)
+@example(terms=[CosetTerm(1, 0, AvdoninFilter(Endpoint(F(1, 3))))], N=3)
+@example(terms=[CosetTerm(3, 0, AvdoninFilter(Endpoint(0, "0.25"), 2))], N=6)
+def test_subset_of_lattice_matches_window_enumeration(terms, N):
+    # per term, so that overlapping terms do not stop the oracle
+    try:
+        oracle = all(m % N == 0 for t in terms for m in t.integers_in(-6000, 6000))
+    except AmbiguousEndpoint:
+        reject()
+    spec = Spectrum(F(1), tuple(terms))
+    assert spec.subset_of_lattice(N) == oracle
+    assert not spec.dilate(F(1, 2)).subset_of_lattice(N)
+
+
+@SETTINGS
+@given(terms=st.lists(lattice_terms(), max_size=6))
+def test_density_sums_full_terms_per_modulus(terms):
+    # the per-term Endpoint sum density once made, generator order included
+    want = Endpoint(0)
+    for t in terms:
+        share = Endpoint(1) if t.filter is None else t.filter.beta
+        want = want + share * F(1, t.modulus)
+    got = Spectrum(F(1), tuple(terms)).density()
+    assert got.rational == want.rational and list(got.irr.items()) == list(want.irr.items())
+
+
+def test_near_reciprocal_beta_level_is_not_in_nz():
+    # 1/beta = 3 + 10^-6 rounds n to 3n for |n| < 500000: the level looks
+    # like 3Z on the window, but shifted by 1 it meets 3Z + 2 at 1500002,
+    # 1500005, ... far outside it
+    level = avdonin_interval_spectrum(F(10**6, 3 * 10**6 + 1))
+    assert all(m % 3 == 0 for m in level.enumerate_integers(-WINDOW, WINDOW))
+    with pytest.raises(OverlappingTerms, match="1500002"):
+        level.shift(1).union(integer_lattice(3, 2)).enumerate_integers(1500000, 1500003)
+    assert not level.subset_of_lattice(3)
+    with pytest.raises(LevelNotInNZ):
+        combine_level_spectra(3, [level, integer_lattice(3), empty_spectrum()])
+
+
+def test_overlapping_terms_of_one_level_raise_when_enumerated():
+    level = Spectrum(F(1), (CosetTerm(3, 0), CosetTerm(6, 0)))
+    out = combine_level_spectra(3, [level, empty_spectrum(), empty_spectrum()])
+    with pytest.raises(OverlappingTerms):
+        out.enumerate_integers(-10, 10)
+
+
+def _midpoint_cells(W: IntervalSet) -> tuple:
+    """The grid of a rational level set as it was once read: the cells of
+    1/q, q the lcm of the endpoint denominators, whose midpoints W contains,
+    checked to cover W exactly."""
+    q = 1
+    for l, r in W.pieces:
+        q = math.lcm(q, l.rational.denominator, r.rational.denominator)
+    cells = [k for k in range(q) if W.contains(Endpoint(F(2 * k + 1, 2 * q)))]
+    assert IntervalSet((F(k, q), F(k + 1, q)) for k in cells) == W
+    return q, cells
+
+
+@SETTINGS
+@given(d=st.integers(3, 64), data=st.data())
+def test_grid_cells_from_endpoints_match_midpoint_scan(d, data):
+    # a union of rational pieces of denominators dividing d, off the
+    # single-interval and wrap-around branches
+    ends = st.lists(st.integers(0, d), min_size=4, max_size=min(10, d + 1), unique=True)
+    ks = data.draw(ends.map(sorted))
+    W = IntervalSet((F(x, d), F(y, d)) for x, y in zip(ks[0::2], ks[1::2]))
+    (l0, _), *_, (_, r1) = W.pieces
+    wraps = l0 == Endpoint(0) and r1 == Endpoint(1)
+    assume(len(W.pieces) > 2 or (len(W.pieces) == 2 and not wraps))
+    seen = []
+
+    def grid(q, cells):
+        seen.append((q, list(cells)))
+        return integer_lattice()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(assembly, "rational_grid_spectrum", grid)
+        assembly._level_spectrum_for(1, W)
+    assert seen == [_midpoint_cells(W)]
+
+
+def _complement_cases(plan_l2):
+    s2, s3 = Endpoint(0, hp_sqrt(2)), Endpoint(0, hp_sqrt(3))
+    return [
+        (2, [1], [2]),                                      # c08
+        (2, [1], [1 + s2 * F(1, 2)]),                       # c09
+        (2, [1, F(3, 2)], [F(5, 4), F(7, 4)]),              # rational grid
+        (5, [1, F(7, 3)], [2, F(41, 12)]),
+        (3, [F(3, 2)], [F(9, 4)]),                          # wrap-around pair
+        (3, [1 + s2 * F(11, 20)], [2 + s3 * F(1, 5)]),      # irrational wrap-around
+        (2, [x + 1 for x in plan_l2.a], [y + 1 for y in plan_l2.b]),  # inner plan
+    ]
+
+
+def test_complement_passes_the_window_checks_it_dropped(plan_l2):
+    for N, a, b in _complement_cases(plan_l2):
+        res = complement_integer_spectrum(N, a, b)
+        for level in res.level_spectra:
+            window = level.enumerate_integers(-WINDOW, WINDOW)
+            assert level.subset_of_lattice(N) == all(m % N == 0 for m in window)
+        # the union of the shifted levels has no duplicate in the window,
+        # and lambda' has no integer in it
+        union = combine_level_spectra(N, res.level_spectra, base_shift=0)
+        union.enumerate_integers(-WINDOW, WINDOW)
+        assert all(f.denominator != 1 for f in res.lambda_prime.enumerate(WINDOW // N))
 
 
 # -- filtered Endpoint decisions vs their exact oracle -----------------------
@@ -1185,3 +1320,11 @@ def test_probe_per_count_matches_per_level(plan_l1, plan_l2, data, seed, trials,
     args = (plan.N, plan.S, plan.level_spectra, shifts, trials, seed)
     got = _probe_with_warnings(verify.folding_probe, *args, trunc_window=window)
     assert got == _probe_with_warnings(_per_level_folding_probe, *args, trunc_window=window)
+
+
+def test_probe_kernel_blocks_match_per_level():
+    # 257 cells fill two 256-row kernel blocks
+    N = 257
+    args = (N, IntervalSet.unit(), [integer_lattice(N)] * N, list(range(1, N + 1)), 1, 0)
+    got = _probe_with_warnings(verify.folding_probe, *args)
+    assert got == _probe_with_warnings(_per_level_folding_probe, *args)
