@@ -124,8 +124,22 @@ class HierarchyPlan:
         return _level_owners(self.N, self.K_ell)
 
     @functools.cached_property
+    def _shifted_levels(self) -> tuple[tuple[int, int, Spectrum], ...]:
+        """(owner, n, level n shifted by n) for each owned level n, in level
+        order: full cells first, interval by interval, then the boundary
+        pieces.  Every spectrum derived from the plan picks from this table."""
+        return tuple(
+            (owner, n, self.level_spectra[n - 1].shift(n))
+            for n, owner in enumerate(self.level_interval, start=1)
+            if owner is not None
+        )
+
+    @functools.cached_property
     def lambda_ell(self) -> tuple[Spectrum, ...]:
-        return _interval_spectra(self.level_spectra, self.level_interval, self.L)
+        return tuple(
+            Spectrum().union(*(s for o, _, s in self._shifted_levels if o == ell)).sorted_terms()
+            for ell in range(1, self.L + 1)
+        )
 
     def full_union(self) -> Spectrum:
         return Spectrum().union(*self.lambda_ell)
@@ -221,27 +235,6 @@ def _level_owners(N: int, K_ell: Sequence[int]) -> tuple[Optional[int], ...]:
     owners = [ell for ell, K_l in enumerate(K_ell, start=1) for _ in range(K_l)]
     owners += range(1, len(K_ell) + 1)
     return tuple(owners + [None] * (N - len(owners)))
-
-
-def _owned_levels(
-    levels: Sequence[Spectrum], owners: Sequence[Optional[int]], J
-) -> tuple[list[Spectrum], list[int]]:
-    """The levels owned by an interval in J, each shifted by its level index
-    n, and those indices, in level order: full cells first, interval by
-    interval, then the boundary pieces."""
-    ns = [n for n, owner in enumerate(owners, start=1) if owner in J]
-    return [levels[n - 1].shift(n) for n in ns], ns
-
-
-def _interval_spectra(
-    levels: Sequence[Spectrum], owners: Sequence[Optional[int]], L: int
-) -> tuple[Spectrum, ...]:
-    """lambda_1..lambda_L: the union of the levels interval l owns, each
-    shifted by its level index, with sorted terms."""
-    return tuple(
-        Spectrum().union(*_owned_levels(levels, owners, {ell})[0]).sorted_terms()
-        for ell in range(1, L + 1)
-    )
 
 
 def _fiber_levels(N: int, S: IntervalSet):
@@ -350,10 +343,14 @@ def _build_plan(witness: PrimeSearchResult, a: Sequence[Endpoint], b: Sequence[E
 
 
 def _validate_plan(plan: HierarchyPlan) -> None:
-    # equal terms are equal sets on all of Z; combining the levels checks
-    # that they lie in NZ, so that no two overlap
-    by_levels = combine_level_spectra(plan.N, plan.level_spectra, base_shift=1)
-    if plan.full_union().sorted_terms() != by_levels.sorted_terms():
+    # levels in NZ under shifts distinct mod N are disjoint; each distinct
+    # level object is checked once
+    for level in {id(s): s for s in plan.level_spectra}.values():
+        if not level.is_empty and not level.subset_of_lattice(plan.N):
+            n = plan.level_spectra.index(level) + 1
+            raise LevelNotInNZ(f"level {n} spectrum is not contained in {plan.N}Z")
+    # a nonempty level that no interval owns is in no lambda_l
+    if any(o is None and not s.is_empty for o, s in zip(plan.level_interval, plan.level_spectra)):
         raise ConstructionError("per-interval union disagrees with the level union")
     # each interval's spectrum must carry exactly that interval's density
     # (K_l + {N b} - {N a}) / N = b - a holds term by term, so exactly
@@ -399,7 +396,8 @@ def subset_spectrum(plan: HierarchyPlan, J: Sequence[int]) -> SubsetPlan:
         raise InvalidInput(f"J must be a subset of 1..{plan.L}")
     N = plan.N
     K_J = sum(plan.K_ell[ell - 1] for ell in J)
-    omega, shifts = _owned_levels(plan.level_spectra, plan.level_interval, J)
+    owned = [entry for entry in plan._shifted_levels if entry[0] in J]
+    omega, shifts = tuple(s for _, _, s in owned), tuple(n for _, n, _ in owned)
 
     # independent recomputation of the fiber-count sets of the sub-union
     levels_J, _ = _level_pattern(N, plan.a, plan.b, J, K_J)
@@ -410,7 +408,7 @@ def subset_spectrum(plan: HierarchyPlan, J: Sequence[int]) -> SubsetPlan:
         if abs(float(dens) - goal) > _DENSITY_TOL:
             raise ConstructionError("omega ordering does not match the level sets")
 
-    return SubsetPlan(J=tuple(J), K_J=K_J, omega=tuple(omega), shifts=tuple(shifts))
+    return SubsetPlan(J=tuple(J), K_J=K_J, omega=omega, shifts=shifts)
 
 
 @dataclass(frozen=True)
@@ -497,14 +495,10 @@ def complement_integer_spectrum(N: int, a: Sequence, b: Sequence) -> ComplementR
         raise ConstructionError("the unit interval must fill the first level")
 
     full, empty = integer_lattice(N, 0), empty_spectrum()
-    level_spectra: list[Spectrum] = []
-    for n in range(1, N + 1):
-        if n <= M:
-            level_spectra.append(full)
-        elif a_sets[n - 1].is_empty:
-            level_spectra.append(empty)
-        else:
-            level_spectra.append(_level_spectrum_for(N, a_sets[n - 1]))
+    # consecutive levels share one set object: certify each distinct set once
+    sets = {id(s): s for s in a_sets[M:] if not s.is_empty}
+    by_set = {k: _level_spectrum_for(N, s) for k, s in sets.items()}
+    level_spectra = [full] * M + [by_set.get(id(s), empty) for s in a_sets[M:]]
 
     total = combine_level_spectra(N, level_spectra, base_shift=0)
     lam_prime_terms = tuple(

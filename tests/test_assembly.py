@@ -234,6 +234,31 @@ def test_validate_plan_rejects_perturbed_beta(name, request):
         assembly._validate_plan(bad)
 
 
+def _unowned_level(plan):
+    levels = list(plan.level_spectra)
+    levels[plan.K + plan.L] = integer_lattice(plan.N, 0)
+    return levels
+
+
+def _boundary_offset_two(plan):
+    levels = list(plan.level_spectra)
+    (t,) = levels[plan.K].terms
+    levels[plan.K] = Spectrum(F(1), (CosetTerm(t.modulus, 2, t.filter),))
+    return levels
+
+
+@pytest.mark.parametrize("edit, error, match", [
+    # a nonempty level past K + L lies in NZ but in no lambda_l
+    (_unowned_level, ConstructionError, "disagrees"),
+    # the boundary level moved off NZ would meet another level's residue
+    (_boundary_offset_two, LevelNotInNZ, "level 2 "),
+], ids=["unowned level", "boundary offset 2"])
+def test_validate_plan_rejects_level_table_edits(plan_l1, edit, error, match):
+    bad = dataclasses.replace(plan_l1, level_spectra=tuple(edit(plan_l1)))
+    with pytest.raises(error, match=match):
+        assembly._validate_plan(bad)
+
+
 def test_hierarchy_rejects_rational_endpoints():
     with pytest.raises(IndependenceSuspect):
         construct_hierarchy([F(1, 4)], [F(3, 4)], 1000)
@@ -325,6 +350,29 @@ def test_plan_checks_enumerate_the_window_once(monkeypatch, spec_l3):
     plan = construct_hierarchy_with_prime([l for l, _ in S.pieces], [r for _, r in S.pieces], 1933)
     assert calls == []
     back = rs.HierarchyPlan.from_json(plan.to_json())
+    for mask in range(1, 2**plan.L):
+        subset_spectrum(back, [ell for ell in range(1, plan.L + 1) if mask >> (ell - 1) & 1])
+    assert calls == []
+
+
+def test_plan_shifts_each_owned_level_once(monkeypatch, spec_l3):
+    # one table of shifted levels serves lambda_l, the plan checks and every
+    # sub-union: K + L = 548 shifts per build or load, none per sub-union
+    calls = []
+    real = Spectrum.shift
+
+    def counting(self, a):
+        calls.append(a)
+        return real(self, a)
+
+    monkeypatch.setattr(Spectrum, "shift", counting)
+    S = IntervalSet.from_json(spec_l3)
+    plan = construct_hierarchy_with_prime([l for l, _ in S.pieces], [r for _, r in S.pieces], 1933)
+    assert len(calls) == plan.K + plan.L == 548
+    calls.clear()
+    back = rs.HierarchyPlan.from_json(plan.to_json())
+    assert len(calls) == 548
+    calls.clear()
     for mask in range(1, 2**plan.L):
         subset_spectrum(back, [ell for ell in range(1, plan.L + 1) if mask >> (ell - 1) & 1])
     assert calls == []
@@ -532,6 +580,28 @@ def test_complement_recursive_level(plan_l2):
     assert [t.modulus for t in level.terms] == [14] * 4
     assert level.subset_of_lattice(2)
     assert all(f.denominator == 2 for f in res.lambda_prime.enumerate(100))
+
+
+def test_complement_certifies_each_distinct_level_set_once(monkeypatch, sq):
+    # levels 2 and 3 are one set object, the pair [x_1, x_2), [x_3, x_4)
+    # with independent interior endpoints: one inner plan certifies both
+    x = [Endpoint(F(k, 10)) + sq[p] * F(1, 100) for k, p in ((1, 2), (3, 3), (5, 5), (7, 7))]
+    a = [x[0] + 1, x[2] + 1, x[0] + 2, x[2] + 2]
+    b = [x[1] + 1, x[3] + 1, x[1] + 2, x[3] + 2]
+    calls = []
+    real = assembly.construct_hierarchy
+    monkeypatch.setattr(
+        assembly, "construct_hierarchy", lambda *args: calls.append(args) or real(*args)
+    )
+    res = complement_integer_spectrum(3, a, b)
+    assert len(calls) == 1
+    assert res.M == 1 and res.level_spectra[1] is res.level_spectra[2]
+    monkeypatch.undo()
+    # the level-by-level derivation it replaced
+    a_sets, M = assembly._fiber_levels(3, res.S)
+    levels = [integer_lattice(3, 0)] * M + [assembly._level_spectrum_for(3, s) for s in a_sets[M:]]
+    oracle = dict(res.to_json(), level_spectra=[s.to_json() for s in levels])
+    assert json.dumps(res.to_json()) == json.dumps(oracle)
 
 
 def test_complement_validation():

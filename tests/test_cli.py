@@ -9,7 +9,6 @@ import mpmath
 import pytest
 
 import rieszspectra as rs
-import rieszspectra.assembly as assembly
 import rieszspectra.cli as cli
 from rieszspectra.cli import main
 from rieszspectra.intervals import Endpoint, IntervalSet
@@ -335,16 +334,26 @@ def test_avdonin_beta_outside_unit_interval_is_input_error(beta, tmp_path, capsy
     ])
 
 
+def _lambda_ell_json(levels, owners, L: int) -> list[dict]:
+    """lambda_1..lambda_L as JSON by the owner scan: the union of the levels
+    interval l owns, each shifted by its level index n, with sorted terms."""
+    return [
+        rs.Spectrum().union(*(
+            levels[n - 1].shift(n) for n, owner in enumerate(owners, start=1) if owner == ell
+        )).sorted_terms().to_json()
+        for ell in range(1, L + 1)
+    ]
+
+
 def _two_full_cells(p: dict) -> dict:
     """K_ell = [2] with the K, level owners, level table and lambda_ell it
     implies, all consistent with each other but not with N, a and b."""
     levels = p["level_spectra"]
     table = [levels[0], levels[0], levels[1], levels[2], levels[2]]
     owners = [1, 1, 1, None, None]
-    lam = assembly._interval_spectra([rs.Spectrum.from_json(s) for s in table], owners, 1)
     return {
         "K_ell": [2], "K": 2, "level_interval": owners, "level_spectra": table,
-        "lambda_ell": [s.to_json() for s in lam],
+        "lambda_ell": _lambda_ell_json([rs.Spectrum.from_json(s) for s in table], owners, 1),
     }
 
 
@@ -354,10 +363,9 @@ def _half_beta_boundary(p: dict) -> dict:
     field agrees, only the level's density is not its boundary piece's."""
     levels = [rs.Spectrum.from_json(s) for s in p["level_spectra"]]
     levels[p["K"]] = rs.avdonin_interval_spectrum(Fraction(1, 2)).scale_integers(5)
-    lam = assembly._interval_spectra(levels, p["level_interval"], 1)
     return {
         "level_spectra": [s.to_json() for s in levels],
-        "lambda_ell": [s.to_json() for s in lam],
+        "lambda_ell": _lambda_ell_json(levels, p["level_interval"], 1),
     }
 
 
@@ -368,10 +376,9 @@ def _offset_two_boundary(p: dict) -> dict:
     levels = [rs.Spectrum.from_json(s) for s in p["level_spectra"]]
     (t,) = levels[p["K"]].terms
     levels[p["K"]] = rs.Spectrum(Fraction(1), (rs.CosetTerm(t.modulus, 2, t.filter),))
-    lam = assembly._interval_spectra(levels, p["level_interval"], 1)
     return {
         "level_spectra": [s.to_json() for s in levels],
-        "lambda_ell": [s.to_json() for s in lam],
+        "lambda_ell": _lambda_ell_json(levels, p["level_interval"], 1),
     }
 
 
