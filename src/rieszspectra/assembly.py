@@ -25,18 +25,17 @@ from .errors import (
     EmptySubset,
     IndependenceSuspect,
     InvalidInput,
-    LevelNotInNZ,
     NotFound,
-    NotPermutation,
     NotPrime,
     UnsupportedASet,
 )
 from .intervals import Endpoint, IntervalSet, fold_pattern, geq_levels
 from .intervals import _json_array, _json_field
-from .minors import _is_prime
+from .minors import _check_permutation, _is_prime
 from .precision import DEFAULT_PRECISION_BITS, ambiguity_threshold
 from .spectra import (
     Spectrum,
+    _shift_levels,
     avdonin_interval_spectrum,
     empty_spectrum,
     integer_lattice,
@@ -48,34 +47,16 @@ GRID_DENOMINATOR_LIMIT = 4096  # largest grid 1/q a rational complement level ma
 _DENSITY_TOL = 1e-12  # float gap allowed between a boundary spectrum's density and its set's
 
 
-def _combine_levels(
-    N: int, levels: Sequence[Spectrum], shifts: Sequence[int]
-) -> Spectrum:
-    """Union of (level_n + shifts[n-1]) over n = 1..N.
-
-    Levels must be subsets of N*Z; with shifts distinct mod N the shifted
-    levels occupy distinct residues, so the union is disjoint.  Terms of one
-    level that overlap raise OverlappingTerms where they are enumerated.
-    """
-    if len(levels) != N:
-        raise InvalidInput(f"need exactly {N} level spectra")
-    terms = []
-    for n, (level, shift) in enumerate(zip(levels, shifts), start=1):
-        if level.is_empty:
-            continue
-        if not level.subset_of_lattice(N):
-            raise LevelNotInNZ(f"level {n} spectrum is not contained in {N}Z")
-        terms.extend(level.shift(shift).terms)
-    return Spectrum(Fraction(1), tuple(terms))
-
-
 def combine_level_spectra(
     N: int, levels: Sequence[Spectrum], base_shift: int = 1
 ) -> Spectrum:
-    """Union of (level_n + n - 1 + base_shift) over n = 1..N, for any N."""
+    """Union of (level_n + n - 1 + base_shift) over n = 1..N, for any N.
+    Terms of one level that overlap raise OverlappingTerms where they are
+    enumerated."""
     if base_shift not in (0, 1):
         raise InvalidInput("base_shift must be 0 or 1")
-    return _combine_levels(N, levels, range(base_shift, N + base_shift))
+    shifted = _shift_levels(N, levels, range(base_shift, N + base_shift))
+    return Spectrum().union(*(s for _, s in shifted))
 
 
 def combine_level_spectra_permuted(
@@ -83,23 +64,20 @@ def combine_level_spectra_permuted(
 ) -> Spectrum:
     """Union of (level_n + shifts[n-1]) for an arbitrary permutation of 1..N;
     valid as a basis combination only for prime N."""
-    if not _is_prime(N):
-        raise NotPrime(f"{N} is not prime")
-    if sorted(shifts) != list(range(1, N + 1)):
-        raise NotPermutation("shifts must be a permutation of 1..N")
-    return _combine_levels(N, levels, shifts)
+    _check_permutation(N, shifts)
+    return Spectrum().union(*(s for _, s in _shift_levels(N, levels, shifts)))
 
 
 @dataclass(frozen=True)
 class HierarchyPlan:
     """Complete bookkeeping of the hierarchical construction: the intervals,
-    the prime witness (N is its prime), the level spectra and what
-    _geometry derives from them; everything else is derived on access."""
+    the prime witness (N is its prime), the L boundary level spectra and
+    what _geometry derives from them; everything else is derived on access."""
 
     a: tuple[Endpoint, ...]
     b: tuple[Endpoint, ...]
     a_sets: tuple[IntervalSet, ...]          # fiber-count sets, levels 1..N
-    level_spectra: tuple[Spectrum, ...]      # subsets of N*Z, levels 1..N
+    boundary: tuple[Spectrum, ...]           # subsets of N*Z, levels K+1..K+L
     K_ell: tuple[int, ...]
     witness: PrimeSearchResult
 
@@ -124,14 +102,20 @@ class HierarchyPlan:
         return _level_owners(self.N, self.K_ell)
 
     @functools.cached_property
+    def level_spectra(self) -> tuple[Spectrum, ...]:
+        """The N level spectra: K full cells N*Z, the boundary pieces, then
+        empty levels."""
+        empty = (empty_spectrum(),) * (self.N - self.K - self.L)
+        return (integer_lattice(self.N, 0),) * self.K + self.boundary + empty
+
+    @functools.cached_property
     def _shifted_levels(self) -> tuple[tuple[int, int, Spectrum], ...]:
         """(owner, n, level n shifted by n) for each owned level n, in level
         order: full cells first, interval by interval, then the boundary
         pieces.  Every spectrum derived from the plan picks from this table."""
+        owners, N = self.level_interval, self.N
         return tuple(
-            (owner, n, self.level_spectra[n - 1].shift(n))
-            for n, owner in enumerate(self.level_interval, start=1)
-            if owner is not None
+            (owners[n - 1], n, s) for n, s in _shift_levels(N, self.level_spectra, range(1, N + 1))
         )
 
     @functools.cached_property
@@ -192,20 +176,22 @@ class HierarchyPlan:
         except (InvalidInput, ConstructionError, DegenerateCoverage) as exc:
             raise InvalidInput(f"plan field 'N' gives no hierarchy for 'a' and 'b': {exc}") from exc
         K = sum(K_ell)
-        boundary = [Spectrum.from_json(v, bits=bits) for v in levels[K : K + L]]
+        boundary = tuple(Spectrum.from_json(v, bits=bits) for v in levels[K : K + L])
+        # before the derivation, so that the error names the field
+        for n, spec in enumerate(boundary, start=K + 1):
+            need(spec.subset_of_lattice(N), "level_spectra", f"entry {n} must lie in {N}Z")
         witness = PrimeSearchResult(
             N=N,
             candidates_scanned=_json_field(w, "candidates_scanned", "plan witness", int),
             ordering_witness=tuple(_json_array(w, "ordering_witness", "plan witness")),
         )
-        plan = cls(a, b, a_sets, _level_table(N, K, boundary), K_ell, witness)
+        plan = cls(a, b, a_sets, boundary, K_ell, witness)
         derived = plan.to_json()
         for key in ("N", "a_sets", "K_ell", "K", "level_interval", "set", "level_spectra",
                     "lambda_ell"):
             need(_json_field(obj, key, "plan") == derived[key], key,
                  "differs from the plan 'a', 'b', 'witness' and the boundary levels derive")
         for n, (spec, beta) in enumerate(zip(boundary, betas), start=K + 1):
-            need(spec.subset_of_lattice(N), "level_spectra", f"entry {n} must lie in {N}Z")
             need(abs(float(spec.density()) - float(beta * Fraction(1, N))) <= _DENSITY_TOL,
                  "level_spectra", f"entry {n} must have the density of its boundary piece")
         chain, ws = _ordering_chain(a, b, N), witness.ordering_witness
@@ -325,34 +311,18 @@ def _geometry(N: int, a: Sequence[Endpoint], b: Sequence[Endpoint]):
     return tuple(K_ell), a_sets, betas
 
 
-def _level_table(N: int, K: int, boundary: Sequence[Spectrum]) -> tuple[Spectrum, ...]:
-    """The N level spectra: K full cells NZ, each interval's boundary piece,
-    then empty levels."""
-    empty = (empty_spectrum(),) * (N - K - len(boundary))
-    return (integer_lattice(N, 0),) * K + tuple(boundary) + empty
-
-
 def _build_plan(witness: PrimeSearchResult, a: Sequence[Endpoint], b: Sequence[Endpoint]):
     N = witness.N
     K_ell, a_sets, betas = _geometry(N, a, b)
-    boundary = [avdonin_interval_spectrum(beta).scale_integers(N) for beta in betas]
-    levels = _level_table(N, sum(K_ell), boundary)
-    plan = HierarchyPlan(tuple(a), tuple(b), a_sets, levels, K_ell, witness)
+    boundary = tuple(avdonin_interval_spectrum(beta).scale_integers(N) for beta in betas)
+    plan = HierarchyPlan(tuple(a), tuple(b), a_sets, boundary, K_ell, witness)
     _validate_plan(plan)
     return plan
 
 
 def _validate_plan(plan: HierarchyPlan) -> None:
-    # levels in NZ under shifts distinct mod N are disjoint; each distinct
-    # level object is checked once
-    for level in {id(s): s for s in plan.level_spectra}.values():
-        if not level.is_empty and not level.subset_of_lattice(plan.N):
-            n = plan.level_spectra.index(level) + 1
-            raise LevelNotInNZ(f"level {n} spectrum is not contained in {plan.N}Z")
-    # a nonempty level that no interval owns is in no lambda_l
-    if any(o is None and not s.is_empty for o, s in zip(plan.level_interval, plan.level_spectra)):
-        raise ConstructionError("per-interval union disagrees with the level union")
-    # each interval's spectrum must carry exactly that interval's density
+    # lambda_ell shifts the level table through _shift_levels, which checks
+    # it; each interval's spectrum must carry exactly that interval's density
     # (K_l + {N b} - {N a}) / N = b - a holds term by term, so exactly
     for ell, (lam, x, y) in enumerate(zip(plan.lambda_ell, plan.a, plan.b), start=1):
         if lam.density() != y - x:
@@ -500,14 +470,10 @@ def complement_integer_spectrum(N: int, a: Sequence, b: Sequence) -> ComplementR
     by_set = {k: _level_spectrum_for(N, s) for k, s in sets.items()}
     level_spectra = [full] * M + [by_set.get(id(s), empty) for s in a_sets[M:]]
 
-    total = combine_level_spectra(N, level_spectra, base_shift=0)
-    lam_prime_terms = tuple(
-        t for t in total.terms if t.offset % N != 0
-    )
-    if len(lam_prime_terms) != len(total.terms) - 1:
-        raise ConstructionError("expected exactly one integer-lattice component")
-    # level moduli are multiples of N, so these terms, and lambda', miss Z
-    lam_prime = Spectrum(Fraction(1), lam_prime_terms).dilate(inv).sorted_terms()
+    # level n shifted by n - 1: level 1 is N*Z, the integers after dilation,
+    # and levels 2..N sit on residues 1..N-1 mod N, so lambda' misses Z
+    shifted = _shift_levels(N, level_spectra, range(N))
+    lam_prime = Spectrum().union(*(s for n, s in shifted if n > 1)).dilate(inv).sorted_terms()
     return ComplementResult(
         N=N, M=M, lambda_prime=lam_prime, level_spectra=tuple(level_spectra), S=S
     )

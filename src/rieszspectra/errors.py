@@ -45,7 +45,7 @@ class DegenerateBeta(RieszSpectraError):
     """Density parameter below the configured floor."""
 
 
-class LevelNotInNZ(RieszSpectraError):
+class LevelNotInNZ(InvalidInput):
     """A level spectrum is not contained in the required lattice."""
 
 
@@ -53,7 +53,7 @@ class NotPrime(RieszSpectraError):
     """An operation requiring a prime modulus received a composite."""
 
 
-class NotPermutation(RieszSpectraError):
+class NotPermutation(InvalidInput):
     """Shift factors do not form a permutation of 1..N."""
 
 

@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInput, NotPrime, ResourceLimit
+from .errors import InvalidInput, NotPermutation, NotPrime, ResourceLimit
 
 DEFAULT_ENUM_BUDGET = 10**6
 
@@ -25,6 +25,15 @@ def _is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def _check_permutation(N: int, shifts: Sequence[int]) -> None:
+    """Require N prime and shifts a permutation of 1..N: the shifts of a
+    permuted level combination."""
+    if not _is_prime(N):
+        raise NotPrime(f"{N} is not prime")
+    if sorted(shifts) != list(range(1, N + 1)):
+        raise NotPermutation("shifts must be a permutation of 1..N")
 
 
 @dataclass(frozen=True)

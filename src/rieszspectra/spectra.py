@@ -18,6 +18,7 @@ from .errors import (
     DegenerateBeta,
     IncompatibleShift,
     InvalidInput,
+    LevelNotInNZ,
     OverlappingTerms,
 )
 from .intervals import _EPS, Endpoint, _guarded_floor, parse_fraction
@@ -323,6 +324,32 @@ def avdonin_interval_spectrum(beta) -> Spectrum:
     if filt.beta < Endpoint(MIN_BETA):
         raise DegenerateBeta(f"beta={float(filt.beta):.6g} below floor {float(MIN_BETA):.6g}")
     return Spectrum(Fraction(1), (CosetTerm(1, 0, filt),))
+
+
+def _shift_levels(
+    N: int, levels: Sequence[Spectrum], shifts: Sequence[int]
+) -> list[tuple[int, Spectrum]]:
+    """(n, level n shifted by shifts[n-1]) for each nonempty level n = 1..N.
+
+    The one check of a level table: exactly N levels, N shifts distinct mod
+    N, and every level a subset of N*Z, decided once per distinct level
+    object.  Levels in N*Z under shifts distinct mod N occupy distinct
+    residues, so the shifted levels are pairwise disjoint.
+    """
+    if len(levels) != N:
+        raise InvalidInput(f"need exactly {N} level spectra")
+    if len(shifts) != N or len({s % N for s in shifts}) != N:
+        raise InvalidInput(f"need {N} shifts distinct mod {N}")
+    checked, out = set(), []
+    for n, (level, s) in enumerate(zip(levels, shifts), start=1):
+        if level.is_empty:
+            continue
+        if id(level) not in checked:
+            if not level.subset_of_lattice(N):
+                raise LevelNotInNZ(f"level {n} spectrum is not contained in {N}Z")
+            checked.add(id(level))
+        out.append((n, level.shift(s)))
+    return out
 
 
 def rational_grid_spectrum(q: int, cells: Sequence[int]) -> Spectrum:

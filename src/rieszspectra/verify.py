@@ -28,13 +28,12 @@ from .errors import (
     EmptyWindow,
     InvalidInput,
     InvalidSubset,
-    NotPrime,
     ResourceLimit,
     TruncationWarning,
 )
 from .intervals import Endpoint, IntervalSet, fold_pattern
-from .minors import _is_prime, c_prime_bound
-from .spectra import Spectrum
+from .minors import _check_permutation, c_prime_bound
+from .spectra import Spectrum, _shift_levels
 
 DENSE_GRAM_BYTES = 2**30
 PASS_FLOOR = 1e-3
@@ -184,10 +183,10 @@ def riesz_bounds_estimate(
     under MAX_LAST_DROP.
     """
     schedule = list(schedule)
-    if not schedule or any(
+    if not schedule or Fraction(schedule[0]) <= 0 or any(
         Fraction(t2) <= Fraction(t1) for t1, t2 in zip(schedule, schedule[1:])
     ):
-        raise InvalidInput("schedule must be strictly increasing and nonempty")
+        raise InvalidInput("schedule must be nonempty, positive and strictly increasing")
     ms = _window_integers(spectrum, S, schedule[-1])
     blocks = [_window_slice(spectrum, ms, T) for T in schedule]
     gram = _sinc_gram if len(S.pieces) == 1 else _complex_gram
@@ -343,12 +342,8 @@ def folding_probe(
     folded-frame ratio per level, and sigma_min_used is the worst minor
     singular value over the fiber patterns that actually occur.
     """
-    if not _is_prime(N):
-        raise NotPrime(f"{N} is not prime")
-    if len(levels) != N:
-        raise InvalidInput(f"need exactly {N} level spectra")
-    if sorted(shifts) != list(range(1, N + 1)):
-        raise InvalidInput("shifts must be a permutation of 1..N")
+    _check_permutation(N, shifts)
+    shifted = _shift_levels(N, levels, shifts)
     if trials < 1:
         raise InvalidInput("need at least one trial")
     pieces = [(l, r, ks) for l, r, ks in fold_pattern(N, S) if ks]
@@ -359,10 +354,8 @@ def folding_probe(
     piece_lens = np.array([float(r - l) for l, r, _ in pieces])
     piece_counts = np.array([len(ks) for _, _, ks in pieces])
 
-    # bookkeeping: levels must lie in NZ and match the fiber-count measures
+    # bookkeeping: levels must match the fiber-count measures
     for n in range(1, N + 1):
-        if not levels[n - 1].subset_of_lattice(N):
-            raise InvalidInput(f"level {n} spectrum is not contained in {N}Z")
         level_measure = sum(piece_lens[piece_counts >= n])
         dens = float(levels[n - 1].density())
         if abs(dens - level_measure) > 1e-9:
@@ -403,14 +396,10 @@ def folding_probe(
     ker[:, ~nz] = cell_lens[:, None]
 
     # index masks of the shifted levels inside the integer window
-    level_masks = []
-    for n in range(1, N + 1):
-        mask = np.zeros(len(lambdas), dtype=bool)
-        if not levels[n - 1].is_empty:
-            shifted = levels[n - 1].shift(shifts[n - 1])
-            lam_vals = shifted.enumerate_integers(-trunc_window, trunc_window)
-            mask[np.asarray(lam_vals, dtype=np.int64) + trunc_window] = True
-        level_masks.append(mask)
+    level_masks = np.zeros((N, len(lambdas)), dtype=bool)
+    for n, level in shifted:
+        lam_vals = level.enumerate_integers(-trunc_window, trunc_window)
+        level_masks[n - 1, np.asarray(lam_vals, dtype=np.int64) + trunc_window] = True
 
     # folding weights: w[l, k] = e^{-2 pi i shifts[l] k / N}
     fold_w = np.exp(-2j * np.pi * np.outer(np.asarray(shifts), np.arange(N)) / N)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,7 @@ from rieszspectra import (
     subset_spectrum,
 )
 from rieszspectra.precision import hp_sqrt
+from test_differential import _combine_levels
 
 
 def F(n, d=1):
@@ -96,7 +98,7 @@ def test_combine_non_prime_is_the_core_with_consecutive_shifts(N, base_shift):
     lat = integer_lattice(N, 0)
     levels = [lat, lat] + [empty_spectrum()] * (N - 2)
     out = combine_level_spectra(N, levels, base_shift=base_shift)
-    core = assembly._combine_levels(N, levels, range(base_shift, N + base_shift))
+    core = _combine_levels(N, levels, range(base_shift, N + base_shift))
     assert out == core
     assert out.enumerate_integers(-60, 60) == [
         m for m in range(-60, 61) if m % N in (base_shift % N, (base_shift + 1) % N)
@@ -221,10 +223,9 @@ def test_validate_plan_rejects_perturbed_beta(name, request):
     # far below the old float tolerance, and too small to move any rounded
     # frequency in the window, so only the exact density check can see it
     eps = Fraction(1, 2**80)
-    n = plan.K + 1  # the boundary level of interval 1
-    levels = list(plan.level_spectra)
-    levels[n - 1] = _perturb_beta(levels[n - 1], eps)
-    bad = dataclasses.replace(plan, level_spectra=tuple(levels))  # lambda_ell follows
+    boundary = list(plan.boundary)
+    boundary[0] = _perturb_beta(boundary[0], eps)  # the boundary level of interval 1
+    bad = dataclasses.replace(plan, boundary=tuple(boundary))  # lambda_ell follows
     assert bad.lambda_ell[0] == _perturb_beta(plan.lambda_ell[0], eps)
     w = 2048
     assert bad.full_union().enumerate_integers(-w, w) == (
@@ -234,27 +235,17 @@ def test_validate_plan_rejects_perturbed_beta(name, request):
         assembly._validate_plan(bad)
 
 
-def _unowned_level(plan):
-    levels = list(plan.level_spectra)
-    levels[plan.K + plan.L] = integer_lattice(plan.N, 0)
-    return levels
-
-
 def _boundary_offset_two(plan):
-    levels = list(plan.level_spectra)
-    (t,) = levels[plan.K].terms
-    levels[plan.K] = Spectrum(F(1), (CosetTerm(t.modulus, 2, t.filter),))
-    return levels
+    (t,) = plan.boundary[0].terms
+    return (Spectrum(F(1), (CosetTerm(t.modulus, 2, t.filter),)),) + plan.boundary[1:]
 
 
 @pytest.mark.parametrize("edit, error, match", [
-    # a nonempty level past K + L lies in NZ but in no lambda_l
-    (_unowned_level, ConstructionError, "disagrees"),
     # the boundary level moved off NZ would meet another level's residue
     (_boundary_offset_two, LevelNotInNZ, "level 2 "),
-], ids=["unowned level", "boundary offset 2"])
+], ids=["boundary offset 2"])
 def test_validate_plan_rejects_level_table_edits(plan_l1, edit, error, match):
-    bad = dataclasses.replace(plan_l1, level_spectra=tuple(edit(plan_l1)))
+    bad = dataclasses.replace(plan_l1, boundary=edit(plan_l1))
     with pytest.raises(error, match=match):
         assembly._validate_plan(bad)
 
@@ -406,6 +397,35 @@ def test_hierarchy_json_serializes_shared_levels_once(plan_l3):
             assert len({id(d) for d in got[key]}) == len({id(o) for o in objs})
         assert len({id(o) for o in plan.a_sets}) <= 2 * 3 + 2
         assert len({id(o) for o in plan.level_spectra}) <= 3 + 2
+
+
+def test_each_level_object_is_checked_in_nz_once(plan_l3, spec_l3, monkeypatch):
+    # the build, a load and a 1-trial probe of the L=3 plan at N=1933 each
+    # decide NZ membership once per distinct nonempty level (the shared full
+    # cell and the L boundary levels), plus a load's named check of its L
+    # boundary levels: at most 2L + 1 decisions, not one per level
+    S = rs.IntervalSet.from_json(spec_l3)
+    obj = json.loads(json.dumps(plan_l3.to_json()))
+    steps = {
+        "build": lambda: construct_hierarchy_with_prime(
+            [l for l, _ in S.pieces], [r for _, r in S.pieces], 1933
+        ),
+        "from_json": lambda: rs.HierarchyPlan.from_json(obj),
+        "probe": lambda: rs.folding_probe(
+            plan_l3.N, plan_l3.S, plan_l3.level_spectra, range(1, plan_l3.N + 1), 1, seed=0
+        ),
+    }
+    calls = []
+    subset_of_lattice = Spectrum.subset_of_lattice
+    monkeypatch.setattr(
+        Spectrum, "subset_of_lattice", lambda self, N: calls.append(N) or subset_of_lattice(self, N)
+    )
+    for name, step in steps.items():
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", rs.TruncationWarning)
+            step()
+        assert 1 <= len(calls) <= 2 * plan_l3.L + 1, name
 
 
 @st.composite

@@ -3,6 +3,7 @@
 import io
 import json
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -427,6 +428,61 @@ def test_probe_folding_rejects_a_level_outside_nz(tmp_path, capsys, plan_l1):
     levels[plan_l1.K] = rs.Spectrum.from_json(obj["level_spectra"][plan_l1.K])
     with pytest.raises(rs.InvalidInput, match="not contained in 5Z"):
         rs.folding_probe(5, plan_l1.S, levels, [1, 2, 3, 4, 5], 3, 42)
+
+
+def _plan_file(tmp_path, plan) -> str:
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan.to_json()))
+    return str(path)
+
+
+def test_probe_folding_rejects_a_repeated_shift(tmp_path, capsys, plan_l1):
+    _input_error(capsys, [
+        "probe-folding", "--plan", _plan_file(tmp_path, plan_l1), "--permutation", "1,1,2,3,4",
+    ])
+
+
+def test_probe_folding_permuted_report_is_unchanged(tmp_path, capsys, plan_l1):
+    # the report of the permuted probe on the L=1 plan, frozen from the
+    # probe that shifted each level in its own mask loop
+    path = _plan_file(tmp_path, plan_l1)
+    argv = ["probe-folding", "--plan", path, "--trials", "5", "--permutation", "3,1,4,2,5"]
+    code = main(argv)
+    want = {
+        "command": "probe-folding",
+        "config": {
+            "command": "probe-folding", "permutation": "3,1,4,2,5", "plan": path,
+            "seed": 42, "trials": 5,
+        },
+        "result": {
+            "empirical_c": 0.24917699661168805,
+            "per_level_alpha": [0.19960114490730907, 0.12402696648522066],
+            "sigma_min_used": 0.9999999999999999,
+            "tail_fraction_max": 0.0018289152645499795,
+            "trials": 5,
+        },
+        "schema": "riesz-spectra/1",
+        "status": "PASS",
+        "version": "0.1.0",
+    }
+    assert code == 0
+    assert capsys.readouterr().out == json.dumps(want, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("schedule", ["0,2", "-1,2"])
+def test_nonpositive_schedule_window_is_input_error(schedule, tmp_path, capsys):
+    # Z on [0, 1): a zero window once ended in numpy warnings and an SVD
+    # failure, a negative one in a FAIL report on the window [--1.0, -1.0]
+    spec_path, set_path = tmp_path / "lattice.json", tmp_path / "unit.json"
+    spec_path.write_text(json.dumps(rs.integer_lattice().to_json()))
+    set_path.write_text(json.dumps(IntervalSet.unit().to_json()))
+    argv = ["bounds", "--spectrum", str(spec_path), "--set", str(set_path), f"--schedule={schedule}"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "input error: schedule" in captured.err and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,8 @@ replaced, lattice membership, grid cells and complement checks decided on
 terms against the window scans and midpoint scan they replaced, and the
 float-filtered Endpoint compares, floors and Avdonin roundings against
 their exact oracles (and against a forced fallback), near ties and outside
-the float64 range included.  The exact decisions
+the float64 range included, and the level combination views against the
+per-level combination loop they replaced.  The exact decisions
 (phases, Avdonin rounding, the relation scan) are also checked against the mpf evaluation
 at working precision that they replaced, and generators made and printed
 at explicit precision against the same steps in mpmath's shared context
@@ -67,15 +68,18 @@ from rieszspectra import (
     gram_matrix,
     integer_lattice,
     combine_level_spectra,
+    combine_level_spectra_permuted,
     complement_integer_spectrum,
     empty_spectrum,
     LevelNotInNZ,
+    NotPermutation,
     OverlappingTerms,
     rational_relation_probe,
     riesz_bounds_estimate,
     subset_spectrum,
 )
 from rieszspectra.minors import DEFAULT_ENUM_BUDGET, _is_prime, c_prime_bound
+from rieszspectra.spectra import _shift_levels
 from rieszspectra.precision import DEFAULT_PRECISION_BITS, ambiguity_threshold, hp_sqrt
 
 F = Fraction
@@ -929,6 +933,79 @@ def test_overlapping_terms_of_one_level_raise_when_enumerated():
     out = combine_level_spectra(3, [level, empty_spectrum(), empty_spectrum()])
     with pytest.raises(OverlappingTerms):
         out.enumerate_integers(-10, 10)
+
+
+# -- level combination vs the per-level loop it replaced ------------------------
+
+def _combine_levels(N: int, levels, shifts) -> Spectrum:
+    """Union of (level_n + shifts[n-1]) over n = 1..N, each nonempty level
+    checked against N*Z where it is met, as the combination once ran."""
+    if len(levels) != N:
+        raise InvalidInput(f"need exactly {N} level spectra")
+    terms = []
+    for n, (level, shift) in enumerate(zip(levels, shifts), start=1):
+        if level.is_empty:
+            continue
+        if not level.subset_of_lattice(N):
+            raise LevelNotInNZ(f"level {n} spectrum is not contained in {N}Z")
+        terms.extend(level.shift(shift).terms)
+    return Spectrum(F(1), tuple(terms))
+
+
+@st.composite
+def level_tables(draw):
+    """N in 1..12 and N levels drawn from a few shared objects: N*Z, a coset
+    of 2N*Z, two scaled Avdonin spectra and the empty level, with sometimes
+    one level outside N*Z (a coset off N*Z, an unscaled Avdonin spectrum,
+    or a spectrum of scale 1/2)."""
+    N = draw(st.integers(1, 12))
+    pool = [
+        integer_lattice(N, 0),
+        integer_lattice(2 * N, N),
+        avdonin_interval_spectrum(F(2, 5)).scale_integers(N),
+        avdonin_interval_spectrum(sqrt_multiple(2, F(1, 2))).scale_integers(N),
+        empty_spectrum(),
+    ]
+    levels = draw(st.lists(st.sampled_from(pool), min_size=N, max_size=N))
+    if draw(st.booleans()):
+        outside = [
+            integer_lattice(2 * N, 1),
+            avdonin_interval_spectrum(F(1, 3)),
+            integer_lattice(1, 0).dilate(F(1, 2)),
+        ]
+        levels[draw(st.integers(0, N - 1))] = draw(st.sampled_from(outside))
+    return N, levels
+
+
+def _outcome(fn, *args):
+    """The spectrum fn returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except (InvalidInput, NotPrime) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=level_tables(), base_shift=st.sampled_from([0, 1]), data=st.data())
+def test_combine_views_match_the_per_level_loop(table, base_shift, data):
+    N, levels = table
+    consecutive = range(base_shift, N + base_shift)
+    assert _outcome(combine_level_spectra, N, levels, base_shift) == _outcome(
+        _combine_levels, N, levels, consecutive
+    )
+    perm = data.draw(st.permutations(range(1, N + 1)))
+    got = _outcome(combine_level_spectra_permuted, N, levels, perm)
+    if _is_prime(N):
+        assert got == _outcome(_combine_levels, N, levels, perm)
+    else:
+        assert got[0] is NotPrime
+    # any shifts distinct mod N, as the plan, complement and probe pass them
+    shifts = [s + N * data.draw(st.integers(-2, 2)) for s in perm]
+    union = lambda: Spectrum().union(*(s for _, s in _shift_levels(N, levels, shifts)))
+    assert _outcome(union) == _outcome(_combine_levels, N, levels, shifts)
+    if _is_prime(N):
+        repeated = perm[:-1] + perm[:1]
+        assert _outcome(combine_level_spectra_permuted, N, levels, repeated)[0] is NotPermutation
 
 
 def _midpoint_cells(W: IntervalSet) -> tuple:

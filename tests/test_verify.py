@@ -11,6 +11,7 @@ from rieszspectra import (
     EmptyWindow,
     Endpoint,
     IntervalSet,
+    InvalidInput,
     InvalidSubset,
     Spectrum,
     TruncationWarning,
@@ -84,6 +85,17 @@ def test_bounds_overcomplete_fails_trend():
     assert rep.status == "FAIL_TREND"
     lows = [h[1] for h in rep.history]
     assert lows[-1] < 1e-4
+
+
+@pytest.mark.parametrize("schedule", [[0, 2], [-1, 2]])
+def test_bounds_reject_nonpositive_windows(schedule, monkeypatch):
+    # decided on the schedule alone, before any enumeration
+    def enumerate_integers(self, lo, hi):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(Spectrum, "enumerate_integers", enumerate_integers)
+    with pytest.raises(InvalidInput, match="schedule"):
+        riesz_bounds_estimate(integer_lattice(), IntervalSet.unit(), schedule)
 
 
 def test_bounds_two_coset_grid_value():
