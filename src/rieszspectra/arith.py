@@ -10,7 +10,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import IndependenceSuspect, InvalidInput, NotFound, ResourceLimit
-from .intervals import Endpoint, grid_separation_ok
+from .intervals import Endpoint, _FieldJson, _unit_chain, grid_separation_ok
 from .precision import ambiguity_threshold
 
 DEFAULT_SIEVE_BUDGET = 10**8
@@ -35,19 +35,12 @@ def primes_up_to(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> list[int]:
 
 
 @dataclass(frozen=True)
-class PrimeSearchResult:
+class PrimeSearchResult(_FieldJson):
     """Outcome of the ordering-prime scan."""
 
     N: int
     candidates_scanned: int
     ordering_witness: tuple[float, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "N": self.N,
-            "candidates_scanned": self.candidates_scanned,
-            "ordering_witness": list(self.ordering_witness),
-        }
 
 
 def interval_chain(a: Sequence, b: Sequence):
@@ -56,9 +49,8 @@ def interval_chain(a: Sequence, b: Sequence):
     b = [Endpoint.coerce(x) for x in b]
     if len(a) != len(b) or not a:
         raise InvalidInput("need equally many left and right endpoints, at least one pair")
-    chain = [Endpoint(0), *(e for pair in zip(a, b) for e in pair), Endpoint(1)]
-    if not all(p < q for p, q in zip(chain, chain[1:])):
-        raise InvalidInput("endpoints must satisfy 0 < a_1 < b_1 < ... < b_L < 1")
+    ends = (e for pair in zip(a, b) for e in pair)
+    _unit_chain(ends, "endpoints must satisfy 0 < a_1 < b_1 < ... < b_L < 1")
     return a, b
 
 

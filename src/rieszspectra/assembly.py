@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedASet,
 )
 from .intervals import Endpoint, IntervalSet, fold_pattern, geq_levels
-from .intervals import _json_array, _json_field
+from .intervals import _FieldJson, _json_array, _json_field
 from .minors import _check_permutation, _is_prime
 from .precision import DEFAULT_PRECISION_BITS, ambiguity_threshold
 from .spectra import (
@@ -145,15 +145,16 @@ class HierarchyPlan:
 
     @classmethod
     def from_json(cls, obj: dict, *, bits=DEFAULT_PRECISION_BITS) -> "HierarchyPlan":
-        """Parse a, b, the witness and the L boundary level spectra, derive
-        the rest as a build does, and require every other field of obj to
-        equal its derived JSON; the first that differs is InvalidInput
-        naming it.  A boundary beta and a witness float round forms of the
-        original endpoints that the printed decimals only approximate, so
-        they stay parsed: each boundary spectrum must lie in NZ, its float
-        density within _DENSITY_TOL of its boundary piece's measure
-        ({N b} - {N a})/N, and the witness floats within 2^-(bits/2) of the
-        chain the parsed endpoints derive."""
+        """Parse a, b (an interval chain), the witness and the L boundary
+        level spectra, derive the rest as a build does, and require every
+        other field of obj to equal its derived JSON; the first that
+        differs is InvalidInput naming it.  A boundary beta and a witness
+        float round forms of the original endpoints that the printed
+        decimals only approximate, so they stay parsed: each boundary
+        spectrum must lie in NZ, its float density within _DENSITY_TOL of
+        its boundary piece's measure ({N b} - {N a})/N, and the witness
+        floats within 2^-(bits/2) of the chain the parsed endpoints
+        derive."""
 
         def need(ok: bool, key: str, why: str, what: str = "plan") -> None:
             if not ok:
@@ -172,6 +173,10 @@ class HierarchyPlan:
         need(N >= 1, "N", "must be a positive integer", "plan witness")
         need(len(levels) == N, "level_spectra", f"must have N = {N} entries (field 'witness')")
         try:
+            interval_chain(a, b)
+        except InvalidInput as exc:
+            raise InvalidInput(f"plan field 'a' does not interleave with 'b': {exc}") from exc
+        try:
             K_ell, a_sets, betas = _geometry(N, a, b)
         except (InvalidInput, ConstructionError, DegenerateCoverage) as exc:
             raise InvalidInput(f"plan field 'N' gives no hierarchy for 'a' and 'b': {exc}") from exc
@@ -189,8 +194,12 @@ class HierarchyPlan:
         derived = plan.to_json()
         for key in ("N", "a_sets", "K_ell", "K", "level_interval", "set", "level_spectra",
                     "lambda_ell"):
-            need(_json_field(obj, key, "plan") == derived[key], key,
-                 "differs from the plan 'a', 'b', 'witness' and the boundary levels derive")
+            if _json_field(obj, key, "plan") != derived[key]:
+                why = "differs from the plan 'a', 'b', 'witness' and the boundary levels derive"
+                if obj["a"] + obj["b"] != derived["a"] + derived["b"]:
+                    why += (f"; its 'a' and 'b' decimals do not print back at {bits} bits, "
+                            "so it was written at other --precision-bits")
+                need(False, key, why)
         for n, (spec, beta) in enumerate(zip(boundary, betas), start=K + 1):
             need(abs(float(spec.density()) - float(beta * Fraction(1, N))) <= _DENSITY_TOL,
                  "level_spectra", f"entry {n} must have the density of its boundary piece")
@@ -330,7 +339,7 @@ def _validate_plan(plan: HierarchyPlan) -> None:
 
 
 @dataclass(frozen=True)
-class SubsetPlan:
+class SubsetPlan(_FieldJson):
     """Reordered level sets certifying a sub-union of the hierarchy."""
 
     J: tuple[int, ...]
@@ -340,14 +349,6 @@ class SubsetPlan:
 
     def union(self) -> Spectrum:
         return Spectrum().union(*self.omega).sorted_terms()
-
-    def to_json(self) -> dict:
-        return {
-            "J": list(self.J),
-            "K_J": self.K_J,
-            "omega": [s.to_json() for s in self.omega],
-            "shifts": list(self.shifts),
-        }
 
 
 def subset_spectrum(plan: HierarchyPlan, J: Sequence[int]) -> SubsetPlan:

@@ -22,16 +22,7 @@ from .assembly import (
     construct_hierarchy,
     subset_spectrum,
 )
-from .errors import (
-    AmbiguousEndpoint,
-    IndependenceSuspect,
-    InvalidInput,
-    InvalidSubset,
-    NotFound,
-    NotPrime,
-    ResourceLimit,
-    RieszSpectraError,
-)
+from .errors import AmbiguousEndpoint, InvalidInput, NotFound, ResourceLimit, RieszSpectraError
 from .intervals import Endpoint, IntervalSet, parse_fraction
 from .minors import chebotarev_check
 from .precision import DEFAULT_PRECISION_BITS, checked_bits, hp_sqrt
@@ -129,6 +120,12 @@ def _dump(obj, *streams) -> None:
             fh.write(block)
 
 
+def _verdict(args, payload: dict, ok: bool) -> int:
+    """Report payload as a PASS if ok, else as a FAIL, and return its exit code."""
+    _write_report(args, payload, "PASS" if ok else "FAIL")
+    return EXIT_PASS if ok else EXIT_FAIL
+
+
 def _pass_with_artifact(args, result) -> int:
     """Report result as a PASS; --out stores result alone."""
     payload = result.to_json()
@@ -173,25 +170,19 @@ def _cmd_verify(args, bits: int) -> int:
     masks = range(1, 2**L) if args.all_subsets else [2**L - 1]
     subsets = [[ell for ell in range(1, L + 1) if mask >> (ell - 1) & 1] for mask in masks]
     rows = []
-    all_ok = True
     for J in subsets:
         spec = subset_spectrum(plan, J).union()
         S_J = IntervalSet((plan.a[ell - 1], plan.b[ell - 1]) for ell in J)
         dens = density_check(spec, S_J, density_windows)
         gram = riesz_bounds_estimate(spec, S_J, schedule)
-        ok = dens.passed and gram.passed
-        all_ok = all_ok and ok
-        status = "PASS" if ok else "FAIL"
+        status = "PASS" if dens.passed and gram.passed else "FAIL"
         rows.append({"J": J, "density": dens.to_json(), "gram": gram.to_json(), "status": status})
-    _write_report(args, {"subsets": rows}, "PASS" if all_ok else "FAIL")
-    return EXIT_PASS if all_ok else EXIT_FAIL
+    return _verdict(args, {"subsets": rows}, all(row["status"] == "PASS" for row in rows))
 
 
 def _cmd_check_chebotarev(args, bits: int) -> int:
     report = chebotarev_check(args.N, args.max_size)
-    ok = report.worst_sigma > 0
-    _write_report(args, report.to_json(), "PASS" if ok else "FAIL")
-    return EXIT_PASS if ok else EXIT_FAIL
+    return _verdict(args, report.to_json(), report.worst_sigma > 0)
 
 
 def _cmd_probe_folding(args, bits: int) -> int:
@@ -201,9 +192,7 @@ def _cmd_probe_folding(args, bits: int) -> int:
     else:
         shifts = list(range(1, plan.N + 1))
     report = folding_probe(plan.N, plan.S, plan.level_spectra, shifts, args.trials, args.seed)
-    ok = report.empirical_c > 0
-    _write_report(args, report.to_json(), "PASS" if ok else "FAIL")
-    return EXIT_PASS if ok else EXIT_FAIL
+    return _verdict(args, report.to_json(), report.empirical_c > 0)
 
 
 def _parse_value_token(token: str, bits: int = DEFAULT_PRECISION_BITS) -> Endpoint:
@@ -296,24 +285,15 @@ def main(argv=None) -> int:
     except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (
-        InvalidInput,
-        InvalidSubset,
-        AmbiguousEndpoint,
-        IndependenceSuspect,
-        NotPrime,
-        ValueError,
-    ) as exc:
+    except (InvalidInput, AmbiguousEndpoint, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NotFound as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
-        _write_report(args, {"error": str(exc)}, "FAIL")
-        return EXIT_FAIL
+        return _verdict(args, {"error": str(exc)}, False)
     except RieszSpectraError as exc:
         print(f"failure: {exc}", file=sys.stderr)
-        _write_report(args, {"error": str(exc)}, "FAIL")
-        return EXIT_FAIL
+        return _verdict(args, {"error": str(exc)}, False)
 
 
 if __name__ == "__main__":

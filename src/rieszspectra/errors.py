@@ -25,7 +25,7 @@ class NotFound(RieszSpectraError):
         super().__init__(message or f"no admissible prime <= {prime_limit}")
 
 
-class IndependenceSuspect(RieszSpectraError):
+class IndependenceSuspect(InvalidInput):
     """A rational relation among the endpoint values was detected."""
 
     def __init__(self, relation, message=None):
@@ -49,7 +49,7 @@ class LevelNotInNZ(InvalidInput):
     """A level spectrum is not contained in the required lattice."""
 
 
-class NotPrime(RieszSpectraError):
+class NotPrime(InvalidInput):
     """An operation requiring a prime modulus received a composite."""
 
 
@@ -57,7 +57,7 @@ class NotPermutation(InvalidInput):
     """Shift factors do not form a permutation of 1..N."""
 
 
-class EmptySubset(RieszSpectraError):
+class EmptySubset(InvalidInput):
     """An index subset that must be nonempty was empty."""
 
 
@@ -69,7 +69,7 @@ class UnsupportedASet(RieszSpectraError):
     """A folded level set is outside the supported generator regimes."""
 
 
-class InvalidSubset(RieszSpectraError):
+class InvalidSubset(InvalidInput):
     """Coordinate subsets for the finite duality test are out of range."""
 
 

@@ -22,6 +22,7 @@ answers the same, so results and AmbiguousEndpoint are unchanged.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -106,6 +107,24 @@ def _json_field(obj, key: str, what: str, kind: type = None):
 
 def _json_array(obj, key: str, what: str) -> list:
     return _json_field(obj, key, what, list)
+
+
+def _to_json(value):
+    """value.to_json() when it has one, a tuple or list as a list of those,
+    anything else as it is."""
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    if isinstance(value, (tuple, list)):
+        return [_to_json(v) for v in value]
+    return value
+
+
+class _FieldJson:
+    """Mixin for a result dataclass whose report is its fields: to_json()
+    maps each field name, in field order, to its value's JSON."""
+
+    def to_json(self) -> dict:
+        return {f.name: _to_json(getattr(self, f.name)) for f in dataclasses.fields(self)}
 
 
 class Endpoint:
@@ -678,15 +697,21 @@ def b_exact(N: int, S: IntervalSet, n: int) -> IntervalSet:
     return IntervalSet(pairs)
 
 
+def _unit_chain(points: Iterable, message: str) -> list[Endpoint]:
+    """[0, *points, 1] as Endpoints, raising InvalidInput(message) unless it
+    is strictly increasing."""
+    chain = [Endpoint(0), *map(Endpoint.coerce, points), Endpoint(1)]
+    if not all(p < q for p, q in zip(chain, chain[1:])):
+        raise InvalidInput(message)
+    return chain
+
+
 def grid_separation_ok(N: int, endpoints: Sequence) -> bool:
     """True iff every gap between consecutive members of {0, endpoints.., 1}
     contains some k/N as an interior point."""
     if N < 1:
         raise InvalidInput("N must be a positive integer")
-    pts = [Endpoint(0), *map(Endpoint.coerce, endpoints), Endpoint(1)]
-    for p, q in zip(pts, pts[1:]):
-        if not p < q:
-            raise InvalidInput("endpoints must be strictly increasing in (0,1)")
+    pts = _unit_chain(endpoints, "endpoints must be strictly increasing in (0,1)")
     for p, q in zip(pts, pts[1:]):
         k_lo = (p * N).floor() + 1
         # k_lo/N is the smallest grid point strictly above p

@@ -10,6 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInput, NotPermutation, NotPrime, ResourceLimit
+from .intervals import _FieldJson
 
 DEFAULT_ENUM_BUDGET = 10**6
 
@@ -37,7 +38,7 @@ def _check_permutation(N: int, shifts: Sequence[int]) -> None:
 
 
 @dataclass(frozen=True)
-class MinorSpec:
+class MinorSpec(_FieldJson):
     """Row shifts and column offsets selecting a square minor mod N."""
 
     N: int
@@ -54,9 +55,6 @@ class MinorSpec:
             if any(u >= v for u, v in zip(seq, seq[1:])):
                 raise InvalidInput(f"{name} must be strictly increasing")
 
-    def to_json(self) -> dict:
-        return {"N": self.N, "rows": list(self.rows), "cols": list(self.cols)}
-
 
 def minor_matrix(spec: MinorSpec) -> np.ndarray:
     """Entries e^{-2*pi*i*rows[l]*cols[r]/N}, with the angle reduced exactly
@@ -72,17 +70,10 @@ def min_singular(spec: MinorSpec) -> float:
 
 
 @dataclass(frozen=True)
-class ChebotarevReport:
+class ChebotarevReport(_FieldJson):
     worst_spec: MinorSpec
     worst_sigma: float
     specs_checked: int
-
-    def to_json(self) -> dict:
-        return {
-            "worst_spec": self.worst_spec.to_json(),
-            "worst_sigma": self.worst_sigma,
-            "specs_checked": self.specs_checked,
-        }
 
 
 def _sigmas(rows: np.ndarray, cols: np.ndarray, N: int) -> np.ndarray:

@@ -31,7 +31,7 @@ from .errors import (
     ResourceLimit,
     TruncationWarning,
 )
-from .intervals import Endpoint, IntervalSet, fold_pattern
+from .intervals import Endpoint, IntervalSet, _FieldJson, fold_pattern
 from .minors import _check_permutation, c_prime_bound
 from .spectra import Spectrum, _shift_levels
 
@@ -141,7 +141,7 @@ def _sinc_gram(spectrum: Spectrum, S: IntervalSet, ms: np.ndarray) -> np.ndarray
 
 
 @dataclass(frozen=True)
-class GramReport:
+class GramReport(_FieldJson):
     """Riesz-bound estimates from truncated Gram matrices on a window schedule."""
 
     window: float
@@ -156,18 +156,6 @@ class GramReport:
     @property
     def passed(self) -> bool:
         return self.status == "PASS"
-
-    def to_json(self) -> dict:
-        return {
-            "window": self.window,
-            "count": self.count,
-            "lower_est": self.lower_est,
-            "upper_est": self.upper_est,
-            "history": [list(h) for h in self.history],
-            "status": self.status,
-            "last_drop": self.last_drop,
-            "decay_slope": self.decay_slope,
-        }
 
 
 def riesz_bounds_estimate(
@@ -221,17 +209,10 @@ def riesz_bounds_estimate(
 
 
 @dataclass(frozen=True)
-class DensityReport:
+class DensityReport(_FieldJson):
     rows: tuple[tuple[float, int, float, float], ...]  # (T, count, expected, residual)
     tolerance: float
     passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "rows": [list(r) for r in self.rows],
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
 
 
 def density_check(
@@ -303,7 +284,7 @@ def _draw_test_function(n: int, seed: int, trial: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FoldingReport:
+class FoldingReport(_FieldJson):
     """Empirical constants from the folding-inequality probe."""
 
     empirical_c: float
@@ -311,15 +292,6 @@ class FoldingReport:
     sigma_min_used: float
     trials: int
     tail_fraction_max: float
-
-    def to_json(self) -> dict:
-        return {
-            "empirical_c": self.empirical_c,
-            "per_level_alpha": list(self.per_level_alpha),
-            "sigma_min_used": self.sigma_min_used,
-            "trials": self.trials,
-            "tail_fraction_max": self.tail_fraction_max,
-        }
 
 
 def folding_probe(
@@ -423,19 +395,18 @@ def folding_probe(
             continue  # zero draw has no normalizable slice
         used_trials += 1
 
-        c_all = vals @ ker
-        captured = float(np.sum(np.abs(c_all) ** 2))
-        tail_max = max(tail_max, max(0.0, 1.0 - captured / norm_all))
-
         # folded values per piece: C[k, p] = f(t + k/N) on piece p
         C = np.zeros((N, n_pieces), dtype=np.complex128)
         C[cell_k_arr, cell_piece_arr] = vals
 
         for c in counts:
-            sel = cell_counts >= c
-            tail_vals = np.where(sel, vals, 0.0)
-            coeffs = tail_vals @ ker
-            energy = np.abs(coeffs) ** 2
+            # every cell has at least the least count, whose tail is all of f
+            least = c == counts[0]
+            tail_vals = vals if least else np.where(cell_counts >= c, vals, 0.0)
+            energy = np.abs(tail_vals @ ker) ** 2
+            if least:
+                captured = float(np.sum(energy))
+                tail_max = max(tail_max, max(0.0, 1.0 - captured / norm_all))
             piece_sel = piece_counts >= c
             C_tail = np.where(piece_sel[None, :], C, 0.0)
             H = fold_w @ C_tail  # h_{c, l} values per piece, rows l=1..N

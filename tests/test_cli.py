@@ -1,5 +1,6 @@
 """CLI surface: exit codes, report schema, and replay determinism."""
 
+import dataclasses
 import io
 import json
 import tracemalloc
@@ -415,6 +416,7 @@ _BAD_PLANS = {
     "N 10**9": ("N", lambda p: {"N": 10**9}),
     "boundary beta half": ("level_spectra", _half_beta_boundary),
     "boundary offset 2": ("level_spectra", _offset_two_boundary),
+    "swapped intervals": ("a", lambda p: {"a": p["b"], "b": p["a"]}),
 }
 
 
@@ -653,3 +655,141 @@ def test_non_object_field_is_input_error(kind, named, tmp_path, capsys):
     assert code == 2
     assert "input error:" in err and "Traceback" not in err
     assert str(path) in err and named in err
+
+
+def test_plan_read_at_other_precision_names_precision_bits(tmp_path, capsys, plan_l2):
+    # the error once named only the derived field 'a_sets'
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(_listed_spec(zip(plan_l2.a, plan_l2.b))))
+    plan = str(tmp_path / "plan.json")
+    assert main(["--precision-bits", "96", "construct-hierarchy", "--intervals", str(spec),
+                 "--prime-limit", "100", "--out", plan]) == 0
+    capsys.readouterr()
+    probe = ["probe-folding", "--plan", plan, "--trials", "2"]
+    code = main(["--precision-bits", "200", *probe])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert "plan field 'a_sets' differs" in err
+    assert "do not print back at 200 bits, so it was written at other --precision-bits" in err
+    assert main(["--precision-bits", "96", *probe]) == 0
+
+
+@pytest.mark.parametrize("kind", ["NotPrime", "IndependenceSuspect"])
+def test_input_error_subclass_exits_2(kind, tmp_path, capsys):
+    # the CLI's exit-2 clause names InvalidInput, not each subclass
+    if kind == "NotPrime":
+        argv = ["check-chebotarev", "--N", "8", "--max-size", "2"]
+    else:
+        path = tmp_path / "rational.json"
+        path.write_text(json.dumps(IntervalSet([(Fraction(1, 4), Fraction(3, 4))]).to_json()))
+        argv = ["construct-hierarchy", "--intervals", str(path), "--prime-limit", "100"]
+    assert issubclass(getattr(rs, kind), rs.InvalidInput)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("input error:") and "Traceback" not in captured.err
+
+
+# The hand-written to_json bodies the result dataclasses had before their
+# reports became their fields; each report must serialize to the same bytes.
+def _prime_search_json(r):
+    return {
+        "N": r.N,
+        "candidates_scanned": r.candidates_scanned,
+        "ordering_witness": list(r.ordering_witness),
+    }
+
+
+def _minor_spec_json(s):
+    return {"N": s.N, "rows": list(s.rows), "cols": list(s.cols)}
+
+
+def _chebotarev_json(r):
+    return {
+        "worst_spec": _minor_spec_json(r.worst_spec),
+        "worst_sigma": r.worst_sigma,
+        "specs_checked": r.specs_checked,
+    }
+
+
+def _gram_json(r):
+    return {
+        "window": r.window,
+        "count": r.count,
+        "lower_est": r.lower_est,
+        "upper_est": r.upper_est,
+        "history": [list(h) for h in r.history],
+        "status": r.status,
+        "last_drop": r.last_drop,
+        "decay_slope": r.decay_slope,
+    }
+
+
+def _density_json(r):
+    return {"rows": [list(row) for row in r.rows], "tolerance": r.tolerance, "passed": r.passed}
+
+
+def _folding_json(r):
+    return {
+        "empirical_c": r.empirical_c,
+        "per_level_alpha": list(r.per_level_alpha),
+        "sigma_min_used": r.sigma_min_used,
+        "trials": r.trials,
+        "tail_fraction_max": r.tail_fraction_max,
+    }
+
+
+def _subset_json(p):
+    return {
+        "J": list(p.J),
+        "K_J": p.K_J,
+        "omega": [s.to_json() for s in p.omega],
+        "shifts": list(p.shifts),
+    }
+
+
+def _verify_row(plan, J, schedule):
+    """The density and Gram reports of verify's row for the sub-union J."""
+    spec = rs.subset_spectrum(plan, J).union()
+    S_J = IntervalSet((plan.a[ell - 1], plan.b[ell - 1]) for ell in J)
+    windows = [schedule[-1] * m for m in (1, 2, 4)]
+    return rs.density_check(spec, S_J, windows), rs.riesz_bounds_estimate(spec, S_J, schedule)
+
+
+def _reports(plan_l1, plan_l2):
+    """(report, its old to_json body) on real fixtures: verify rows passing
+    and failing the trend (a one-window schedule has no last drop or
+    slope), an L=1 probe, a Chebotarev check, a witness and a sub-union
+    plan."""
+    out = []
+    for plan, J, schedule in ((plan_l1, [1], [128, 256]), (plan_l1, [1], [1, 2]),
+                              (plan_l1, [1], [8]), (plan_l2, [1, 2], [128, 256]),
+                              (plan_l2, [2], [128, 256])):
+        dens, gram = _verify_row(plan, J, schedule)
+        out += [(dens, _density_json), (gram, _gram_json)]
+    probe = rs.folding_probe(5, plan_l1.S, plan_l1.level_spectra, [1, 2, 3, 4, 5], 3, 42)
+    cheb = rs.chebotarev_check(7, 3)
+    return out + [
+        (probe, _folding_json),
+        (cheb, _chebotarev_json),
+        (cheb.worst_spec, _minor_spec_json),
+        (plan_l2.witness, _prime_search_json),
+        (rs.subset_spectrum(plan_l2, [1, 2]), _subset_json),
+    ]
+
+
+def test_result_reports_are_their_fields(plan_l1, plan_l2):
+    reports = _reports(plan_l1, plan_l2)
+    assert {type(r).__name__ for r, _ in reports} == {
+        "DensityReport", "GramReport", "FoldingReport", "ChebotarevReport", "MinorSpec",
+        "PrimeSearchResult", "SubsetPlan",
+    }
+    assert {r.status for r, _ in reports if type(r).__name__ == "GramReport"} == {
+        "PASS", "FAIL_TREND",
+    }
+    assert any(r.to_json()["decay_slope"] is None for r, _ in reports if hasattr(r, "decay_slope"))
+    for report, old in reports:
+        assert "to_json" not in type(report).__dict__
+        got = report.to_json()
+        assert json.dumps(got) == json.dumps(old(report))
+        assert list(got) == [f.name for f in dataclasses.fields(report)]
