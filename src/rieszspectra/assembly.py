@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedASet,
 )
 from .intervals import Endpoint, IntervalSet, fold_pattern, geq_levels
-from .intervals import _FieldJson, _json_array, _json_field
+from .intervals import _FieldJson, _json_array, _json_field, _to_json
 from .minors import _check_permutation, _is_prime
 from .precision import DEFAULT_PRECISION_BITS, ambiguity_threshold
 from .spectra import (
@@ -134,8 +134,8 @@ class HierarchyPlan:
             "a": [e.to_json() for e in self.a],
             "b": [e.to_json() for e in self.b],
             "set": self.S.to_json(),
-            "a_sets": _shared_json(self.a_sets),
-            "level_spectra": _shared_json(self.level_spectra),
+            "a_sets": _to_json(self.a_sets),
+            "level_spectra": _to_json(self.level_spectra),
             "level_interval": list(self.level_interval),
             "K_ell": list(self.K_ell),
             "K": self.K,
@@ -212,17 +212,6 @@ class HierarchyPlan:
         return plan
 
 
-def _shared_json(objs: Sequence) -> list[dict]:
-    """[o.to_json() for o in objs], serializing each distinct object once.
-
-    The N levels of a plan share a few objects, so entries for one object
-    share one dict; callers must not mutate the result.
-    """
-    ids = list(map(id, objs))
-    memo = {k: o.to_json() for k, o in dict(zip(ids, objs)).items()}
-    return list(map(memo.__getitem__, ids))
-
-
 def _level_owners(N: int, K_ell: Sequence[int]) -> tuple[Optional[int], ...]:
     """The 1-based interval owning each level 1..N: K_ell[0] full cells of
     interval 1, K_ell[1] of interval 2, ..., then the boundary piece of each
@@ -230,44 +219,6 @@ def _level_owners(N: int, K_ell: Sequence[int]) -> tuple[Optional[int], ...]:
     owners = [ell for ell, K_l in enumerate(K_ell, start=1) for _ in range(K_l)]
     owners += range(1, len(K_ell) + 1)
     return tuple(owners + [None] * (N - len(owners)))
-
-
-def _fiber_levels(N: int, S: IntervalSet):
-    """The N fiber-count sets of S and its full-cell count, the smallest
-    fiber count: exactly the levels 1..K are the whole cell [0, 1/N)."""
-    pattern = fold_pattern(N, S)
-    return tuple(geq_levels(N, pattern)), min(len(ks) for _, _, ks in pattern)
-
-
-def _level_pattern(N: int, a: Sequence, b: Sequence, ells: Sequence[int], K: int):
-    """Fiber-count sets of the union of the intervals ells (1-based), checked
-    against the hierarchy pattern: K full cells, then the boundary piece
-    [{N a}/N, {N b}/N) of each interval in order, then empty levels.
-
-    Returns the N sets and the boundary widths {N b} - {N a}.
-    """
-    S = IntervalSet((a[ell - 1], b[ell - 1]) for ell in ells)
-    a_sets, K_S = _fiber_levels(N, S)
-    if K_S != K:
-        raise DegenerateCoverage(
-            f"full-cell count mismatch at N={N}: pattern gives {K_S}, intervals give {K}"
-        )
-    if K + len(ells) > N:
-        raise ConstructionError("level pattern exceeds N levels")
-    cell = Fraction(1, N)
-    betas = []
-    for n, ell in enumerate(ells, start=K + 1):
-        fa = (a[ell - 1] * N).frac()
-        fb = (b[ell - 1] * N).frac()
-        if a_sets[n - 1] != IntervalSet([(fa * cell, fb * cell)]):
-            raise ConstructionError(
-                f"level {n} does not match the boundary piece of interval {ell}"
-            )
-        betas.append(fb - fa)
-    n = K + len(ells) + 1
-    if n <= N and not a_sets[n - 1].is_empty:
-        raise ConstructionError(f"level {n} should be empty")
-    return a_sets, betas
 
 
 def construct_hierarchy(
@@ -303,20 +254,47 @@ def construct_hierarchy_with_prime(a: Sequence, b: Sequence, N: int) -> Hierarch
     return _build_plan(witness, a, b)
 
 
-def _geometry(N: int, a: Sequence[Endpoint], b: Sequence[Endpoint]):
-    """What N, a and b determine: K_ell, the N fiber-count sets of the union
-    of the intervals [a_l, b_l) and the boundary widths {N b_l} - {N a_l}."""
+def _geometry(N: int, a: Sequence, b: Sequence, ells: Optional[Sequence[int]] = None):
+    """What N determines for the intervals [a_l, b_l), l in ells (1-based,
+    ascending; default all): K_ell, the N fiber-count sets of their union,
+    checked against the hierarchy pattern (K full cells, then the boundary
+    piece [{N a_l}/N, {N b_l}/N) of each interval in order, then empty
+    levels), and the boundary widths {N b_l} - {N a_l}."""
+    ells = range(1, len(a) + 1) if ells is None else ells
+    pairs = [(a[ell - 1], b[ell - 1]) for ell in ells]
     # per-interval full-cell counts: interior cells plus the one cell's worth
     # contributed jointly by the two boundary fragments
     K_ell = []
-    for x, y in zip(a, b):
+    for x, y in pairs:
         interior = (y * N).floor() - (x * N).ceil()
         if interior < 0:
             raise DegenerateCoverage(
                 f"interval [{float(x):.6g},{float(y):.6g}) spans no grid point at N={N}"
             )
         K_ell.append(interior + 1)
-    a_sets, betas = _level_pattern(N, a, b, range(1, len(a) + 1), sum(K_ell))
+    K = sum(K_ell)
+    pattern = fold_pattern(N, IntervalSet(pairs))
+    a_sets = tuple(geq_levels(N, pattern))
+    # exactly the levels 1..K_S are the whole cell [0, 1/N)
+    K_S = min(len(ks) for _, _, ks in pattern)
+    if K_S != K:
+        raise DegenerateCoverage(
+            f"full-cell count mismatch at N={N}: pattern gives {K_S}, intervals give {K}"
+        )
+    if K + len(ells) > N:
+        raise ConstructionError("level pattern exceeds N levels")
+    cell = Fraction(1, N)
+    betas = []
+    for n, (ell, (x, y)) in enumerate(zip(ells, pairs), start=K + 1):
+        fa, fb = (x * N).frac(), (y * N).frac()
+        if a_sets[n - 1] != IntervalSet([(fa * cell, fb * cell)]):
+            raise ConstructionError(
+                f"level {n} does not match the boundary piece of interval {ell}"
+            )
+        betas.append(fb - fa)
+    n = K + len(ells) + 1
+    if n <= N and not a_sets[n - 1].is_empty:
+        raise ConstructionError(f"level {n} should be empty")
     return tuple(K_ell), a_sets, betas
 
 
@@ -365,13 +343,12 @@ def subset_spectrum(plan: HierarchyPlan, J: Sequence[int]) -> SubsetPlan:
         raise EmptySubset("J must be nonempty")
     if any(not 1 <= ell <= plan.L for ell in J):
         raise InvalidInput(f"J must be a subset of 1..{plan.L}")
-    N = plan.N
-    K_J = sum(plan.K_ell[ell - 1] for ell in J)
     owned = [entry for entry in plan._shifted_levels if entry[0] in J]
     omega, shifts = tuple(s for _, _, s in owned), tuple(n for _, n, _ in owned)
 
     # independent recomputation of the fiber-count sets of the sub-union
-    levels_J, _ = _level_pattern(N, plan.a, plan.b, J, K_J)
+    K_ell, levels_J, _ = _geometry(plan.N, plan.a, plan.b, J)
+    K_J = sum(K_ell)
     for spec, target in zip(omega[K_J:], levels_J[K_J:]):
         # fractional levels must carry the generator of the right density
         dens = spec.density()
@@ -383,28 +360,19 @@ def subset_spectrum(plan: HierarchyPlan, J: Sequence[int]) -> SubsetPlan:
 
 
 @dataclass(frozen=True)
-class ComplementResult:
+class ComplementResult(_FieldJson):
     """Output of the integer-spectrum complementation."""
 
     N: int
     M: int
     lambda_prime: Spectrum           # scale 1/N, disjoint from Z
     level_spectra: tuple[Spectrum, ...]  # subsets of N*Z per level, pre-dilation
-    S: IntervalSet                   # the scaled working set (V / N)
+    S: IntervalSet = field(metadata={"json": "set"})  # the scaled working set (V / N)
 
     def full_spectrum(self) -> Spectrum:
         """Z union lambda_prime, as one scale-1/N spectrum."""
         zterm = integer_lattice(self.N, 0).dilate(Fraction(1, self.N))
         return zterm.union(self.lambda_prime).sorted_terms()
-
-    def to_json(self) -> dict:
-        return {
-            "N": self.N,
-            "M": self.M,
-            "lambda_prime": self.lambda_prime.to_json(),
-            "level_spectra": _shared_json(self.level_spectra),
-            "set": self.S.to_json(),
-        }
 
 
 def _level_spectrum_for(N: int, level_set: IntervalSet) -> Spectrum:
@@ -461,7 +429,8 @@ def complement_integer_spectrum(N: int, a: Sequence, b: Sequence) -> ComplementR
     pairs = [(Endpoint(0), Endpoint(1))] + list(zip(a, b))
     S = IntervalSet((l * inv, r * inv) for l, r in pairs)
 
-    a_sets, M = _fiber_levels(N, S)
+    pattern = fold_pattern(N, S)
+    a_sets, M = geq_levels(N, pattern), min(len(ks) for _, _, ks in pattern)
     if M < 1:
         raise ConstructionError("the unit interval must fill the first level")
 

@@ -111,20 +111,30 @@ def _json_array(obj, key: str, what: str) -> list:
 
 def _to_json(value):
     """value.to_json() when it has one, a tuple or list as a list of those,
-    anything else as it is."""
+    anything else as it is.
+
+    Entries of a list that are one object share one JSON value (the N
+    levels of a plan are a few objects), so callers must not mutate it.
+    """
     if hasattr(value, "to_json"):
         return value.to_json()
     if isinstance(value, (tuple, list)):
-        return [_to_json(v) for v in value]
+        ids = list(map(id, value))
+        memo = {k: _to_json(v) for k, v in dict(zip(ids, value)).items()}
+        return list(map(memo.__getitem__, ids))
     return value
 
 
 class _FieldJson:
     """Mixin for a result dataclass whose report is its fields: to_json()
-    maps each field name, in field order, to its value's JSON."""
+    maps each field, in field order, to its value's JSON, under the key
+    metadata["json"] when the field has one, else under its name."""
 
     def to_json(self) -> dict:
-        return {f.name: _to_json(getattr(self, f.name)) for f in dataclasses.fields(self)}
+        return {
+            f.metadata.get("json", f.name): _to_json(getattr(self, f.name))
+            for f in dataclasses.fields(self)
+        }
 
 
 class Endpoint:

@@ -78,18 +78,10 @@ class ChebotarevReport(_FieldJson):
 
 def _sigmas(rows: np.ndarray, cols: np.ndarray, N: int) -> np.ndarray:
     """Minimal singular values of the minors [e^{-2*pi*i*a*b/N}], a in
-    rows[k], b in cols[k], for int64 arrays rows and cols of shape (K, n).
-    Minors with the same reduced exponents are the same float matrix, so
-    when those exponents fit one int64 key each distinct matrix is
-    decomposed once (size 1 has only N of them among N^2 minors)."""
+    rows[k], b in cols[k], for int64 arrays rows and cols of shape (K, n)."""
     prod = rows[:, :, None] * cols[:, None, :]
-    n, inverse = rows.shape[1], slice(None)
-    if N ** (n * n) < 2**63:
-        key = (prod % N).reshape(len(prod), -1) @ N ** np.arange(n * n, dtype=np.int64)
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        prod = prod[first]
     mats = np.exp(-2j * np.pi * (prod % N) / N)
-    return np.linalg.svd(mats, compute_uv=False)[..., -1][inverse]
+    return np.linalg.svd(mats, compute_uv=False)[..., -1]
 
 
 def _translation_class(S, N: int) -> tuple[int, ...]:

@@ -91,6 +91,15 @@ class AvdoninFilter:
                 out.append(r + self.phase)
         return out
 
+    def _count_in(self, lo: Fraction, hi: Fraction) -> int:
+        """len(self.elements_in(lo, hi)) whenever that does not raise, in
+        O(1): round_half_up(n/beta) is an integer of [lo - phase, hi -
+        phase], that is of [r_lo, r_hi], exactly for n in [beta*(r_lo -
+        1/2), beta*(r_hi + 1/2)), beta at its exact value."""
+        beta = self.beta.exact()
+        r_lo, r_hi = math.ceil(lo - self.phase), math.floor(hi - self.phase)
+        return max(0, math.ceil(beta * (r_hi + _HALF)) - math.ceil(beta * (r_lo - _HALF)))
+
     def to_json(self) -> dict:
         q = self.beta.rational
         beta = f"{q.numerator}/{q.denominator}" if self.beta.is_rational else self.beta.decimal()
@@ -121,6 +130,14 @@ class CosetTerm:
                 for k in range(math.ceil(k_lo), math.floor(k_hi) + 1)
             ]
         return [M * r + j for r in self.filter.elements_in(k_lo, k_hi)]
+
+    def _count_in(self, lo: Fraction, hi: Fraction) -> int:
+        """len(self.integers_in(lo, hi)) whenever that does not raise."""
+        M, j = self.modulus, self.offset
+        k_lo, k_hi = Fraction(lo - j, M), Fraction(hi - j, M)
+        if self.filter is None:
+            return max(0, math.floor(k_hi) - math.ceil(k_lo) + 1)
+        return self.filter._count_in(k_lo, k_hi)
 
     def to_json(self) -> dict:
         filt = "all" if self.filter is None else self.filter.to_json()

@@ -42,11 +42,23 @@ TAIL_THRESHOLD = 0.01
 _KER_ROWS = 256  # folding-probe kernel rows computed at once
 
 
-def _window_integers(spectrum: Spectrum, S: IntervalSet, T) -> np.ndarray:
-    """Underlying integers m of the spectrum with |scale*m| <= T, ascending."""
+def _window_integers(spectrum: Spectrum, S: IntervalSet, T, itemsize: int = 16) -> np.ndarray:
+    """Underlying integers m of the spectrum with |scale*m| <= T, ascending.
+
+    Raises ResourceLimit, before enumerating them, when a dense matrix of
+    itemsize-byte entries over them would exceed DENSE_GRAM_BYTES; the terms
+    count them exactly, each in O(1).
+    """
     if S.is_empty:
         raise InvalidInput("S must have positive measure")
     bound = Fraction(T) / spectrum.scale
+    n = sum(t._count_in(-bound, bound) for t in spectrum.terms)
+    nbytes = n * n * itemsize
+    if nbytes > DENSE_GRAM_BYTES:
+        raise ResourceLimit(
+            f"dense Gram matrix of n={n} needs {nbytes} bytes, "
+            f"over the limit of {DENSE_GRAM_BYTES}"
+        )
     return np.asarray(spectrum.enumerate_integers(-bound, bound), dtype=np.int64)
 
 
@@ -62,16 +74,8 @@ def _window_slice(spectrum: Spectrum, ms: np.ndarray, T) -> slice:
 def _toeplitz(sym: np.ndarray, ms: np.ndarray) -> np.ndarray:
     """M[i, j] = sym[m_i - m_j], with sym[-d] = conj(sym[d]) for d > 0.
 
-    sym holds d = 0..ms[-1] - ms[0].  Raises ResourceLimit before any n x n
-    allocation when M would exceed DENSE_GRAM_BYTES.
+    sym holds d = 0..ms[-1] - ms[0]; _window_integers has checked the size.
     """
-    n = len(ms)
-    nbytes = n * n * sym.itemsize
-    if nbytes > DENSE_GRAM_BYTES:
-        raise ResourceLimit(
-            f"dense Gram matrix of n={n} needs {nbytes} bytes, "
-            f"over the limit of {DENSE_GRAM_BYTES}"
-        )
     signed = np.concatenate((np.conj(sym[:0:-1]), sym))
     return signed[np.subtract.outer(ms, ms) + (len(sym) - 1)]
 
@@ -175,9 +179,9 @@ def riesz_bounds_estimate(
         Fraction(t2) <= Fraction(t1) for t1, t2 in zip(schedule, schedule[1:])
     ):
         raise InvalidInput("schedule must be nonempty, positive and strictly increasing")
-    ms = _window_integers(spectrum, S, schedule[-1])
+    gram, itemsize = (_sinc_gram, 8) if len(S.pieces) == 1 else (_complex_gram, 16)
+    ms = _window_integers(spectrum, S, schedule[-1], itemsize)
     blocks = [_window_slice(spectrum, ms, T) for T in schedule]
-    gram = _sinc_gram if len(S.pieces) == 1 else _complex_gram
     G = gram(spectrum, S, ms)
     history = []
     for T, block in zip(schedule, blocks):

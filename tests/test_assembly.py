@@ -618,7 +618,8 @@ def test_complement_certifies_each_distinct_level_set_once(monkeypatch, sq):
     assert res.M == 1 and res.level_spectra[1] is res.level_spectra[2]
     monkeypatch.undo()
     # the level-by-level derivation it replaced
-    a_sets, M = assembly._fiber_levels(3, res.S)
+    a_sets = rs.a_geq_all(3, res.S)
+    M = min(len(ks) for _, _, ks in rs.fold_pattern(3, res.S))
     levels = [integer_lattice(3, 0)] * M + [assembly._level_spectrum_for(3, s) for s in a_sets[M:]]
     oracle = dict(res.to_json(), level_spectra=[s.to_json() for s in levels])
     assert json.dumps(res.to_json()) == json.dumps(oracle)

@@ -12,7 +12,9 @@ terms against the window scans and midpoint scan they replaced, and the
 float-filtered Endpoint compares, floors and Avdonin roundings against
 their exact oracles (and against a forced fallback), near ties and outside
 the float64 range included, and the level combination views against the
-per-level combination loop they replaced.  The exact decisions
+per-level combination loop they replaced, the one level-table derivation
+of every interval subset and its shared JSON against the helpers it
+replaced, and the per-term window count against enumeration.  The exact decisions
 (phases, Avdonin rounding, the relation scan) are also checked against the mpf evaluation
 at working precision that they replaced, and generators made and printed
 at explicit precision against the same steps in mpmath's shared context
@@ -22,10 +24,15 @@ import contextlib
 import itertools
 import json
 import math
+import os
 import random
+import resource
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -33,6 +40,7 @@ import pytest
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
+import rieszspectra
 import rieszspectra.assembly as assembly
 import rieszspectra.intervals as intervals
 import rieszspectra.verify as verify
@@ -47,7 +55,9 @@ from rieszspectra import (
     HierarchyPlan,
     AvdoninFilter,
     ChebotarevReport,
+    ConstructionError,
     CosetTerm,
+    DegenerateCoverage,
     EmptyWindow,
     Endpoint,
     a_exact,
@@ -59,6 +69,7 @@ from rieszspectra import (
     MinorSpec,
     NotPrime,
     ResourceLimit,
+    RieszSpectraError,
     Spectrum,
     TruncationWarning,
     avdonin_interval_spectrum,
@@ -70,6 +81,7 @@ from rieszspectra import (
     combine_level_spectra,
     combine_level_spectra_permuted,
     complement_integer_spectrum,
+    construct_hierarchy_with_prime,
     empty_spectrum,
     LevelNotInNZ,
     NotPermutation,
@@ -1405,3 +1417,213 @@ def test_probe_kernel_blocks_match_per_level():
     args = (N, IntervalSet.unit(), [integer_lattice(N)] * N, list(range(1, N + 1)), 1, 0)
     got = _probe_with_warnings(verify.folding_probe, *args)
     assert got == _probe_with_warnings(_per_level_folding_probe, *args)
+
+
+# -- level tables: one derivation and one writer vs the helpers they replaced
+
+def _level_pattern(N, a, b, ells, K):
+    """The deleted assembly._level_pattern, its _fiber_levels inlined:
+    the fiber-count sets of the union of the intervals ells, checked against
+    K full cells, the boundary pieces in order, then empty levels."""
+    S = IntervalSet((a[ell - 1], b[ell - 1]) for ell in ells)
+    pattern = fold_pattern(N, S)
+    a_sets, K_S = tuple(intervals.geq_levels(N, pattern)), min(len(ks) for _, _, ks in pattern)
+    if K_S != K:
+        raise DegenerateCoverage(
+            f"full-cell count mismatch at N={N}: pattern gives {K_S}, intervals give {K}"
+        )
+    if K + len(ells) > N:
+        raise ConstructionError("level pattern exceeds N levels")
+    cell = Fraction(1, N)
+    betas = []
+    for n, ell in enumerate(ells, start=K + 1):
+        fa = (a[ell - 1] * N).frac()
+        fb = (b[ell - 1] * N).frac()
+        if a_sets[n - 1] != IntervalSet([(fa * cell, fb * cell)]):
+            raise ConstructionError(
+                f"level {n} does not match the boundary piece of interval {ell}"
+            )
+        betas.append(fb - fa)
+    n = K + len(ells) + 1
+    if n <= N and not a_sets[n - 1].is_empty:
+        raise ConstructionError(f"level {n} should be empty")
+    return a_sets, betas
+
+
+def _geometry_oracle(N, a, b, ells):
+    """The two steps _geometry replaced: the full-cell count of each
+    interval in ells, then _level_pattern of their union."""
+    K_ell = []
+    for ell in ells:
+        x, y = a[ell - 1], b[ell - 1]
+        interior = (y * N).floor() - (x * N).ceil()
+        if interior < 0:
+            raise DegenerateCoverage(
+                f"interval [{float(x):.6g},{float(y):.6g}) spans no grid point at N={N}"
+            )
+        K_ell.append(interior + 1)
+    a_sets, betas = _level_pattern(N, a, b, ells, sum(K_ell))
+    return tuple(K_ell), a_sets, betas
+
+
+def _result_or_error(fn, *args):
+    """fn(*args), or the type and message of the package error it raises."""
+    try:
+        return fn(*args)
+    except RieszSpectraError as exc:
+        return type(exc), str(exc)
+
+
+def _subsets(L):
+    return [list(J) for r in range(1, L + 1) for J in combinations(range(1, L + 1), r)]
+
+
+@pytest.mark.parametrize("name", ["plan_l1", "plan_l2", "plan_l3"])
+def test_geometry_of_every_subset_matches_level_pattern(name, request):
+    plan = request.getfixturevalue(name)
+    N, a, b = plan.N, plan.a, plan.b
+    for J in _subsets(plan.L):
+        got = assembly._geometry(N, a, b, J)
+        assert got == _geometry_oracle(N, a, b, J)
+        assert got[0] == tuple(plan.K_ell[ell - 1] for ell in J)
+        assert subset_spectrum(plan, J).K_J == sum(got[0])
+    assert assembly._geometry(N, a, b) == _geometry_oracle(N, a, b, range(1, plan.L + 1))
+
+
+def test_geometry_matches_level_pattern_at_non_ordering_primes(plan_l1, plan_l2, monkeypatch):
+    seen = set()
+    for plan in (plan_l1, plan_l2):
+        a, b = plan.a, plan.b
+        for N in filter(_is_prime, range(2, 80)):
+            for J in _subsets(plan.L):
+                got = _result_or_error(assembly._geometry, N, a, b, J)
+                assert got == _result_or_error(_geometry_oracle, N, a, b, J)
+            build = lambda: construct_hierarchy_with_prime(a, b, N).to_json()  # noqa: E731
+            got = _result_or_error(build)
+            with monkeypatch.context() as mp:
+                mp.setattr(assembly, "_geometry", lambda N, a, b: _geometry_oracle(
+                    N, a, b, range(1, len(a) + 1)
+                ))
+                assert got == _result_or_error(build)
+            seen.add(got[0] if isinstance(got, tuple) else dict)
+    # the plans, both DegenerateCoverage messages, a boundary-piece mismatch
+    # and a reversed boundary piece all occur
+    assert seen == {dict, DegenerateCoverage, ConstructionError, InvalidInput}
+
+
+def _shared_json(objs):
+    """The deleted assembly._shared_json."""
+    ids = list(map(id, objs))
+    memo = {k: o.to_json() for k, o in dict(zip(ids, objs)).items()}
+    return list(map(memo.__getitem__, ids))
+
+
+def _plan_json(plan):
+    """HierarchyPlan.to_json as written before its tables went through
+    intervals._to_json."""
+    return {
+        "N": plan.N,
+        "a": [e.to_json() for e in plan.a],
+        "b": [e.to_json() for e in plan.b],
+        "set": plan.S.to_json(),
+        "a_sets": _shared_json(plan.a_sets),
+        "level_spectra": _shared_json(plan.level_spectra),
+        "level_interval": list(plan.level_interval),
+        "K_ell": list(plan.K_ell),
+        "K": plan.K,
+        "lambda_ell": [s.to_json() for s in plan.lambda_ell],
+        "witness": plan.witness.to_json(),
+    }
+
+
+def _complement_json(res):
+    """The deleted ComplementResult.to_json."""
+    return {
+        "N": res.N,
+        "M": res.M,
+        "lambda_prime": res.lambda_prime.to_json(),
+        "level_spectra": _shared_json(res.level_spectra),
+        "set": res.S.to_json(),
+    }
+
+
+def _shared_like(got, objs) -> bool:
+    """got[i] is got[j] exactly when objs[i] is objs[j]."""
+    pairs = {(id(o), id(d)) for o, d in zip(objs, got)}
+    return len(got) == len(objs) and len(pairs) == len(set(map(id, objs))) == len(set(map(id, got)))
+
+
+def test_level_tables_serialize_as_the_shared_writer_did(plan_l1, plan_l2, plan_l3):
+    for plan in (plan_l1, plan_l2, plan_l3):
+        got = plan.to_json()
+        assert json.dumps(got) == json.dumps(_plan_json(plan))
+        for key in ("a_sets", "level_spectra"):
+            assert _shared_like(got[key], getattr(plan, key))
+    assert len(set(map(id, plan_l3.to_json()["level_spectra"]))) == 5
+    for N, a, b in _complement_cases(plan_l2):
+        res = complement_integer_spectrum(N, a, b)
+        got = res.to_json()
+        assert json.dumps(got) == json.dumps(_complement_json(res))
+        assert _shared_like(got["level_spectra"], res.level_spectra)
+    assert "to_json" not in vars(type(res))
+
+
+# -- the window count that refuses an oversized Gram window -------------------
+
+@st.composite
+def coset_terms(draw):
+    M = draw(st.integers(1, 12))
+    filt = None
+    if draw(st.booleans()):
+        if draw(st.booleans()):
+            beta = Endpoint(F(draw(st.integers(1, 63)), 64))
+        else:
+            beta = draw(irrational_betas())
+        filt = AvdoninFilter(beta=beta, phase=draw(st.integers(-5, 5)))
+    return CosetTerm(M, draw(st.integers(0, M - 1)), filt)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    term=coset_terms(),
+    lo=st.fractions(-300, 300, max_denominator=12),
+    width=st.fractions(-2, 300, max_denominator=12),
+)
+def test_window_count_matches_enumeration(term, lo, width):
+    try:
+        want = len(term.integers_in(lo, lo + width))
+    except AmbiguousEndpoint:
+        reject()
+    assert term._count_in(lo, lo + width) == want
+
+
+def _run_capped(tmp_path, *argv):
+    """The CLI in a child process whose address space is capped at 1 GiB."""
+    src = str(Path(rieszspectra.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "rieszspectra.cli", *argv],
+        cwd=tmp_path, env=env, preexec_fn=cap, capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.mark.parametrize("command", ["bounds", "verify"])
+def test_oversized_window_is_refused_before_enumeration(command, plan_l1, tmp_path):
+    # 10^8 windows hold 2*10^8 + 1 frequencies of Z and about 6*10^7 of the
+    # L=1 plan: enumerating them alone exceeds the cap
+    if command == "bounds":
+        (tmp_path / "z.json").write_text(json.dumps(integer_lattice().to_json()))
+        (tmp_path / "s.json").write_text(json.dumps(IntervalSet.unit().to_json()))
+        argv = ["bounds", "--spectrum", "z.json", "--set", "s.json"]
+    else:
+        (tmp_path / "plan.json").write_text(json.dumps(plan_l1.to_json()))
+        argv = ["verify", "--plan", "plan.json"]
+    proc = _run_capped(tmp_path, *argv, "--schedule", "100000000")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("resource limit: dense Gram matrix of n=")
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
