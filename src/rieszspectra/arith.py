@@ -19,19 +19,36 @@ DEFAULT_BOX_BUDGET = 10**7
 RELATION_MAX_COEFF = 10  # max-norm of the integer relations the scans rule out
 
 
-def primes_up_to(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> list[int]:
-    """All primes <= limit, ascending (classic byte sieve)."""
+def _check_sieve_limit(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> None:
     if limit < 2:
         raise InvalidInput("limit must be at least 2")
     if limit > budget:
         raise ResourceLimit(f"sieve limit {limit} exceeds budget {budget}")
+
+
+def primes_up_to(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> list[int]:
+    """All primes <= limit, ascending (classic byte sieve)."""
+    _check_sieve_limit(limit, budget)
     sieve = bytearray(b"\x01") * (limit + 1)
     sieve[:2] = b"\x00\x00"
     for p in range(2, int(limit**0.5) + 1):
         if sieve[p]:
             start = p * p
             sieve[start : limit + 1 : p] = b"\x00" * ((limit - start) // p + 1)
-    return [i for i, flag in enumerate(sieve) if flag]
+    return list(itertools.compress(range(limit + 1), sieve))
+
+
+def _staged_primes(limit: int) -> Iterator[int]:
+    """The primes of primes_up_to(limit), in order, from sieves to 2^10,
+    2^13, ... capped at limit, so a scan that stops early sieves no further
+    than 2^10 or 8 times its last prime.  The limit is checked on the first
+    next()."""
+    _check_sieve_limit(limit)
+    done, stage = 1, 2**10
+    while done < limit:
+        stage = min(stage, limit)
+        yield from (p for p in primes_up_to(stage) if p > done)
+        done, stage = stage, stage * 8
 
 
 @dataclass(frozen=True)
@@ -77,7 +94,7 @@ def ordering_primes(
             raise IndependenceSuspect(relation)
     endpoints = [e for pair in zip(a, b) for e in pair]
     scanned = 0
-    for N in primes_up_to(prime_limit):
+    for N in _staged_primes(prime_limit):
         scanned += 1
         if N < 2 * L + 1:
             continue

@@ -12,6 +12,7 @@ import argparse
 import itertools
 import json
 import sys
+import warnings
 from fractions import Fraction
 
 from . import __version__
@@ -278,24 +279,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """A warning as one stderr line, without the source path and line that
+    differ between checkouts."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        bits = args.precision_bits
-        return args.func(args, checked_bits(DEFAULT_PRECISION_BITS if bits is None else bits))
-    except ResourceLimit as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (InvalidInput, AmbiguousEndpoint, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except NotFound as exc:
-        print(f"construction failed: {exc}", file=sys.stderr)
-        return _verdict(args, {"error": str(exc)}, False)
-    except RieszSpectraError as exc:
-        print(f"failure: {exc}", file=sys.stderr)
-        return _verdict(args, {"error": str(exc)}, False)
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            bits = args.precision_bits
+            return args.func(args, checked_bits(DEFAULT_PRECISION_BITS if bits is None else bits))
+        except ResourceLimit as exc:
+            print(f"resource limit: {exc}", file=sys.stderr)
+            return EXIT_RESOURCE
+        except (InvalidInput, AmbiguousEndpoint, ValueError) as exc:
+            print(f"input error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        except NotFound as exc:
+            print(f"construction failed: {exc}", file=sys.stderr)
+            return _verdict(args, {"error": str(exc)}, False)
+        except RieszSpectraError as exc:
+            print(f"failure: {exc}", file=sys.stderr)
+            return _verdict(args, {"error": str(exc)}, False)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ answers the same, so results and AmbiguousEndpoint are unchanged.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import math
 import sys
@@ -415,7 +414,17 @@ def frac(x):
     raise TypeError(f"unsupported type for frac: {type(x)!r}")
 
 
-_cmp_key = functools.cmp_to_key(Endpoint._cmp)
+def _ranked(points: Sequence[Endpoint]) -> tuple[list, list]:
+    """(cuts, rank): the distinct values of points in increasing order, and
+    the index in cuts of each point.  A stable sort by the endpoints' own
+    order, so the first listed of equal points is their cut."""
+    cuts: list = []
+    rank = [0] * len(points)
+    for i in sorted(range(len(points)), key=points.__getitem__):
+        if not cuts or cuts[-1]._cmp(points[i]) < 0:
+            cuts.append(points[i])
+        rank[i] = len(cuts) - 1
+    return cuts, rank
 
 
 class IntervalSet:
@@ -441,7 +450,7 @@ class IntervalSet:
             if c > 0:
                 raise InvalidInput(f"interval with left > right: [{left!r}, {right!r})")
             cleaned.append((left, right))
-        cleaned.sort(key=lambda p: _cmp_key(p[0]))
+        cleaned.sort(key=lambda p: p[0])
         merged: list = []
         for left, right in cleaned:
             if merged and merged[-1][1] >= left:
@@ -505,35 +514,29 @@ class IntervalSet:
         )
         return f"IntervalSet({parts})"
 
-    # -- set algebra (sweep-line merges) --------------------------------
+    # -- set algebra (one sorted sweep) ---------------------------------
 
     def _combine(self, other: "IntervalSet", keep) -> "IntervalSet":
-        events = []
-        for left, right in self.pieces:
-            events.append((left, 0, +1))
-            events.append((right, 0, -1))
-        for left, right in other.pieces:
-            events.append((left, 1, +1))
-            events.append((right, 1, -1))
-        if not events:
-            return IntervalSet.empty()
-        events.sort(key=lambda ev: _cmp_key(ev[0]))
+        """The cells between consecutive distinct endpoints of both sets
+        on which keep(in self, in other) holds."""
+        ends = [x for piece in self.pieces + other.pieces for x in piece]
+        cuts, rank = _ranked(ends)
+        # steps[side][j]: the change of side's depth at cuts[j]
+        steps = ([0] * len(cuts), [0] * len(cuts))
+        split = 2 * len(self.pieces)
+        for i, j in enumerate(rank):
+            steps[i >= split][j] += 1 if i % 2 == 0 else -1
         out = []
         depth = [0, 0]
-        prev = None
-        i = 0
-        while i < len(events):
-            point = events[i][0]
-            if prev is not None and keep(depth[0] > 0, depth[1] > 0):
-                out.append((prev, point))
-            while i < len(events) and events[i][0]._cmp(point) == 0:
-                depth[events[i][1]] += events[i][2]
-                i += 1
-            prev = point
+        for j, cut in enumerate(cuts):
+            if j and keep(depth[0] > 0, depth[1] > 0):
+                out.append((cuts[j - 1], cut))
+            depth[0] += steps[0][j]
+            depth[1] += steps[1][j]
         return IntervalSet(out)
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        return self._combine(other, lambda a, b: a or b)
+        return IntervalSet(self.pieces + other.pieces)
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         return self._combine(other, lambda a, b: a and b)
@@ -618,13 +621,8 @@ def _fold_pattern(N: int, S: IntervalSet) -> tuple:
     scaled = [x * N for piece in S.pieces for x in piece]
     floors = [x.floor() for x in scaled]
     fracs = [x - f for x, f in zip(scaled, floors)]
-    # distinct cuts in increasing order; rank[i] is the index of fracs[i]
-    cuts = [_ZERO]
-    rank = [0] * len(fracs)
-    for i in sorted(range(len(fracs)), key=lambda i: _cmp_key(fracs[i])):
-        if cuts[-1]._cmp(fracs[i]) < 0:
-            cuts.append(fracs[i])
-        rank[i] = len(cuts) - 1
+    # distinct cuts in increasing order, 0 first; rank[i] is the index of fracs[i]
+    cuts, (_, *rank) = _ranked([_ZERO, *fracs])
     cell = Fraction(1, N)
     bounds = [c * cell for c in cuts] + [Endpoint(cell)]
     out = []

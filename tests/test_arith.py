@@ -7,6 +7,7 @@ import mpmath
 import pytest
 
 import rieszspectra as rs
+import rieszspectra.arith as arith
 from rieszspectra import (
     IndependenceSuspect,
     InvalidInput,
@@ -104,6 +105,27 @@ def test_find_ordering_prime_sieve_budget():
     b = Endpoint(0, hp_sqrt(3)) - 1
     with pytest.raises(ResourceLimit, match="sieve limit"):
         find_ordering_prime([a], [b], 10**9)
+
+
+def test_find_ordering_prime_sieves_only_past_its_prime(monkeypatch):
+    # N = 5 is found in the first staged sieve, not after sieving to 10^7
+    limits = []
+    sieve = arith.primes_up_to
+
+    def recorder(limit, *args, **kwargs):
+        limits.append(limit)
+        return sieve(limit, *args, **kwargs)
+
+    monkeypatch.setattr(arith, "primes_up_to", recorder)
+    a = Endpoint(0, hp_sqrt(2)) - 1
+    b = Endpoint(0, hp_sqrt(3)) - 1
+    assert find_ordering_prime([a], [b], 10**7).N == 5
+    assert limits and max(limits) <= 2**13
+
+
+def test_staged_primes_match_one_sieve():
+    for limit in (2, 3, 1024, 1025, 8192, 9000, 70000):
+        assert list(arith._staged_primes(limit)) == primes_up_to(limit)
 
 
 def test_find_ordering_prime_empty_input():

@@ -471,6 +471,24 @@ def test_probe_folding_permuted_report_is_unchanged(tmp_path, capsys, plan_l1):
     assert capsys.readouterr().out == json.dumps(want, sort_keys=True, indent=2) + "\n"
 
 
+def test_probe_warning_is_one_line_without_source(tmp_path, capsys, monkeypatch, plan_l1):
+    # a truncation warning prints as one "warning:" line, with no source
+    # path or line, and leaves the report as it is
+    import rieszspectra.verify as verify_mod
+
+    argv = ["probe-folding", "--plan", _plan_file(tmp_path, plan_l1), "--trials", "3"]
+    assert main(argv) == 0
+    quiet = capsys.readouterr()
+    assert quiet.err == ""
+    monkeypatch.setattr(verify_mod, "TAIL_THRESHOLD", 0)
+    assert main(argv) == 0
+    loud = capsys.readouterr()
+    assert loud.out == quiet.out
+    lines = loud.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("warning: coefficient tail") and ".py" not in lines[0]
+
+
 @pytest.mark.parametrize("schedule", ["0,2", "-1,2"])
 def test_nonpositive_schedule_window_is_input_error(schedule, tmp_path, capsys):
     # Z on [0, 1): a zero window once ended in numpy warnings and an SVD

@@ -14,7 +14,9 @@ their exact oracles (and against a forced fallback), near ties and outside
 the float64 range included, and the level combination views against the
 per-level combination loop they replaced, the one level-table derivation
 of every interval subset and its shared JSON against the helpers it
-replaced, and the per-term window count against enumeration.  The exact decisions
+replaced, the per-term window count against enumeration, and the one ranked
+sweep of set algebra and fold cuts against the event sweep and cut/rank loop
+it replaced.  The exact decisions
 (phases, Avdonin rounding, the relation scan) are also checked against the mpf evaluation
 at working precision that they replaced, and generators made and printed
 at explicit precision against the same steps in mpmath's shared context
@@ -488,7 +490,7 @@ def sweep_fold_pattern(N: int, S: IntervalSet):
             events.append((right, k, -1))
     events.append((Endpoint(0), -1, 0))
     events.append((Endpoint(cell), -1, 0))
-    events.sort(key=lambda ev: intervals._cmp_key(ev[0]))
+    events.sort(key=lambda ev: ev[0])
     out = []
     active: set = set()
     prev = None
@@ -646,6 +648,110 @@ def test_equal_sets_fold_alike():
     assert S == T and S is not T
     assert _pattern_json(fold_pattern(7, T)) == _pattern_json(fold_pattern(7, S))
     assert S._folds is not T._folds
+
+
+# -- set algebra and fold cuts: one ranked sweep vs the sweeps it replaced -----
+
+def _event_combine(A: IntervalSet, B: IntervalSet, keep) -> IntervalSet:
+    """The event sweep IntervalSet._combine once made: sort (point, side,
+    +-1) events and regroup equal points as they are read."""
+    events = []
+    for left, right in A.pieces:
+        events.append((left, 0, +1))
+        events.append((right, 0, -1))
+    for left, right in B.pieces:
+        events.append((left, 1, +1))
+        events.append((right, 1, -1))
+    if not events:
+        return IntervalSet.empty()
+    events.sort(key=lambda ev: ev[0])
+    out = []
+    depth = [0, 0]
+    prev = None
+    i = 0
+    while i < len(events):
+        point = events[i][0]
+        if prev is not None and keep(depth[0] > 0, depth[1] > 0):
+            out.append((prev, point))
+        while i < len(events) and events[i][0]._cmp(point) == 0:
+            depth[events[i][1]] += events[i][2]
+            i += 1
+        prev = point
+    return IntervalSet(out)
+
+
+def _cut_rank_fold_pattern(N: int, S: IntervalSet) -> tuple:
+    """The fold pattern with the cut/rank loop _fold_pattern once ran."""
+    intervals._check_subset_of_unit(S)
+    scaled = [x * N for piece in S.pieces for x in piece]
+    floors = [x.floor() for x in scaled]
+    fracs = [x - f for x, f in zip(scaled, floors)]
+    cuts = [Endpoint(0)]
+    rank = [0] * len(fracs)
+    for i in sorted(range(len(fracs)), key=lambda i: fracs[i]):
+        if cuts[-1]._cmp(fracs[i]) < 0:
+            cuts.append(fracs[i])
+        rank[i] = len(cuts) - 1
+    cell = F(1, N)
+    bounds = [c * cell for c in cuts] + [Endpoint(cell)]
+    out = []
+    for piece in range(len(cuts)):
+        ks = []
+        for i in range(0, len(fracs), 2):
+            lo = floors[i] + (rank[i] > piece)
+            hi = floors[i + 1] + (rank[i + 1] > piece)
+            ks.extend(range(lo, hi))
+        out.append((bounds[piece], bounds[piece + 1], tuple(ks)))
+    return tuple(out)
+
+
+@st.composite
+def sixteenth_sets(draw):
+    """Two sets of 0-4 intervals each whose endpoints come from one small
+    pool of k/16 and k/16 + c*sqrt(p), so the sets share and touch
+    endpoints often."""
+    pool = []
+    for _ in range(draw(st.integers(2, 6))):
+        point = Endpoint(F(draw(st.integers(0, 16)), 16))
+        if point < 1 and draw(st.booleans()):
+            k = draw(st.integers(0, 14))
+            c = F(draw(st.integers(1, 20)), 1000)
+            point = Endpoint(F(k, 16)) + sqrt_multiple(draw(st.sampled_from(ROOTS)), c)
+        pool.append(point)
+    pool.sort()
+
+    def one_set():
+        pairs = []
+        for _ in range(draw(st.integers(0, 4))):
+            i, j = sorted(draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=2)))
+            pairs.append((pool[i], pool[j]))
+        return IntervalSet(pairs)
+
+    return one_set(), one_set()
+
+
+SET_OPS = {
+    "union": lambda a, b: a or b,
+    "intersect": lambda a, b: a and b,
+    "difference": lambda a, b: a and not b,
+    "symmetric_difference": lambda a, b: a != b,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(sets=sixteenth_sets())
+def test_ranked_sweep_matches_event_sweep(sets):
+    A, B = sets
+    for name, keep in SET_OPS.items():
+        got = getattr(A, name)(B)
+        assert got.to_json() == _event_combine(A, B, keep).to_json(), name
+    unit = IntervalSet.unit()
+    assert A.complement().to_json() == _event_combine(unit, A, SET_OPS["difference"]).to_json()
+    for S in (A, B, A.union(B)):
+        for N in range(1, 8):
+            expect = _cut_rank_fold_pattern(N, S)
+            assert _pattern_json(intervals._fold_pattern(N, S)) == _pattern_json(expect)
+            assert _pattern_json(fold_pattern(N, S)) == _pattern_json(expect)
 
 
 # -- relation probe: lattice certificate vs shell scan ------------------------

@@ -277,6 +277,23 @@ def test_intervalset_algebra():
     assert A.complement() == IntervalSet([(F(1, 2), 1)])
 
 
+def test_intervalset_sort_compares_through_the_class(monkeypatch):
+    # normalization orders pieces by Endpoint's own comparison, so a
+    # wrapper on the class sees the compares between left endpoints
+    compared = []
+    cmp = Endpoint._cmp
+
+    def recorder(self, other):
+        compared.append((self, other))
+        return cmp(self, other)
+
+    monkeypatch.setattr(Endpoint, "_cmp", recorder)
+    S = IntervalSet([(F(5, 8), F(3, 4)), (F(3, 8), F(1, 2)), (F(1, 8), F(1, 4))])
+    lefts = {id(left) for left, _ in S.pieces}
+    assert any(id(x) in lefts and id(y) in lefts for x, y in compared)
+    assert [left.rational for left, _ in S.pieces] == [F(1, 8), F(3, 8), F(5, 8)]
+
+
 def test_intervalset_measure():
     S = IntervalSet([(F(1, 10), F(3, 10)), (F(6, 10), F(8, 10))])
     assert S.measure().rational == F(2, 5)
