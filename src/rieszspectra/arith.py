@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -10,7 +11,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import IndependenceSuspect, InvalidInput, NotFound, ResourceLimit
-from .intervals import Endpoint, _FieldJson, _unit_chain, grid_separation_ok
+from .intervals import _EPS, Endpoint, _FieldJson, _unit_chain, grid_separation_ok
 from .precision import ambiguity_threshold
 
 DEFAULT_SIEVE_BUDGET = 10**8
@@ -38,17 +39,24 @@ def primes_up_to(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> list[int]:
     return list(itertools.compress(range(limit + 1), sieve))
 
 
-def _staged_primes(limit: int) -> Iterator[int]:
-    """The primes of primes_up_to(limit), in order, from sieves to 2^10,
-    2^13, ... capped at limit, so a scan that stops early sieves no further
-    than 2^10 or 8 times its last prime.  The limit is checked on the first
-    next()."""
+def _prime_blocks(limit: int) -> Iterator[list[int]]:
+    """The primes of primes_up_to(limit) in ascending blocks of at most 2^16,
+    from sieves to 2^10, 2^13, ... capped at limit, so a scan that stops
+    early sieves no further than 2^10 or 8 times its last prime.  The limit
+    is checked on the first next()."""
     _check_sieve_limit(limit)
     done, stage = 1, 2**10
     while done < limit:
         stage = min(stage, limit)
-        yield from (p for p in primes_up_to(stage) if p > done)
+        primes = primes_up_to(stage)
+        for lo in range(bisect.bisect_right(primes, done), len(primes), 2**16):
+            yield primes[lo : lo + 2**16]
         done, stage = stage, stage * 8
+
+
+def _staged_primes(limit: int) -> Iterator[int]:
+    """The primes of _prime_blocks(limit), one at a time."""
+    return itertools.chain.from_iterable(_prime_blocks(limit))
 
 
 @dataclass(frozen=True)
@@ -94,21 +102,73 @@ def ordering_primes(
             raise IndependenceSuspect(relation)
     endpoints = [e for pair in zip(a, b) for e in pair]
     scanned = 0
-    for N in _staged_primes(prime_limit):
-        scanned += 1
-        if N < 2 * L + 1:
-            continue
-        witness = _ordering_chain(a, b, N)
-        ok = Endpoint(0) < witness[0] and witness[-1] < Endpoint(1)
-        if not (ok and all(u < v for u, v in zip(witness, witness[1:]))):
-            continue
-        if not grid_separation_ok(N, endpoints):
-            continue
-        yield PrimeSearchResult(
-            N=N,
-            candidates_scanned=scanned,
-            ordering_witness=tuple(float(w) for w in witness),
-        )
+    for block in _prime_blocks(prime_limit):
+        for i in np.flatnonzero(~_float_rejected(a, b, block)).tolist():
+            N = block[i]
+            if N < 2 * L + 1:
+                continue
+            witness = _ordering_chain(a, b, N)
+            ok = Endpoint(0) < witness[0] and witness[-1] < Endpoint(1)
+            if not (ok and all(u < v for u, v in zip(witness, witness[1:]))):
+                continue
+            if not grid_separation_ok(N, endpoints):
+                continue
+            yield PrimeSearchResult(
+                N=N,
+                candidates_scanned=scanned + i + 1,
+                ordering_witness=tuple(float(w) for w in witness),
+            )
+        scanned += len(block)
+
+
+def _float_rejected(a: Sequence[Endpoint], b: Sequence[Endpoint], primes: list[int]) -> np.ndarray:
+    """For each prime N, True only when the exact test of ordering_primes
+    rejects N on the chain _ordering_chain(a, b, N) without raising; decided
+    for all primes at once on the chain endpoints' float enclosures.  False
+    sends N to the exact test.
+
+    Proof.  Let x be a chain endpoint with enclosure (v, e, t): |v - X| <= e
+    for its exact value X, and t its threshold.  The sieve budget keeps
+    N < 2^53, exact in float64, so p = fl(N*v) is within E = N*e + eps*|p|
+    of N*X (eps = 2u = 2^-52); when e is infinite or p overflows, so is E,
+    and no floor below is decided.  With m = 2(E + t), floor(p - m) ==
+    floor(p + m) = f puts N*X at least t inside (f, f + 1), as in
+    Endpoint.floor: the rounded p - m >= f gives N*X >= p - E >=
+    f + (1 - u)m - E - u|p| > f + t, and likewise N*X < f + 1 - t.  So the
+    floor of x*N is f and does not raise, and w = {N x} has the exact value
+    W = N*X - f in (t, 1 - t).  Then 0 < w_0 and w_last < 1 hold and do not
+    raise: each difference has the generators of w, so threshold t, and
+    magnitude above t (a rational w compares exactly).  The float
+    fl(p - f) is within r = N*e + eps*(|p| + 1) of W.  A comparison
+    w_i < w_j is decided as Endpoint._cmp decides it: d = w_j - w_i with
+    |d| > 2(r_i + r_j + max(t_i, t_j)) gives the exact difference D the
+    sign of d and |D| > max(t_i, t_j), which bounds the threshold of D's
+    generators, so the exact comparison returns that sign without raising
+    (the factors 2 absorb the rounding of m, d and the bounds).
+
+    N is rejected when all 2L floors are decided and the first comparison
+    w_i < w_i+1 not decided true is decided false: the exact test then
+    computes every floor, passes the comparisons before that one, fails it
+    and stops.  Every other prime, undecided or passing the chain, takes the
+    exact test, so witnesses, the grid test and every AmbiguousEndpoint come
+    from it.
+    """
+    chain = list(a) + list(reversed(b))
+    v, e, t = (np.array(col)[:, None] for col in zip(*(x._enclosure() for x in chain)))
+    N = np.array(primes, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite E decides nothing
+        p = N * v
+        E = N * e + _EPS * np.abs(p)
+        m = 2.0 * (E + t)
+        f = np.floor(p - m)
+        floors = (f == np.floor(p + m)).all(axis=0)
+        w = p - f
+        r = E + _EPS
+        d = np.diff(w, axis=0)
+        margin = 2.0 * (r[1:] + r[:-1] + np.maximum(t[1:], t[:-1]))
+        first = np.argmin(d > margin, axis=0)  # 0 when every comparison holds
+        fails = (d < -margin)[first, np.arange(len(primes))]
+    return floors & fails
 
 
 def find_ordering_prime(

@@ -128,6 +128,32 @@ def test_staged_primes_match_one_sieve():
         assert list(arith._staged_primes(limit)) == primes_up_to(limit)
 
 
+def test_batched_scan_takes_the_exact_path_only_for_its_prime(monkeypatch):
+    # the benchmark L=3 spec: float enclosures reject all 294 primes before
+    # 1933, each of which the per-prime scan tested exactly
+    calls = []
+    chain = arith._ordering_chain
+
+    def recorder(a, b, N):
+        calls.append(N)
+        return chain(a, b, N)
+
+    monkeypatch.setattr(arith, "_ordering_chain", recorder)
+    pairs = ((1, 2), (2, 3), (4, 5), (5, 7), (7, 11), (8, 13))
+    ends = [Endpoint(Fraction(k, 11)) + Endpoint(0, hp_sqrt(p)) * Fraction(1, 100) for k, p in pairs]
+    res = find_ordering_prime(ends[0::2], ends[1::2], 10**5, skip_relation_probe=True)
+    assert (res.N, res.candidates_scanned) == (1933, 295)
+    assert calls == [1933]
+
+
+def test_find_ordering_prime_l4_instance():
+    ends = _sqrt_endpoints(4)
+    a, b = ends[0::2], ends[1::2]
+    res = find_ordering_prime(a, b, 10**6, skip_relation_probe=True)
+    assert (res.N, res.candidates_scanned) == (162517, 14886)
+    assert res.ordering_witness == tuple(map(float, arith._ordering_chain(a, b, res.N)))
+
+
 def test_find_ordering_prime_empty_input():
     with pytest.raises(InvalidInput):
         find_ordering_prime([], [], 100)

@@ -16,7 +16,8 @@ per-level combination loop they replaced, the one level-table derivation
 of every interval subset and its shared JSON against the helpers it
 replaced, the per-term window count against enumeration, and the one ranked
 sweep of set algebra and fold cuts against the event sweep and cut/rank loop
-it replaced.  The exact decisions
+it replaced, and the ordering-prime scan that rejects primes in bulk on float
+enclosures against the per-prime exact loop it replaced.  The exact decisions
 (phases, Avdonin rounding, the relation scan) are also checked against the mpf evaluation
 at working precision that they replaced, and generators made and printed
 at explicit precision against the same steps in mpmath's shared context
@@ -48,9 +49,12 @@ import rieszspectra.intervals as intervals
 import rieszspectra.verify as verify
 from rieszspectra.arith import (
     DEFAULT_PROBE_BUDGET,
+    PrimeSearchResult,
     _no_relation_certified,
+    _ordering_chain,
     _relation_scan,
     _scan_values,
+    interval_chain,
 )
 from rieszspectra import (
     AmbiguousEndpoint,
@@ -79,6 +83,9 @@ from rieszspectra import (
     density_check,
     fold_pattern,
     gram_matrix,
+    grid_separation_ok,
+    ordering_primes,
+    primes_up_to,
     integer_lattice,
     combine_level_spectra,
     combine_level_spectra_permuted,
@@ -1733,3 +1740,101 @@ def test_oversized_window_is_refused_before_enumeration(command, plan_l1, tmp_pa
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("resource limit: dense Gram matrix of n=")
     assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+# -- batched ordering-prime scan vs the per-prime exact loop ----------------
+
+
+def _per_prime_ordering_primes(a, b, prime_limit):
+    """ordering_primes(a, b, prime_limit, skip_relation_probe=True) as it
+    tested each prime through exact Endpoint arithmetic."""
+    a, b = interval_chain(a, b)
+    L = len(a)
+    endpoints = [e for pair in zip(a, b) for e in pair]
+    for scanned, N in enumerate(primes_up_to(prime_limit), start=1):
+        if N < 2 * L + 1:
+            continue
+        witness = _ordering_chain(a, b, N)
+        ok = Endpoint(0) < witness[0] and witness[-1] < Endpoint(1)
+        if not (ok and all(u < v for u, v in zip(witness, witness[1:]))):
+            continue
+        if not grid_separation_ok(N, endpoints):
+            continue
+        yield PrimeSearchResult(N, scanned, tuple(float(w) for w in witness))
+
+
+def _batched_ordering_primes(a, b, prime_limit):
+    return ordering_primes(a, b, prime_limit, skip_relation_probe=True)
+
+
+def _scan_outcome(scan, a, b, prime_limit):
+    """The reports scan yields, and the type and message of the package
+    error that ends it (None when it runs to the limit)."""
+    reports = []
+    try:
+        for result in scan(a, b, prime_limit):
+            reports.append(result.to_json())
+    except RieszSpectraError as exc:
+        return reports, (type(exc), str(exc))
+    return reports, None
+
+
+SCAN_LIMITS = st.integers(2**13 + 1, 10**4)  # a third sieve stage runs
+
+
+@st.composite
+def ordering_chains(draw):
+    """(a, b, prime_limit): 1-4 intervals whose endpoints are k/m + c*sqrt(p)
+    made at 64, 96 or 200 bits.  Now and then one endpoint is moved to
+    within a few thresholds of j/N, or of another endpoint plus j/N, for a
+    prime N the scan reaches."""
+    bits = draw(st.sampled_from(FILTER_BITS))
+    L = draw(st.integers(1, 4))
+    m = draw(st.integers(2 * L + 1, 40))
+    ends = [
+        Endpoint(F(draw(st.integers(1, m - 1)), m))
+        + Endpoint(0, hp_sqrt(draw(st.sampled_from(ROOTS + (11, 13))), bits))
+        * draw(st.fractions(min_value=-F(1, 40), max_value=F(1, 40), max_denominator=10**3))
+        for _ in range(2 * L)
+    ]
+    prime_limit = draw(SCAN_LIMITS)
+    tie = draw(st.sampled_from(["none", "floor", "difference"]))
+    if tie != "none":
+        N = draw(st.sampled_from(primes_up_to(prime_limit)))
+        i, k = draw(st.lists(st.integers(0, 2 * L - 1), min_size=2, max_size=2, unique=True))
+        base = Endpoint(0) if tie == "floor" else ends[k]
+        s = draw(near_scales) / N
+        ends[i] = _offset(base + F(draw(st.integers(0, N - 1)), N), s, hp_sqrt(5, bits))
+    ends.sort(key=Endpoint.exact)
+    values = [x.exact() for x in ends]
+    assume(0 < values[0] and values[-1] < 1 and len(set(values)) == len(values))
+    return ends[0::2], ends[1::2], prime_limit
+
+
+@settings(max_examples=40, deadline=None)
+@given(chain=ordering_chains())
+def test_batched_scan_matches_per_prime_scan(chain):
+    want = _scan_outcome(_per_prime_ordering_primes, *chain)
+    assert _scan_outcome(_batched_ordering_primes, *chain) == want
+
+
+def test_batched_scan_raises_at_the_per_prime_scan_prime():
+    # ties at N = 1031, the first prime of the second stage, a third of the
+    # threshold from deciding: a floor ({N a_1} near 0); a comparison whose
+    # float difference is below the error margin only by the threshold; and
+    # a tie in the first comparison of a chain that a later one fails
+    for bits in FILTER_BITS:
+        g = hp_sqrt(5, bits)
+        x, y, z = (
+            Endpoint(F(k, n)) + Endpoint(0, hp_sqrt(p, bits)) * F(1, 50)
+            for k, n, p in ((1, 7, 2), (1, 3, 3), (4, 5, 7))
+        )
+        near = _offset(x + F(500, 1031), -F(1, 3 * 1031), g)
+        for a, b in (
+            ([_offset(Endpoint(F(3, 1031)), F(1, 3 * 1031), g)], [x]),
+            ([x], [near]),
+            ([x, near], [y, z]),
+        ):
+            want = _scan_outcome(_per_prime_ordering_primes, a, b, 9000)
+            assert want[1][0] is AmbiguousEndpoint
+            assert _scan_outcome(_batched_ordering_primes, a, b, 9000) == want
