@@ -11,7 +11,8 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import IndependenceSuspect, InvalidInput, NotFound, ResourceLimit
-from .intervals import _EPS, Endpoint, _FieldJson, _unit_chain, grid_separation_ok
+from .intervals import Endpoint, _FieldJson, _scaled_fracs, _sign_rule, _unit_chain
+from .intervals import grid_separation_ok
 from .precision import ambiguity_threshold
 
 DEFAULT_SIEVE_BUDGET = 10**8
@@ -52,11 +53,6 @@ def _prime_blocks(limit: int) -> Iterator[list[int]]:
         for lo in range(bisect.bisect_right(primes, done), len(primes), 2**16):
             yield primes[lo : lo + 2**16]
         done, stage = stage, stage * 8
-
-
-def _staged_primes(limit: int) -> Iterator[int]:
-    """The primes of _prime_blocks(limit), one at a time."""
-    return itertools.chain.from_iterable(_prime_blocks(limit))
 
 
 @dataclass(frozen=True)
@@ -124,27 +120,14 @@ def ordering_primes(
 def _float_rejected(a: Sequence[Endpoint], b: Sequence[Endpoint], primes: list[int]) -> np.ndarray:
     """For each prime N, True only when the exact test of ordering_primes
     rejects N on the chain _ordering_chain(a, b, N) without raising; decided
-    for all primes at once on the chain endpoints' float enclosures.  False
-    sends N to the exact test.
+    for all primes at once on float enclosures.  False sends N to the exact
+    test.
 
-    Proof.  Let x be a chain endpoint with enclosure (v, e, t): |v - X| <= e
-    for its exact value X, and t its threshold.  The sieve budget keeps
-    N < 2^53, exact in float64, so p = fl(N*v) is within E = N*e + eps*|p|
-    of N*X (eps = 2u = 2^-52); when e is infinite or p overflows, so is E,
-    and no floor below is decided.  With m = 2(E + t), floor(p - m) ==
-    floor(p + m) = f puts N*X at least t inside (f, f + 1), as in
-    Endpoint.floor: the rounded p - m >= f gives N*X >= p - E >=
-    f + (1 - u)m - E - u|p| > f + t, and likewise N*X < f + 1 - t.  So the
-    floor of x*N is f and does not raise, and w = {N x} has the exact value
-    W = N*X - f in (t, 1 - t).  Then 0 < w_0 and w_last < 1 hold and do not
-    raise: each difference has the generators of w, so threshold t, and
-    magnitude above t (a rational w compares exactly).  The float
-    fl(p - f) is within r = N*e + eps*(|p| + 1) of W.  A comparison
-    w_i < w_j is decided as Endpoint._cmp decides it: d = w_j - w_i with
-    |d| > 2(r_i + r_j + max(t_i, t_j)) gives the exact difference D the
-    sign of d and |D| > max(t_i, t_j), which bounds the threshold of D's
-    generators, so the exact comparison returns that sign without raising
-    (the factors 2 absorb the rounding of m, d and the bounds).
+    Proof.  The sieve budget keeps N < 2^53.  Where _scaled_fracs decides
+    the floor of x*N for every chain endpoint x, those exact floors do not
+    raise, and each w = {N x} lies in (t, 1 - t), so 0 < w_0 and w_last < 1
+    hold without raising.  A comparison w_i < w_i+1 that the sign rule
+    decides then has that exact sign and does not raise, as in Endpoint._cmp.
 
     N is rejected when all 2L floors are decided and the first comparison
     w_i < w_i+1 not decided true is decided false: the exact test then
@@ -154,21 +137,13 @@ def _float_rejected(a: Sequence[Endpoint], b: Sequence[Endpoint], primes: list[i
     from it.
     """
     chain = list(a) + list(reversed(b))
-    v, e, t = (np.array(col)[:, None] for col in zip(*(x._enclosure() for x in chain)))
-    N = np.array(primes, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # an infinite E decides nothing
-        p = N * v
-        E = N * e + _EPS * np.abs(p)
-        m = 2.0 * (E + t)
-        f = np.floor(p - m)
-        floors = (f == np.floor(p + m)).all(axis=0)
-        w = p - f
-        r = E + _EPS
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite radius decides nothing
+        w, r, t, floors = _scaled_fracs(chain, np.array(primes, dtype=float))
         d = np.diff(w, axis=0)
-        margin = 2.0 * (r[1:] + r[:-1] + np.maximum(t[1:], t[:-1]))
-        first = np.argmin(d > margin, axis=0)  # 0 when every comparison holds
-        fails = (d < -margin)[first, np.arange(len(primes))]
-    return floors & fails
+        sure = _sign_rule(d, r[1:] + r[:-1], np.maximum(t[1:], t[:-1]))
+    first = np.argmin(sure & (d > 0), axis=0)  # 0 when every comparison holds
+    fails = (sure & (d < 0))[first, np.arange(len(primes))]
+    return floors.all(axis=0) & fails
 
 
 def find_ordering_prime(
@@ -253,10 +228,10 @@ def rational_relation_probe(
 
     An exact lattice certificate (_no_relation_certified) runs first.  When
     it holds, None is returned without scanning.  Otherwise the shell scan
-    runs, and budget caps its (2*max_coeff+1)^m points.  At the default 200
-    bits and max_coeff = 10, the certificate holds on the endpoints
-    k/(2L+1) + sqrt(p_k)/500 through L = 6 intervals (m = 12 values) and
-    fails at L = 7, where the scan runs and raises ResourceLimit.
+    runs, and budget caps its (2*max_coeff+1)^m points.  With max_coeff =
+    10, the certificate holds on the endpoints k/(2L+1) + sqrt(p_k)/500
+    through L = 6 intervals at 200 bits (the default), 3 at 96 and 2 at 64;
+    one interval more, the scan runs and raises ResourceLimit.
     """
     if len(values) < 1:
         raise InvalidInput("need at least one value")

@@ -12,12 +12,12 @@ exact value decides; mpf is used only to make and print generators.  A
 comparison or floor of an irrational form that lands within the ambiguity
 threshold of its generators raises AmbiguousEndpoint instead of guessing.
 
-Each decision is filtered: a float64 enclosure of the form (a value and a
-proved radius, cached on the endpoint) decides it first whenever the
-enclosure clears the decision point by more than the threshold, and only
-the rest fall back to exact Fraction arithmetic (Shewchuk, Discrete
-Comput. Geom. 18, 1997).  The filter answers only where the exact path
-answers the same, so results and AmbiguousEndpoint are unchanged.
+Each comparison and floor is filtered: a float64 enclosure of the form (a
+value and a proved radius, cached on the endpoint) decides it first by the
+sign rule or the floor rule below, the package's only float decisions, and
+only the rest fall back to exact Fraction arithmetic (Shewchuk, Discrete
+Comput. Geom. 18, 1997).  A rule answers only where the exact path answers
+the same, so results and AmbiguousEndpoint are unchanged.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import sys
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+import numpy as np
 from mpmath import mpf
 from mpmath.libmp import fzero, from_int, mpf_add, mpf_div, mpf_mul_int, prec_to_dps, to_str
 
@@ -64,16 +65,50 @@ def _enclose(rational: Fraction, irr: dict) -> tuple:
     return 0.0, math.inf, t
 
 
-def _guarded_floor(x: Fraction, what, t: Fraction) -> int:
-    """floor(x), raising AmbiguousEndpoint when x lies within the threshold
-    t of an integer; str(what) names the value in the message, and is
-    formatted only then."""
-    floor, rem = divmod(x.numerator, x.denominator)
-    if min(rem, x.denominator - rem) * t.denominator < t.numerator * x.denominator:
-        raise AmbiguousEndpoint(
-            f"{what} is within the working-precision threshold of an integer"
-        )
-    return floor
+def _floor_rule(v, r, t):
+    """(f, decided), elementwise on floats or numpy arrays: for an exact x
+    with |x - v| <= r, r >= 5u|v| (u = 2^-53), and t >= 0, decided puts x
+    in (f + t, f + 1 - t), so the exact floor of x guarded at t is f and
+    does not raise.  With m = 2(r + t), decided is (v - m) // 1.0 ==
+    (v + m) // 1.0 = f.  Sums round with relative error at most u and
+    doubling is exact, so x >= v - r >= f + (1 - u)m - u|v| - r >= f +
+    (1 - 4u)r - u|v| + 2(1 - 2u)t > f + t, and likewise x < f + 1 - t.  An
+    infinite radius or an overflowing sum makes a quotient NaN, which
+    decides nothing.
+    """
+    m = 2.0 * (r + t)
+    f = (v - m) // 1.0
+    return f, f == (v + m) // 1.0
+
+
+def _sign_rule(d, r, t):
+    """Whether |d| > 2(r + t), elementwise on floats or numpy arrays: for
+    floats v and w within e and f of exact X and Y, d = v - w and r = e + f
+    rounded, and t >= 0, it gives X - Y the sign of d and |X - Y| > t.
+    Each rounding is within a factor 1 + u (u = 2^-53), so |v - w| >
+    2(1 - 3u)(e + f + t) and |X - Y| >= |v - w| - e - f > t.
+    """
+    return abs(d) > 2.0 * (r + t)
+
+
+def _scaled_fracs(xs: Sequence[Endpoint], N):
+    """The array form of (x * N).frac() on enclosures: (w, r, t, decided)
+    for the endpoints xs (rows) and a float64 array N of integers below
+    2^53 (columns), with t the threshold of x, and, where the floor rule
+    decides floor(N x) as Endpoint.floor would, |w - {N x}| <= r.  For x
+    with enclosure (v, e, t), p = N*v is within E = N*e + eps*|p| of N*x
+    (eps = 2u = 2^-52; e and eps are twice the errors they bound, which
+    covers the rounding of E), and E >= 5u|p| as e >= 5u|v|.  Where the
+    floor rule decides f on (p, E, t), p lies in [f, f + 1) and w = p - f
+    rounds by at most u, so r = E + eps.  An infinite e, or a p that
+    overflows, makes E infinite.  Call it under np.errstate(over="ignore",
+    invalid="ignore").
+    """
+    v, e, t = (np.array(col)[:, None] for col in zip(*(x._enclosure() for x in xs)))
+    p = N * v
+    E = N * e + _EPS * abs(p)
+    f, decided = _floor_rule(p, E, t)
+    return p - f, E + _EPS, t, decided
 
 
 def parse_fraction(value, field: str) -> Fraction:
@@ -257,14 +292,11 @@ class Endpoint:
         """The sign of self - other, as _cmp_exact decides it; 0 at once
         for the same object.
 
-        The float sign is returned when d = v_s - v_o of the enclosures
-        satisfies |d| > 2(e_s + e_o) + 2t, t = max(t_s, t_o) the threshold
-        of the least bits among the generators of both forms.  Then the
-        exact difference D has the sign of d and |D| >= |d| - e_s - e_o > t
-        (the factors 2 absorb the rounding of d and of the bound).  Unequal maps leave a
-        difference whose generators are among both forms', so its exact
-        threshold is at most t, and _cmp_exact returns the same sign without
-        raising.  Otherwise _cmp_exact decides.
+        The sign rule decides d = v_s - v_o on the enclosures, with t =
+        max(t_s, t_o), first: then the exact difference D has the sign of d
+        and |D| > t.  Unequal maps leave a D whose generators are among both
+        forms', so its exact threshold is at most t, and _cmp_exact returns
+        the same sign without raising.  Otherwise _cmp_exact decides.
         """
         if other is self:
             return 0
@@ -273,7 +305,7 @@ class Endpoint:
         v, e, t = self._enclosure()
         w, f, s = other._enclosure()
         d = v - w
-        if abs(d) > 2.0 * (e + f + (t if t > s else s)):
+        if _sign_rule(d, e + f, t if t > s else s):
             return 1 if d > 0 else -1
         return self._cmp_exact(other)
 
@@ -347,28 +379,24 @@ class Endpoint:
     __rmul__ = __mul__
 
     def floor(self) -> int:
-        """floor(x), as _floor_exact decides it.
-
-        For an irrational form, with m = 2(e + t) from the enclosure and the
-        threshold t, floor(v - m) == floor(v + m) = f puts x at least t
-        inside [f, f + 1): x >= v - e and v - m rounds by at most
-        u(|v| + m) < e + t (e >= 5u|v|), likewise above, so the exact
-        guarded floor is f and does not raise.  Otherwise _floor_exact
-        decides.
-        """
+        """floor(x), as _floor_exact decides it: first by the floor rule on
+        the enclosure (its e >= 5u|v|) for an irrational form."""
         if self.irr:
-            v, e, t = self._enclosure()
-            m = 2.0 * (e + t)
-            if m < 0.5:
-                f = math.floor(v - m)
-                if f == math.floor(v + m):
-                    return f
+            f, decided = _floor_rule(*self._enclosure())
+            if decided:
+                return int(f)
         return self._floor_exact()
 
     def _floor_exact(self) -> int:
         if not self.irr:
             return math.floor(self.rational)
-        return _guarded_floor(self.exact(), self, ambiguity_threshold(self.irr))
+        x, t = self.exact(), ambiguity_threshold(self.irr)
+        floor, rem = divmod(x.numerator, x.denominator)
+        if min(rem, x.denominator - rem) * t.denominator < t.numerator * x.denominator:
+            raise AmbiguousEndpoint(
+                f"{self!r} is within the working-precision threshold of an integer"
+            )
+        return floor
 
     def ceil(self) -> int:
         return -((-self).floor())

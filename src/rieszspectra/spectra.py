@@ -15,13 +15,14 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import (
+    AmbiguousEndpoint,
     DegenerateBeta,
     IncompatibleShift,
     InvalidInput,
     LevelNotInNZ,
     OverlappingTerms,
 )
-from .intervals import _EPS, Endpoint, _guarded_floor, parse_fraction
+from .intervals import Endpoint, parse_fraction
 from .intervals import _json_array, _json_field, _json_value
 from .precision import DEFAULT_PRECISION_BITS, ambiguity_threshold
 
@@ -50,45 +51,38 @@ class AvdoninFilter:
 
         The image n -> round_half_up(n/beta) is strictly increasing for
         0 < beta < 1, and r lies in [r_lo, r_hi] only for n within
-        beta*(r -+ 1/2).  A rational beta rounds exactly, ties up; an
-        irrational beta raises AmbiguousEndpoint on a near tie.
+        beta*(r -+ 1/2); n runs two past either end.  A rational beta rounds
+        exactly, ties up; an irrational beta raises AmbiguousEndpoint at the
+        first n whose n/beta + 1/2 lies within the threshold t of an integer.
 
-        Each floor(x), x = n/beta + 1/2, is decided first on beta's
-        enclosure (b, e, t) (Endpoint._enclosure) as Endpoint.floor decides
-        it.  With e < b/2,
-        so beta > b/2, and y = n/b + 1/2 in float64,
-        |y - x| <= |n| (e / (b - e) + u) / b + u|y|, u = 2^-53.  The bound
-        E = |n| * slope + 2u|y|, slope = (e / (b - e) + 2u) / b, doubles the
-        u terms to cover its own rounding, and floor(y - m) == floor(y + m),
-        m = 2(E + t), puts x at least t inside one unit interval, so the
-        exact floor is the same and does not raise.  Otherwise the exact
-        floor decides.
+        With beta = p/q, n/beta + 1/2 = (2nq + p) / (2p): one divmod gives
+        its floor r and remainder rem at the first n, and each next n adds
+        divmod(2q, 2p), carrying when rem reaches 2p.  The tie test
+        min(rem, 2p - rem) < 2p*t is rem < cut or rem > 2p - cut, cut =
+        ceil(2p*t) (0 for a rational beta).
         """
         beta = self.beta.exact()
-        num, den = beta.numerator, beta.denominator
-        r_lo = lo - self.phase
-        r_hi = hi - self.phase
-        n_lo = math.ceil(beta * (r_lo - _HALF))
-        n_hi = math.floor(beta * (r_hi + _HALF))
-        exact = self.beta.is_rational
-        t = ambiguity_threshold(self.beta.irr)
-        b, e, tf = self.beta._enclosure()
-        filtered = e < b / 2 and max(-n_lo, n_hi) < 2**50
-        slope = (e / (b - e) + _EPS) / b if filtered else 0.0
+        p, q = beta.numerator, beta.denominator
+        r_lo, r_hi = lo - self.phase, hi - self.phase
+        n_lo = math.ceil(beta * (r_lo - _HALF)) - 2
+        n_hi = math.floor(beta * (r_hi + _HALF)) + 2
+        t, den = ambiguity_threshold(self.beta.irr), 2 * p
+        cut = 0 if self.beta.is_rational else -(-t.numerator * den // t.denominator)
+        top, first, last = den - cut, math.ceil(r_lo), math.floor(r_hi)
+        step, carry = divmod(2 * q, den)
+        r, rem = divmod(2 * n_lo * q + p, den)
         out = []
-        for n in range(n_lo - 2, n_hi + 3):
-            if filtered:
-                y = n / b + 0.5
-                m = 2.0 * (abs(n) * slope + _EPS * abs(y) + tf)
-                r = math.floor(y - m)
-                if r == math.floor(y + m):
-                    if r_lo <= r <= r_hi:
-                        out.append(r + self.phase)
-                    continue
-            x = Fraction(2 * n * den + num, 2 * num)  # n/beta + 1/2
-            r = math.floor(x) if exact else _guarded_floor(x, f"rounding of {n}/beta", t)
-            if r_lo <= r <= r_hi:
+        for n in range(n_lo, n_hi + 1):
+            if rem < cut or rem > top:
+                raise AmbiguousEndpoint(
+                    f"rounding of {n}/beta is within the working-precision "
+                    "threshold of an integer"
+                )
+            if first <= r <= last:
                 out.append(r + self.phase)
+            r, rem = r + step, rem + carry
+            if rem >= den:
+                r, rem = r + 1, rem - den
         return out
 
     def _count_in(self, lo: Fraction, hi: Fraction) -> int:

@@ -23,10 +23,11 @@ from rieszspectra.intervals import Endpoint
 from rieszspectra.precision import hp_sqrt
 
 
-def _sqrt_endpoints(L):
-    """k/(2L+1) + sqrt(p_k)/500 for k = 1..2L, p_k the k-th prime."""
+def _sqrt_endpoints(L, bits=200):
+    """k/(2L+1) + sqrt(p_k)/500 for k = 1..2L, p_k the k-th prime, the
+    roots made at bits."""
     return [
-        Endpoint(Fraction(k, 2 * L + 1)) + Endpoint(0, hp_sqrt(p)) * Fraction(1, 500)
+        Endpoint(Fraction(k, 2 * L + 1)) + Endpoint(0, hp_sqrt(p, bits)) * Fraction(1, 500)
         for k, p in enumerate(primes_up_to(60)[: 2 * L], start=1)
     ]
 
@@ -124,8 +125,10 @@ def test_find_ordering_prime_sieves_only_past_its_prime(monkeypatch):
 
 
 def test_staged_primes_match_one_sieve():
-    for limit in (2, 3, 1024, 1025, 8192, 9000, 70000):
-        assert list(arith._staged_primes(limit)) == primes_up_to(limit)
+    for limit in (2, 3, 1024, 1025, 8192, 9000, 70000, 10**6):
+        blocks = list(arith._prime_blocks(limit))
+        assert [p for block in blocks for p in block] == primes_up_to(limit)
+        assert all(0 < len(block) <= 2**16 for block in blocks)
 
 
 def test_batched_scan_takes_the_exact_path_only_for_its_prime(monkeypatch):
@@ -230,3 +233,12 @@ def test_relation_probe_reach_at_default_precision():
     assert rational_relation_probe(_sqrt_endpoints(6), 10) is None
     with pytest.raises(ResourceLimit):
         rational_relation_probe(_sqrt_endpoints(7), 10)
+
+
+@pytest.mark.parametrize("bits, reach", [(64, 2), (96, 3)])
+def test_relation_probe_reach_below_default_precision(bits, reach):
+    # the documented reach: certified through L = reach, and one interval
+    # more leaves the scan its 21^(2L) points, over the budget
+    assert rational_relation_probe(_sqrt_endpoints(reach, bits), 10) is None
+    with pytest.raises(ResourceLimit):
+        rational_relation_probe(_sqrt_endpoints(reach + 1, bits), 10)

@@ -1336,28 +1336,159 @@ def test_forced_fallback_matches_filtered_fold(instance):
         assert run() == filtered
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    data=st.data(),
-    n=st.integers(1, 300),
-    extra=st.integers(1, 300),
-    phase=st.integers(-5, 5),
-)
-def test_forced_fallback_matches_filtered_rounding(data, n, extra, phase):
-    # beta = q + s*t*q^2/n, q = 2n/(2k - 1), puts n/beta + 1/2 about s*t
-    # from the integer k
-    k = n + extra
+def _per_n_elements_in(filt: AvdoninFilter, lo: Fraction, hi: Fraction) -> list:
+    """elements_in as one exact rounding per n: n/beta + 1/2 as a Fraction,
+    floored, and for an irrational beta guarded at its threshold as
+    Endpoint._floor_exact guards a floor; n runs two past the range that
+    can reach [lo, hi] (the loop the integer recurrence replaced)."""
+    beta = filt.beta.exact()
+    num, den = beta.numerator, beta.denominator
+    r_lo, r_hi = lo - filt.phase, hi - filt.phase
+    n_lo = math.ceil(beta * (r_lo - F(1, 2)))
+    n_hi = math.floor(beta * (r_hi + F(1, 2)))
+    t = ambiguity_threshold(filt.beta.irr)
+    out = []
+    for n in range(n_lo - 2, n_hi + 3):
+        x = F(2 * n * den + num, 2 * num)  # n/beta + 1/2
+        r, rem = divmod(x.numerator, x.denominator)
+        tie = min(rem, x.denominator - rem) * t.denominator < t.numerator * x.denominator
+        if tie and not filt.beta.is_rational:
+            raise AmbiguousEndpoint(
+                f"rounding of {n}/beta is within the working-precision threshold of an integer"
+            )
+        if r_lo <= r <= r_hi:
+            out.append(r + filt.phase)
+    return out
+
+
+def _rounding(fn, *args):
+    """fn(*args), or the type and message of the AmbiguousEndpoint it
+    raises."""
+    try:
+        return fn(*args)
+    except AmbiguousEndpoint as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def near_tie_betas(draw, bits=None):
+    """(beta, k): beta = q + s*t*q^2/n, q = 2n/(2k - 1), which puts n/beta +
+    1/2 about s*t from the integer k, t the threshold of a root made at
+    bits (drawn when None)."""
+    n = draw(st.integers(1, 300))
+    k = n + draw(st.integers(1, 300))
     q = F(2 * n, 2 * k - 1)
-    if data.draw(st.booleans()):
-        s = data.draw(near_scales) * q * q / n
-        beta = _offset(Endpoint(q), s, data.draw(near_generators()))
+    s = draw(near_scales) * q * q / n
+    if bits is None:
+        g = draw(near_generators())
     else:
-        beta = data.draw(irrational_betas())
+        g = hp_sqrt(draw(st.sampled_from(ROOTS + (11, 13))), bits)
+    return _offset(Endpoint(q), s, g), k
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), phase=st.integers(-5, 5))
+def test_forced_fallback_matches_filtered_rounding(data, phase):
+    # near-tie or plain irrational betas, against the per-n exact rounding
+    if data.draw(st.booleans()):
+        beta, k = data.draw(near_tie_betas())
+    else:
+        beta, k = data.draw(irrational_betas()), data.draw(st.integers(2, 600))
     filt = AvdoninFilter(beta=beta, phase=phase)
     lo = F(k + phase - 40)
-    filtered = _decide(lambda: filt.elements_in(lo, lo + 80))
-    with _exact_only():
-        assert _decide(lambda: filt.elements_in(lo, lo + 80)) == filtered
+    expect = _rounding(_per_n_elements_in, filt, lo, lo + 80)
+    assert _rounding(filt.elements_in, lo, lo + 80) == expect
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    bits=st.sampled_from(FILTER_BITS),
+    kind=st.sampled_from(("root", "near tie", "rational")),
+    phase=st.integers(-5, 5),
+    below=st.fractions(min_value=-300, max_value=300, max_denominator=4),
+    span=st.fractions(min_value=-2, max_value=600, max_denominator=3),
+)
+def test_elements_in_matches_per_n_rounding(data, bits, kind, phase, below, span):
+    # equal lists, or the same exception type and message, at every
+    # precision; a window may be empty or lie past a tie
+    if kind == "near tie":
+        beta, center = data.draw(near_tie_betas(bits))
+    elif kind == "root":
+        c = F(data.draw(st.integers(1, 37)), 100)
+        beta, center = Endpoint(0, hp_sqrt(data.draw(st.sampled_from(ROOTS)), bits)) * c, 0
+    else:
+        beta, center = Endpoint(data.draw(rational_betas)), 0
+    filt = AvdoninFilter(beta=beta, phase=phase)
+    lo = center + phase - below
+    expect = _rounding(_per_n_elements_in, filt, lo, lo + span)
+    assert _rounding(filt.elements_in, lo, lo + span) == expect
+
+
+def test_elements_in_raises_on_a_tie_in_the_padding():
+    # beta = q + t*q^2/10, q = 10/23: 5/beta + 1/2 lies about t/2 below the
+    # integer 12, outside the rounded window [2, 10], and n = 5 is the first
+    # of the two padding n past it; no n before 5 is near a tie
+    q = F(10, 23)
+    filt = AvdoninFilter(beta=_offset(Endpoint(q), q * q / 10, hp_sqrt(2, 96)))
+    with pytest.raises(AmbiguousEndpoint) as info:
+        filt.elements_in(F(2), F(10))
+    assert str(info.value) == (
+        "rounding of 5/beta is within the working-precision threshold of an integer"
+    )
+    assert _rounding(_per_n_elements_in, filt, F(2), F(10)) == (
+        AmbiguousEndpoint, str(info.value)
+    )
+    assert filt.elements_in(F(2), F(5)) == [2, 5]
+
+
+@st.composite
+def enclosed_forms(draw, bits: int):
+    """A linear form, now and then moved within a few thresholds of an
+    integer."""
+    x = draw(linear_forms(bits))
+    if draw(st.booleans()):
+        n = draw(st.integers(-50, 50))
+        x = _offset(x - x.exact() + n, draw(near_scales), draw(near_generators()))
+    return x
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), bits=st.sampled_from(FILTER_BITS))
+def test_float_rules_match_exact_decisions(data, bits):
+    # the floor and sign rules of intervals, scalar and array forms alike,
+    # decide only what the exact path decides, and the same way
+    xs = data.draw(st.lists(enclosed_forms(bits), min_size=2, max_size=6))
+    ys = [
+        _offset(x, data.draw(near_scales), data.draw(near_generators()))
+        if data.draw(st.booleans()) else data.draw(linear_forms(bits))
+        for x in xs
+    ]
+    v, e, t = (np.array(col) for col in zip(*(x._enclosure() for x in xs)))
+    w, f, s = (np.array(col) for col in zip(*(y._enclosure() for y in ys)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        floors, floor_decided = intervals._floor_rule(v, e, t)
+        sign_decided = intervals._sign_rule(v - w, e + f, np.maximum(t, s))
+    for i, x in enumerate(xs):
+        fl, decided = intervals._floor_rule(v[i].item(), e[i].item(), t[i].item())
+        assert decided == floor_decided[i]
+        if decided:
+            assert fl == floors[i] and x._floor_exact() == fl
+        d = v[i].item() - w[i].item()
+        decided = intervals._sign_rule(d, e[i].item() + f[i].item(), max(t[i].item(), s[i].item()))
+        assert decided == sign_decided[i]
+        if decided:
+            assert x._cmp_exact(ys[i]) == (1 if d > 0 else -1)
+    # the array form of (x * N).frac(): where the floor of x*N is decided,
+    # w lies within r of the exact fractional part
+    N = np.array(data.draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=4)), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fracs, radii, ts, decided = intervals._scaled_fracs(xs, N)
+    assert (ts[:, 0] == t).all()
+    for i, j in zip(*np.nonzero(decided)):
+        y = xs[i] * int(N[j])
+        exact_frac = y.exact() - y._floor_exact()  # does not raise
+        assert abs(F(fracs[i, j].item()) - exact_frac) <= F(radii[i, j].item())
 
 
 def test_fold_compares_decide_in_float():
