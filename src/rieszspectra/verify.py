@@ -11,7 +11,11 @@ smaller window is a principal block of it.  When S is a single interval the
 matrix is unitarily similar to a real symmetric sinc-kernel matrix (see
 _sinc_gram), and the bounds are solved on that; unions of intervals are
 solved on the complex Gram matrix.  The two give the same eigenvalues up to
-float rounding.  Both are solved densely, up to DENSE_GRAM_BYTES per matrix.
+float rounding.  Both are solved densely with LAPACK ?syevd / ?heevd (through
+scipy), on a matrix of at most DENSE_GRAM_BYTES.  The largest window is
+solved in place and each smaller one on a copy of its block, so a schedule
+peaks at one matrix plus its next-smaller block: about 1.25 matrices when
+the windows double.
 """
 
 from __future__ import annotations
@@ -35,11 +39,11 @@ from .intervals import Endpoint, IntervalSet, _FieldJson, fold_pattern
 from .minors import _check_permutation, c_prime_bound
 from .spectra import Spectrum, _shift_levels
 
-DENSE_GRAM_BYTES = 2**30
+DENSE_GRAM_BYTES = 2**30  # one Gram matrix; its solve adds a copy of the next-smaller block
 PASS_FLOOR = 1e-3
 MAX_LAST_DROP = 0.10
 TAIL_THRESHOLD = 0.01
-_KER_ROWS = 256  # folding-probe kernel rows computed at once
+_BLOCK_ROWS = 256  # rows of a Toeplitz or probe-kernel matrix computed at once
 
 
 def _window_integers(spectrum: Spectrum, S: IntervalSet, T, itemsize: int = 16) -> np.ndarray:
@@ -75,9 +79,14 @@ def _toeplitz(sym: np.ndarray, ms: np.ndarray) -> np.ndarray:
     """M[i, j] = sym[m_i - m_j], with sym[-d] = conj(sym[d]) for d > 0.
 
     sym holds d = 0..ms[-1] - ms[0]; _window_integers has checked the size.
+    M is filled _BLOCK_ROWS rows at a time, so no n x n index matrix is built.
     """
     signed = np.concatenate((np.conj(sym[:0:-1]), sym))
-    return signed[np.subtract.outer(ms, ms) + (len(sym) - 1)]
+    out = np.empty((len(ms), len(ms)), dtype=signed.dtype)
+    for i in range(0, len(ms), _BLOCK_ROWS):
+        rows = slice(i, i + _BLOCK_ROWS)
+        out[rows] = signed[(ms[rows, None] + (len(sym) - 1)) - ms]
+    return out
 
 
 def _complex_gram(spectrum: Spectrum, S: IntervalSet, ms: np.ndarray) -> np.ndarray:
@@ -144,6 +153,21 @@ def _sinc_gram(spectrum: Spectrum, S: IntervalSet, ms: np.ndarray) -> np.ndarray
     return _toeplitz(r, ms)
 
 
+def _extreme_eigenvalues(A: np.ndarray) -> tuple[float, float]:
+    """Least and greatest eigenvalue of the Hermitian matrix held in the lower
+    triangle of the Fortran-ordered A, by LAPACK ?syevd / ?heevd.
+
+    A is overwritten.  scipy is imported here, not at module top, so that
+    commands which solve no Gram matrix never load it.
+    """
+    from scipy.linalg import eigh
+
+    vals = eigh(
+        A, eigvals_only=True, driver="evd", overwrite_a=True, check_finite=False, lower=True
+    )
+    return float(vals[0]), float(vals[-1])
+
+
 @dataclass(frozen=True)
 class GramReport(_FieldJson):
     """Riesz-bound estimates from truncated Gram matrices on a window schedule."""
@@ -183,10 +207,16 @@ def riesz_bounds_estimate(
     ms = _window_integers(spectrum, S, schedule[-1], itemsize)
     blocks = [_window_slice(spectrum, ms, T) for T in schedule]
     G = gram(spectrum, S, ms)
+    # G is exactly Hermitian, so the transpose of its conjugate is G itself,
+    # held in the Fortran order that LAPACK reads without a copy
+    if G.dtype.kind == "c":
+        np.conj(G, out=G)
+    A = G.T
     history = []
-    for T, block in zip(schedule, blocks):
-        vals = np.linalg.eigvalsh(G[block, block])
-        history.append((float(T), float(vals[0]), float(vals[-1])))
+    for T, block in zip(schedule[:-1], blocks):
+        history.append((float(T), *_extreme_eigenvalues(A[block, block].copy(order="F"))))
+    # the last window is all of ms: solved on G's own memory
+    history.append((float(schedule[-1]), *_extreme_eigenvalues(A)))
     lower = history[-1][1]
     upper = history[-1][2]
     last_drop = None
@@ -363,19 +393,20 @@ def folding_probe(
     nz = lambdas != 0
     lam_nz = lambdas[nz]
     ker = np.empty((n_cells, len(lambdas)), dtype=np.complex128)
-    for i in range(0, n_cells, _KER_ROWS):  # bounds the temporaries to one block
-        rows = slice(i, i + _KER_ROWS)
+    for i in range(0, n_cells, _BLOCK_ROWS):  # bounds the temporaries to one block
+        rows = slice(i, i + _BLOCK_ROWS)
         ker[rows, nz] = (
             np.exp(-2j * np.pi * np.outer(rights[rows], lam_nz))
             - np.exp(-2j * np.pi * np.outer(lefts[rows], lam_nz))
         ) / (-2j * np.pi * lam_nz[None, :])
     ker[:, ~nz] = cell_lens[:, None]
 
-    # index masks of the shifted levels inside the integer window
-    level_masks = np.zeros((N, len(lambdas)), dtype=bool)
+    # positions of the shifted levels inside the integer window, ascending
+    # and without repeats, as enumerate_integers lists them
+    level_idx = [np.empty(0, dtype=np.intp)] * N
     for n, level in shifted:
         lam_vals = level.enumerate_integers(-trunc_window, trunc_window)
-        level_masks[n - 1, np.asarray(lam_vals, dtype=np.int64) + trunc_window] = True
+        level_idx[n - 1] = np.asarray(lam_vals, dtype=np.intp) + trunc_window
 
     # folding weights: w[l, k] = e^{-2 pi i shifts[l] k / N}
     fold_w = np.exp(-2j * np.pi * np.outer(np.asarray(shifts), np.arange(N)) / N)
@@ -419,7 +450,7 @@ def folding_probe(
             )
             level_sum = 0.0
             for ell in range(1, c + 1):
-                ls = float(np.sum(energy[level_masks[ell - 1]]))
+                ls = float(np.sum(energy[level_idx[ell - 1]]))
                 level_sum += ls
                 h_sq = float(np.sum(np.abs(H[ell - 1]) ** 2 * piece_lens))
                 if h_sq > 1e-12 * norm_all:

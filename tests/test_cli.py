@@ -3,6 +3,9 @@
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -30,6 +33,16 @@ def _run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out) if out.strip().startswith("{") else out
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is loaded by the first Gram solve only: commands that solve none
+    # (construct-hierarchy, probe-folding, ...) do not pay for its import
+    src = os.path.dirname(os.path.dirname(rs.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, rieszspectra.cli; sys.exit('scipy' in sys.modules)"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_find_prime(capsys, sqrt_interval_file):

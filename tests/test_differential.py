@@ -1,5 +1,7 @@
 """Fast paths against their slow oracles: the real sinc Gram against the
 complex Gram, the one-build bounds schedule against a fresh Gram per window,
+the row-block Toeplitz fill against the one-shot gather it replaced, the
+in-place solve of each window against ?syevd on a copy of its block,
 the Avdonin rounding loop against the per-element formula, the
 one-enumeration density check against per-window enumeration, the
 closed-form fold pattern against the N-cell sweep, and the lattice relation
@@ -40,6 +42,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
@@ -288,6 +291,66 @@ def test_single_interval_bounds_keep_input_checks():
         riesz_bounds_estimate(Spectrum(F(1), (CosetTerm(100, 7),)), HALF, [3])
     with pytest.raises(InvalidInput):
         riesz_bounds_estimate(integer_lattice(), HALF, [16, 8])
+
+
+# -- Toeplitz row blocks and the in-place solve vs one-shot oracles ---------
+
+def _one_shot_toeplitz(sym: np.ndarray, ms: np.ndarray) -> np.ndarray:
+    """The Toeplitz expansion as one gather through an n x n index matrix."""
+    signed = np.concatenate((np.conj(sym[:0:-1]), sym))
+    return signed[np.subtract.outer(ms, ms) + (len(sym) - 1)]
+
+
+UNION = IntervalSet([(0, F(1, 4)), (F(1, 2), 1)])
+
+
+@SETTINGS
+@given(spec=spectra(), S=interval_unions(), T=st.integers(1, 300))
+@example(spec=integer_lattice(), S=HALF, T=300)  # n = 601, three row blocks
+@example(spec=integer_lattice(), S=UNION, T=128)  # n = 257, one row past a block
+def test_toeplitz_row_blocks_match_one_shot_gather(spec, S, T):
+    ms = verify._window_integers(spec, S, T)
+    assume(len(ms) > 0)
+    calls = []
+    fill = verify._toeplitz
+
+    def spy(sym, ms):
+        M = fill(sym, ms)
+        calls.append((sym, ms, M))
+        return M
+
+    # the complex symbol for every set, the real sinc symbol for one interval
+    builds = [verify._complex_gram] + ([verify._sinc_gram] if len(S.pieces) == 1 else [])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_toeplitz", spy)
+        for build in builds:
+            build(spec, S, ms)
+    assert [M.dtype for _, _, M in calls] == [np.complex128, np.float64][: len(builds)]
+    for sym, ms, M in calls:
+        assert np.array_equal(M, _one_shot_toeplitz(sym, ms))
+
+
+@SETTINGS
+@given(
+    spec=spectra(),
+    S=interval_unions(),
+    schedule=st.lists(window_ends, min_size=1, max_size=4, unique=True).map(sorted),
+)
+@example(spec=integer_lattice(), S=HALF, schedule=[F(1, 2), 3, F(7, 2), 64])
+@example(spec=integer_lattice(), S=UNION, schedule=[16, 32, 64])
+def test_bounds_history_matches_evd_per_block(spec, S, schedule):
+    try:
+        rep = riesz_bounds_estimate(spec, S, schedule)
+    except EmptyWindow:
+        return
+    ms = verify._window_integers(spec, S, schedule[-1])
+    G = (verify._sinc_gram if len(S.pieces) == 1 else verify._complex_gram)(spec, S, ms)
+    expected = []
+    for T in schedule:
+        block = verify._window_slice(spec, ms, T)
+        vals = scipy.linalg.eigh(G[block, block].copy(), eigvals_only=True, driver="evd")
+        expected.append((float(T), float(vals[0]), float(vals[-1])))
+    assert rep.history == tuple(expected)
 
 
 # -- Avdonin rounding loop vs the per-element formula -----------------------

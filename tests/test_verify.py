@@ -1,5 +1,6 @@
 """Gram matrices, bound trends, duality, density, and the folding probe."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -174,10 +175,13 @@ def test_bounds_bessel_column_energy():
     assert row_energy[mid] > diag[mid] * 0.98
 
 
-@pytest.mark.parametrize(
-    "S, itemsize",
-    [(IntervalSet([(F(1, 16), F(5, 8))]), 8), (IntervalSet([(0, F(1, 4)), (F(1, 2), 1)]), 16)],
-)
+SETS_BY_ITEMSIZE = [
+    (IntervalSet([(F(1, 16), F(5, 8))]), 8),
+    (IntervalSet([(0, F(1, 4)), (F(1, 2), 1)]), 16),
+]
+
+
+@pytest.mark.parametrize("S, itemsize", SETS_BY_ITEMSIZE)
 def test_dense_gram_limit_raises_resource_limit(monkeypatch, S, itemsize):
     import rieszspectra.verify as verify_mod
 
@@ -192,6 +196,56 @@ def test_dense_gram_limit_raises_resource_limit(monkeypatch, S, itemsize):
         riesz_bounds_estimate(integer_lattice(), S, [12, 24])
     monkeypatch.setattr(verify_mod, "DENSE_GRAM_BYTES", nbytes)
     assert riesz_bounds_estimate(integer_lattice(), S, [12, 24]).count == 49
+
+
+@pytest.mark.parametrize("S, itemsize", SETS_BY_ITEMSIZE)
+def test_largest_window_is_solved_in_place(monkeypatch, S, itemsize):
+    import rieszspectra.verify as verify_mod
+
+    built, solved, seen = [], [], []
+    name = "_sinc_gram" if itemsize == 8 else "_complex_gram"
+    build, solve = getattr(verify_mod, name), verify_mod._extreme_eigenvalues
+
+    def spy_build(*args):
+        built.append(build(*args))
+        seen.append(built[-1].copy())
+        return built[-1]
+
+    def spy_solve(A):
+        solved.append(A)
+        seen.append(A.copy())
+        return solve(A)
+
+    monkeypatch.setattr(verify_mod, name, spy_build)
+    monkeypatch.setattr(verify_mod, "_extreme_eigenvalues", spy_solve)
+    rep = riesz_bounds_estimate(integer_lattice(), S, [8, 16, 32])
+    (G,) = built
+    assert rep.count == 65 and G.itemsize == itemsize
+    assert [A.shape[0] for A in solved] == [17, 33, 65]
+    assert [np.shares_memory(A, G) for A in solved] == [False, False, True]
+    # each solve sees its central block of the Gram matrix itself, not of
+    # its conjugate
+    G0, *blocks = seen
+    for A in blocks:
+        c = (65 - len(A)) // 2
+        assert np.array_equal(A, G0[c : c + len(A), c : c + len(A)])
+
+
+@pytest.mark.parametrize("S, itemsize", SETS_BY_ITEMSIZE)
+def test_bounds_peak_memory_is_one_matrix_and_a_block(S, itemsize):
+    n = 2401
+    riesz_bounds_estimate(integer_lattice(), S, [8])  # loads scipy outside the count
+    tracemalloc.start()
+    try:
+        rep = riesz_bounds_estimate(integer_lattice(), S, [300, 600, 1200])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.count == n
+    # the n x n matrix, the copy of the next-smaller block (n/2 square) and
+    # row-block temporaries; the one-shot index matrix or a solver copy of
+    # the matrix would each add a whole matrix
+    assert peak <= 1.4 * n * n * itemsize
 
 
 # -- density -----------------------------------------------------------------
