@@ -44,6 +44,7 @@ PASS_FLOOR = 1e-3
 MAX_LAST_DROP = 0.10
 TAIL_THRESHOLD = 0.01
 _BLOCK_ROWS = 256  # rows of a Toeplitz or probe-kernel matrix computed at once
+_TRIAL_BLOCK = 8  # folding-probe trials evaluated at once; bounds its per-trial temporaries
 
 
 def _window_integers(spectrum: Spectrum, S: IntervalSet, T, itemsize: int = 16) -> np.ndarray:
@@ -196,7 +197,9 @@ def riesz_bounds_estimate(
     Each window is solved on its principal block, which is exactly the
     matrix of that window.  PASS requires the final lower estimate to clear
     PASS_FLOOR and the relative drop over the last schedule step to stay
-    under MAX_LAST_DROP.
+    under MAX_LAST_DROP.  The solves are multithreaded, and their last bits
+    depend on the BLAS thread count: the report repeats byte for byte at a
+    fixed thread count, not across thread counts.
     """
     schedule = list(schedule)
     if not schedule or Fraction(schedule[0]) <= 0 or any(
@@ -420,50 +423,62 @@ def folding_probe(
     # is empty below c, so each count c that occurs is evaluated once
     counts = sorted(set(piece_counts.tolist()))
     ratio_min = math.inf
-    alpha_min = [math.inf] * N
+    alpha_min = np.full(N, math.inf)
     tail_max = 0.0
     used_trials = 0
-    for t in range(trials):
-        vals = _draw_test_function(n_cells, seed, t)
-        norm_all = float(np.sum(np.abs(vals) ** 2 * cell_lens))
-        if norm_all <= 0.0:
-            continue  # zero draw has no normalizable slice
-        used_trials += 1
+    # trials run _TRIAL_BLOCK at a time, one row each, every row drawn on its
+    # own stream; each sum below adds one contiguous row in the order a
+    # single trial adds it, so the report does not depend on the block size
+    for start in range(0, trials, _TRIAL_BLOCK):
+        V = np.stack([
+            _draw_test_function(n_cells, seed, t)
+            for t in range(start, min(start + _TRIAL_BLOCK, trials))
+        ])
+        norm_all = np.sum(np.abs(V) ** 2 * cell_lens, axis=1)
+        drawn = norm_all > 0.0  # a zero draw has no normalizable slice
+        V, norm_all = V[drawn], norm_all[drawn]
+        used_trials += len(V)
+        if not len(V):
+            continue
 
-        # folded values per piece: C[k, p] = f(t + k/N) on piece p
-        C = np.zeros((N, n_pieces), dtype=np.complex128)
-        C[cell_k_arr, cell_piece_arr] = vals
+        # folded values per piece: C[b, k, p] = f_b(t + k/N) on piece p.  A
+        # column of fold_w @ C depends on its own column of C only, so the
+        # h_{c, l} of a count c (rows l=1..N) are its columns p with
+        # piece_counts >= c; the other columns of the tail are zero
+        C = np.zeros((len(V), N, n_pieces), dtype=np.complex128)
+        C[:, cell_k_arr, cell_piece_arr] = V
+        H_sq = np.abs(fold_w @ C) ** 2 * piece_lens
 
         for c in counts:
             # every cell has at least the least count, whose tail is all of f
             least = c == counts[0]
-            tail_vals = vals if least else np.where(cell_counts >= c, vals, 0.0)
-            energy = np.abs(tail_vals @ ker) ** 2
+            tail_vals = V if least else np.where(cell_counts >= c, V, 0.0)
+            # one vector-matrix product per row, as for a single trial
+            energy = (np.abs(tail_vals[:, None, :] @ ker) ** 2)[:, 0]
             if least:
-                captured = float(np.sum(energy))
-                tail_max = max(tail_max, max(0.0, 1.0 - captured / norm_all))
-            piece_sel = piece_counts >= c
-            C_tail = np.where(piece_sel[None, :], C, 0.0)
-            H = fold_w @ C_tail  # h_{c, l} values per piece, rows l=1..N
-            norm_fn = float(
-                np.sum(np.abs(vals[cell_counts == c]) ** 2 * cell_lens[cell_counts == c])
-            )
-            level_sum = 0.0
-            for ell in range(1, c + 1):
-                ls = float(np.sum(energy[level_idx[ell - 1]]))
-                level_sum += ls
-                h_sq = float(np.sum(np.abs(H[ell - 1]) ** 2 * piece_lens))
-                if h_sq > 1e-12 * norm_all:
-                    alpha_min[ell - 1] = min(alpha_min[ell - 1], ls / h_sq)
-            if norm_fn > 1e-12 * norm_all:
-                ratio_min = min(ratio_min, level_sum / norm_fn)
+                captured = np.sum(energy, axis=1)
+                tail_max = max(tail_max, float(np.max(1.0 - captured / norm_all)))
+            exact = cell_counts == c
+            norm_fn = np.sum(np.abs(V.compress(exact, axis=1)) ** 2 * cell_lens[exact], axis=1)
+            h_sq = np.sum(np.where(piece_counts >= c, H_sq[:, :c], 0.0), axis=2)
+            ls = np.empty_like(h_sq)
+            level_sum = np.zeros(len(V))
+            for ell in range(c):  # level ell + 1, added left to right
+                ls[:, ell] = np.sum(energy.take(level_idx[ell], axis=1), axis=1)
+                level_sum += ls[:, ell]
+            h_ok = h_sq > 1e-12 * norm_all[:, None]
+            alpha = np.divide(ls, h_sq, out=np.full_like(ls, math.inf), where=h_ok)
+            np.minimum(alpha_min[:c], np.min(alpha, axis=0), out=alpha_min[:c])
+            fn_ok = norm_fn > 1e-12 * norm_all
+            if fn_ok.any():
+                ratio_min = min(ratio_min, float(np.min(level_sum[fn_ok] / norm_fn[fn_ok])))
 
     if tail_max > TAIL_THRESHOLD:
         warnings.warn(
             f"coefficient tail {tail_max:.3%} exceeds {TAIL_THRESHOLD:.0%} of energy",
             TruncationWarning,
         )
-    per_level_alpha = tuple(a for a in alpha_min if math.isfinite(a))
+    per_level_alpha = tuple(float(a) for a in alpha_min if math.isfinite(a))
     return FoldingReport(
         empirical_c=float(ratio_min),
         per_level_alpha=per_level_alpha,

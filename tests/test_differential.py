@@ -19,11 +19,12 @@ of every interval subset and its shared JSON against the helpers it
 replaced, the per-term window count against enumeration, and the one ranked
 sweep of set algebra and fold cuts against the event sweep and cut/rank loop
 it replaced, and the ordering-prime scan that rejects primes in bulk on float
-enclosures against the per-prime exact loop it replaced.  The exact decisions
-(phases, Avdonin rounding, the relation scan) are also checked against the mpf evaluation
-at working precision that they replaced, and generators made and printed
-at explicit precision against the same steps in mpmath's shared context
-switched by workprec()."""
+enclosures against the per-prime exact loop it replaced, and the folding
+probe's trial blocks against the per-trial loop, zero draws included.  The
+exact decisions (phases, Avdonin rounding, the relation scan) are also
+checked against the mpf evaluation at working precision that they
+replaced, and generators made and printed at explicit precision against the
+same steps in mpmath's shared context switched by workprec()."""
 
 import contextlib
 import itertools
@@ -1598,15 +1599,14 @@ def test_fold_compares_decide_in_float():
     assert reached == []
 
 
-# -- folding probe: one pass per occurring count vs one per level --------------
+# -- folding probe: trial blocks vs the per-trial loop vs one pass per level ---
 
-def _per_level_folding_probe(N, S, levels, shifts, trials, seed, trunc_window=2048):
-    """The probe as it ran before it skipped levels: the tail energies and
-    the folded values are recomputed for every level n = 1..max count.
-    Input checks are left out; the report and the warning are the same."""
+def _probe_tables(N, S, levels, shifts, trunc_window):
+    """What the probe builds before its trial loop, in one shot: cells, the
+    coefficient kernel, the level masks, the folding weights and the minor
+    floor.  Input checks are left out."""
     pieces = [(l, r, ks) for l, r, ks in fold_pattern(N, S) if ks]
     cellw = F(1, N)
-    n_pieces = len(pieces)
     piece_lens = np.array([float(r - l) for l, r, _ in pieces])
     piece_counts = np.array([len(ks) for _, _, ks in pieces])
     cells, cell_piece, cell_k = [], [], []
@@ -1615,18 +1615,15 @@ def _per_level_folding_probe(N, S, levels, shifts, trials, seed, trunc_window=20
             cells.append((left + k * cellw, right + k * cellw))
             cell_piece.append(p_idx)
             cell_k.append(k)
-    n_cells = len(cells)
     cell_piece_arr = np.asarray(cell_piece)
-    cell_k_arr = np.asarray(cell_k)
     cell_lens = piece_lens[cell_piece_arr]
-    cell_counts = piece_counts[cell_piece_arr]
 
     lambdas = np.arange(-trunc_window, trunc_window + 1)
     lefts = np.array([float(l) for l, _ in cells])
     rights = np.array([float(r) for _, r in cells])
     nz = lambdas != 0
     lam_nz = lambdas[nz]
-    ker = np.empty((n_cells, len(lambdas)), dtype=np.complex128)
+    ker = np.empty((len(cells), len(lambdas)), dtype=np.complex128)
     ker[:, nz] = (
         np.exp(-2j * np.pi * np.outer(rights, lam_nz))
         - np.exp(-2j * np.pi * np.outer(lefts, lam_nz))
@@ -1641,17 +1638,55 @@ def _per_level_folding_probe(N, S, levels, shifts, trials, seed, trunc_window=20
             lam_vals = shifted.enumerate_integers(-trunc_window, trunc_window)
             mask[np.asarray(lam_vals, dtype=np.int64) + trunc_window] = True
         level_masks.append(mask)
-    fold_w = np.exp(-2j * np.pi * np.outer(np.asarray(shifts), np.arange(N)) / N)
     fiber_sets = sorted(set(ks for _, _, ks in pieces))
-    sigma_min_used = math.sqrt(c_prime_bound(N, list(shifts), fiber_sets))
+    return dict(
+        n_cells=len(cells),
+        n_pieces=len(pieces),
+        piece_lens=piece_lens,
+        piece_counts=piece_counts,
+        cell_piece_arr=cell_piece_arr,
+        cell_k_arr=np.asarray(cell_k),
+        cell_lens=cell_lens,
+        cell_counts=piece_counts[cell_piece_arr],
+        ker=ker,
+        level_masks=level_masks,
+        fold_w=np.exp(-2j * np.pi * np.outer(np.asarray(shifts), np.arange(N)) / N),
+        sigma_min_used=math.sqrt(c_prime_bound(N, list(shifts), fiber_sets)),
+    )
+
+
+def _probe_report(sigma_min_used, ratio_min, alpha_min, tail_max, used_trials):
+    """The probe's warning and report from its running minima."""
+    if tail_max > verify.TAIL_THRESHOLD:
+        warnings.warn(
+            f"coefficient tail {tail_max:.3%} exceeds {verify.TAIL_THRESHOLD:.0%} of energy",
+            TruncationWarning,
+        )
+    return verify.FoldingReport(
+        empirical_c=float(ratio_min),
+        per_level_alpha=tuple(a for a in alpha_min if math.isfinite(a)),
+        sigma_min_used=sigma_min_used,
+        trials=used_trials,
+        tail_fraction_max=tail_max,
+    )
+
+
+def _per_level_folding_probe(N, S, levels, shifts, trials, seed, trunc_window=2048):
+    """The probe as it ran before it skipped levels: the tail energies and
+    the folded values are recomputed for every level n = 1..max count."""
+    t = _probe_tables(N, S, levels, shifts, trunc_window)
+    n_cells, n_pieces, ker, fold_w = t["n_cells"], t["n_pieces"], t["ker"], t["fold_w"]
+    piece_lens, piece_counts = t["piece_lens"], t["piece_counts"]
+    cell_lens, cell_counts = t["cell_lens"], t["cell_counts"]
+    level_masks = t["level_masks"]
 
     max_count = int(piece_counts.max())
     ratio_min = math.inf
     alpha_min = [math.inf] * N
     tail_max = 0.0
     used_trials = 0
-    for t in range(trials):
-        vals = verify._draw_test_function(n_cells, seed, t)
+    for trial in range(trials):
+        vals = verify._draw_test_function(n_cells, seed, trial)
         norm_all = float(np.sum(np.abs(vals) ** 2 * cell_lens))
         if norm_all <= 0.0:
             continue
@@ -1660,7 +1695,7 @@ def _per_level_folding_probe(N, S, levels, shifts, trials, seed, trunc_window=20
         captured = float(np.sum(np.abs(c_all) ** 2))
         tail_max = max(tail_max, max(0.0, 1.0 - captured / norm_all))
         C = np.zeros((N, n_pieces), dtype=np.complex128)
-        C[cell_k_arr, cell_piece_arr] = vals
+        C[t["cell_k_arr"], t["cell_piece_arr"]] = vals
         for n in range(1, max_count + 1):
             sel = cell_counts >= n
             tail_vals = np.where(sel, vals, 0.0)
@@ -1681,19 +1716,54 @@ def _per_level_folding_probe(N, S, levels, shifts, trials, seed, trunc_window=20
                     alpha_min[ell - 1] = min(alpha_min[ell - 1], ls / h_sq)
             if norm_fn > 1e-12 * norm_all:
                 ratio_min = min(ratio_min, level_sum / norm_fn)
+    return _probe_report(t["sigma_min_used"], ratio_min, alpha_min, tail_max, used_trials)
 
-    if tail_max > verify.TAIL_THRESHOLD:
-        warnings.warn(
-            f"coefficient tail {tail_max:.3%} exceeds {verify.TAIL_THRESHOLD:.0%} of energy",
-            TruncationWarning,
-        )
-    return verify.FoldingReport(
-        empirical_c=float(ratio_min),
-        per_level_alpha=tuple(a for a in alpha_min if math.isfinite(a)),
-        sigma_min_used=sigma_min_used,
-        trials=used_trials,
-        tail_fraction_max=tail_max,
-    )
+
+def _per_trial_folding_probe(N, S, levels, shifts, trials, seed, trunc_window=2048):
+    """The probe as it ran before it evaluated trials in blocks: one pass per
+    trial, and in it one pass per count that occurs."""
+    t = _probe_tables(N, S, levels, shifts, trunc_window)
+    n_cells, n_pieces, ker, fold_w = t["n_cells"], t["n_pieces"], t["ker"], t["fold_w"]
+    piece_lens, piece_counts = t["piece_lens"], t["piece_counts"]
+    cell_lens, cell_counts = t["cell_lens"], t["cell_counts"]
+    level_masks = t["level_masks"]
+
+    counts = sorted(set(piece_counts.tolist()))
+    ratio_min = math.inf
+    alpha_min = [math.inf] * N
+    tail_max = 0.0
+    used_trials = 0
+    for trial in range(trials):
+        vals = verify._draw_test_function(n_cells, seed, trial)
+        norm_all = float(np.sum(np.abs(vals) ** 2 * cell_lens))
+        if norm_all <= 0.0:
+            continue
+        used_trials += 1
+        C = np.zeros((N, n_pieces), dtype=np.complex128)
+        C[t["cell_k_arr"], t["cell_piece_arr"]] = vals
+        for c in counts:
+            least = c == counts[0]
+            tail_vals = vals if least else np.where(cell_counts >= c, vals, 0.0)
+            energy = np.abs(tail_vals @ ker) ** 2
+            if least:
+                captured = float(np.sum(energy))
+                tail_max = max(tail_max, max(0.0, 1.0 - captured / norm_all))
+            piece_sel = piece_counts >= c
+            C_tail = np.where(piece_sel[None, :], C, 0.0)
+            H = fold_w @ C_tail
+            norm_fn = float(
+                np.sum(np.abs(vals[cell_counts == c]) ** 2 * cell_lens[cell_counts == c])
+            )
+            level_sum = 0.0
+            for ell in range(1, c + 1):
+                ls = float(np.sum(energy[level_masks[ell - 1]]))
+                level_sum += ls
+                h_sq = float(np.sum(np.abs(H[ell - 1]) ** 2 * piece_lens))
+                if h_sq > 1e-12 * norm_all:
+                    alpha_min[ell - 1] = min(alpha_min[ell - 1], ls / h_sq)
+            if norm_fn > 1e-12 * norm_all:
+                ratio_min = min(ratio_min, level_sum / norm_fn)
+    return _probe_report(t["sigma_min_used"], ratio_min, alpha_min, tail_max, used_trials)
 
 
 def _probe_with_warnings(probe, *args, **kwargs):
@@ -1724,6 +1794,62 @@ def test_probe_kernel_blocks_match_per_level():
     args = (N, IntervalSet.unit(), [integer_lattice(N)] * N, list(range(1, N + 1)), 1, 0)
     got = _probe_with_warnings(verify.folding_probe, *args)
     assert got == _probe_with_warnings(_per_level_folding_probe, *args)
+
+
+@SETTINGS
+@given(
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    trials=st.integers(1, 2 * verify._TRIAL_BLOCK + 1),
+    window=st.sampled_from([16, 256, 2048]),
+)
+def test_probe_trial_blocks_match_per_trial(plan_l1, plan_l2, data, seed, trials, window):
+    # up to two whole blocks and one row of a third
+    plan = data.draw(st.sampled_from([plan_l1, plan_l2]))
+    shifts = data.draw(st.permutations(range(1, plan.N + 1)))
+    args = (plan.N, plan.S, plan.level_spectra, shifts, trials, seed)
+    got = _probe_with_warnings(verify.folding_probe, *args, trunc_window=window)
+    assert got == _probe_with_warnings(_per_trial_folding_probe, *args, trunc_window=window)
+
+
+@pytest.mark.parametrize("N", [257, 29])
+def test_probe_trial_blocks_match_per_trial_on_long_rows(sq, N):
+    # sums over more than 8 entries, where numpy's pairwise order differs
+    # from a sequential one: at N=257 the unit interval has 257 cells of
+    # count 257; at N=29 the L=1 plan has two count classes of 18 and 10 cells
+    if N == 257:
+        args = (N, IntervalSet.unit(), [integer_lattice(N)] * N, list(range(1, N + 1)))
+    else:
+        plan = construct_hierarchy_with_prime([sq[2] - 1], [sq[3] - 1], N)
+        counts = [len(ks) for _, _, ks in fold_pattern(N, plan.S) if ks]
+        assert sorted(c * counts.count(c) for c in set(counts)) == [10, 18]
+        args = (N, plan.S, plan.level_spectra, list(range(N, 0, -1)))
+    args += (verify._TRIAL_BLOCK + 2, 3)
+    got = _probe_with_warnings(verify.folding_probe, *args)
+    assert got == _probe_with_warnings(_per_trial_folding_probe, *args)
+
+
+@pytest.mark.parametrize("zeros", ["scattered", "first block", "all"])
+def test_probe_skips_zero_draws(plan_l2, zeros):
+    B = verify._TRIAL_BLOCK
+    trials = 2 * B + 1
+    zero = {
+        "scattered": {1, B, 2 * B},
+        "first block": set(range(B)),
+        "all": set(range(trials)),
+    }[zeros]
+    draw = verify._draw_test_function
+
+    def with_zeros(n, seed, trial):
+        return np.zeros(n, dtype=np.complex128) if trial in zero else draw(n, seed, trial)
+
+    plan = plan_l2
+    args = (plan.N, plan.S, plan.level_spectra, list(range(1, plan.N + 1)), trials, 5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_draw_test_function", with_zeros)
+        got = _probe_with_warnings(verify.folding_probe, *args)
+        assert got == _probe_with_warnings(_per_trial_folding_probe, *args)
+    assert got[0].trials == trials - len(zero)
 
 
 # -- level tables: one derivation and one writer vs the helpers they replaced

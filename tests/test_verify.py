@@ -367,6 +367,23 @@ def test_folding_probe_runs_at_l3(plan_l3):
     assert rep.trials == 2
 
 
+def test_folding_probe_peak_memory_is_bounded_by_the_block(plan_l2):
+    # trials run in blocks of a fixed size, so 2000 trials peak within
+    # 1 MiB of one trial; 2000 trials in one block would peak 260 MB higher
+    plan = plan_l2
+    args = (plan.N, plan.S, plan.level_spectra, list(range(1, plan.N + 1)))
+    peaks = []
+    for trials in (1, 2000):
+        tracemalloc.start()
+        try:
+            rep = folding_probe(*args, trials, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert rep.trials == trials
+    assert peaks[1] <= peaks[0] + 2**20
+
+
 def _seg_coeff(lam, lf, rf):
     if lam == 0:
         return rf - lf
