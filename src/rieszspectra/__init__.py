@@ -33,7 +33,6 @@ from .assembly import (
 from .errors import (
     AmbiguousEndpoint,
     ConstructionError,
-    DegenerateBeta,
     DegenerateCoverage,
     EmptySubset,
     EmptyWindow,

@@ -254,14 +254,16 @@ def construct_hierarchy_with_prime(a: Sequence, b: Sequence, N: int) -> Hierarch
     return _build_plan(witness, a, b)
 
 
-def _geometry(N: int, a: Sequence, b: Sequence, ells: Optional[Sequence[int]] = None):
-    """What N determines for the intervals [a_l, b_l), l in ells (1-based,
-    ascending; default all): K_ell, the N fiber-count sets of their union,
-    checked against the hierarchy pattern (K full cells, then the boundary
-    piece [{N a_l}/N, {N b_l}/N) of each interval in order, then empty
-    levels), and the boundary widths {N b_l} - {N a_l}."""
-    ells = range(1, len(a) + 1) if ells is None else ells
-    pairs = [(a[ell - 1], b[ell - 1]) for ell in ells]
+def _geometry(N: int, a: Sequence, b: Sequence):
+    """What N determines for the intervals [a_l, b_l): K_ell, the N
+    fiber-count sets of their union, checked against the hierarchy pattern
+    (K full cells, then the boundary piece [{N a_l}/N, {N b_l}/N) of each
+    interval in order), and the boundary widths {N b_l} - {N a_l}.
+
+    Interval l holds ceil(N b_l - u) - ceil(N a_l - u) <= K_l + 1 points of
+    the fiber of u/N, so no count exceeds K + L and every level after the
+    boundary pieces is empty."""
+    pairs = list(zip(a, b))
     # per-interval full-cell counts: interior cells plus the one cell's worth
     # contributed jointly by the two boundary fragments
     K_ell = []
@@ -281,20 +283,17 @@ def _geometry(N: int, a: Sequence, b: Sequence, ells: Optional[Sequence[int]] = 
         raise DegenerateCoverage(
             f"full-cell count mismatch at N={N}: pattern gives {K_S}, intervals give {K}"
         )
-    if K + len(ells) > N:
+    if K + len(pairs) > N:
         raise ConstructionError("level pattern exceeds N levels")
     cell = Fraction(1, N)
     betas = []
-    for n, (ell, (x, y)) in enumerate(zip(ells, pairs), start=K + 1):
+    for n, (x, y) in enumerate(pairs, start=K + 1):
         fa, fb = (x * N).frac(), (y * N).frac()
         if a_sets[n - 1] != IntervalSet([(fa * cell, fb * cell)]):
             raise ConstructionError(
-                f"level {n} does not match the boundary piece of interval {ell}"
+                f"level {n} does not match the boundary piece of interval {n - K}"
             )
         betas.append(fb - fa)
-    n = K + len(ells) + 1
-    if n <= N and not a_sets[n - 1].is_empty:
-        raise ConstructionError(f"level {n} should be empty")
     return tuple(K_ell), a_sets, betas
 
 
@@ -334,9 +333,13 @@ def subset_spectrum(plan: HierarchyPlan, J: Sequence[int]) -> SubsetPlan:
 
     omega holds the plan's levels owned by J, each shifted by its level
     index, so its union is that of lambda_l over J; the indices are the
-    shifts, distinct in 1..N.  Validates, against independently recomputed
-    fiber-count sets of S^J, that the n-th reordered set is a spectrum
-    candidate for the n-th level set.
+    shifts, distinct in 1..N.  The fiber-count sets of S^J are read off the
+    validated plan, not re-derived.  At t = u/N, with N a_l not an integer,
+    interval l holds K_l + [u < {N b_l}] - [u < {N a_l}] points of the
+    fiber.  A plan _geometry accepted has level K + l equal to
+    P_l = [{N a_l}, {N b_l}), so the P_l are nested and miss u = 0, and
+    S^J has K_J = sum of K_l over J full levels, then the P_l of J in
+    order: the levels omega lists.
     """
     J = sorted(set(int(ell) for ell in J))
     if not J:
@@ -345,17 +348,7 @@ def subset_spectrum(plan: HierarchyPlan, J: Sequence[int]) -> SubsetPlan:
         raise InvalidInput(f"J must be a subset of 1..{plan.L}")
     owned = [entry for entry in plan._shifted_levels if entry[0] in J]
     omega, shifts = tuple(s for _, _, s in owned), tuple(n for _, n, _ in owned)
-
-    # independent recomputation of the fiber-count sets of the sub-union
-    K_ell, levels_J, _ = _geometry(plan.N, plan.a, plan.b, J)
-    K_J = sum(K_ell)
-    for spec, target in zip(omega[K_J:], levels_J[K_J:]):
-        # fractional levels must carry the generator of the right density
-        dens = spec.density()
-        goal = float(target.measure())
-        if abs(float(dens) - goal) > _DENSITY_TOL:
-            raise ConstructionError("omega ordering does not match the level sets")
-
+    K_J = sum(plan.K_ell[ell - 1] for ell in J)
     return SubsetPlan(J=tuple(J), K_J=K_J, omega=omega, shifts=shifts)
 
 
@@ -430,9 +423,8 @@ def complement_integer_spectrum(N: int, a: Sequence, b: Sequence) -> ComplementR
     S = IntervalSet((l * inv, r * inv) for l, r in pairs)
 
     pattern = fold_pattern(N, S)
+    # S holds [0, 1/N), so every fiber holds k = 0 and M >= 1
     a_sets, M = geq_levels(N, pattern), min(len(ks) for _, _, ks in pattern)
-    if M < 1:
-        raise ConstructionError("the unit interval must fill the first level")
 
     full, empty = integer_lattice(N, 0), empty_spectrum()
     # consecutive levels share one set object: certify each distinct set once

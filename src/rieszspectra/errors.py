@@ -41,10 +41,6 @@ class IncompatibleShift(RieszSpectraError):
     """Shift amount is not a multiple of the spectrum's scale."""
 
 
-class DegenerateBeta(RieszSpectraError):
-    """Density parameter below the configured floor."""
-
-
 class LevelNotInNZ(InvalidInput):
     """A level spectrum is not contained in the required lattice."""
 

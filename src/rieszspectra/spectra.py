@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 
 from .errors import (
     AmbiguousEndpoint,
-    DegenerateBeta,
     IncompatibleShift,
     InvalidInput,
     LevelNotInNZ,
@@ -26,7 +25,6 @@ from .intervals import Endpoint, parse_fraction
 from .intervals import _json_array, _json_field, _json_value
 from .precision import DEFAULT_PRECISION_BITS, ambiguity_threshold
 
-MIN_BETA = Fraction(1, 64)  # least density of an interval generator
 _HALF = Fraction(1, 2)
 
 
@@ -329,12 +327,9 @@ def empty_spectrum() -> Spectrum:
 
 
 def avdonin_interval_spectrum(beta) -> Spectrum:
-    """Integer spectrum {round_half_up(n/beta)} of density beta in
-    [MIN_BETA, 1); the single-interval generator."""
-    filt = AvdoninFilter(beta=Endpoint.coerce(beta))
-    if filt.beta < Endpoint(MIN_BETA):
-        raise DegenerateBeta(f"beta={float(filt.beta):.6g} below floor {float(MIN_BETA):.6g}")
-    return Spectrum(Fraction(1), (CosetTerm(1, 0, filt),))
+    """Integer spectrum {round_half_up(n/beta)} of density beta in (0, 1);
+    the single-interval generator."""
+    return Spectrum(Fraction(1), (CosetTerm(1, 0, AvdoninFilter(Endpoint.coerce(beta))),))
 
 
 def _shift_levels(

@@ -37,7 +37,7 @@ from rieszspectra import (
     subset_spectrum,
 )
 from rieszspectra.precision import hp_sqrt
-from test_differential import _combine_levels
+from test_differential import _combine_levels, _rederived_subset_spectrum
 
 
 def F(n, d=1):
@@ -454,7 +454,7 @@ def test_every_built_plan_loads_back(instance):
         plan = construct_hierarchy_with_prime(
             a, b, find_ordering_prime(a, b, 20000, skip_relation_probe=True).N
         )
-    except (rs.NotFound, rs.DegenerateBeta):  # no plan to load
+    except rs.NotFound:  # no plan to load
         reject()
     text = json.dumps(plan.to_json(), sort_keys=True)
     back = rs.HierarchyPlan.from_json(json.loads(text), bits=bits)
@@ -463,6 +463,23 @@ def test_every_built_plan_loads_back(instance):
         J = [ell for ell in range(1, plan.L + 1) if mask >> (ell - 1) & 1]
         got, want = (subset_spectrum(p, J).union().to_json() for p in (back, plan))
         assert got == want
+        # sub-unions read off the plan equal the ones re-derived from S^J
+        for p in (plan, back):
+            assert subset_spectrum(p, J).to_json() == _rederived_subset_spectrum(p, J).to_json()
+
+
+def test_small_boundary_beta_builds_and_loads_back(sq):
+    # the L = 2 spec k/5 + (12/1000) sqrt(p_k): its first ordering prime 83
+    # leaves a boundary piece of width beta ~ 0.0080, below the 1/64 floor
+    # that once refused it
+    e = [Endpoint(F(k, 5)) + sq[p] * F(12, 1000) for k, p in zip(range(1, 5), (2, 3, 5, 7))]
+    plan = construct_hierarchy(e[0::2], e[1::2], 2000)
+    assert plan.N == 83
+    beta = min(float(s.terms[0].filter.beta) for s in plan.boundary)
+    assert 0.0080 < beta < 0.0081
+    text = json.dumps(plan.to_json(), sort_keys=True)
+    back = rs.HierarchyPlan.from_json(json.loads(text))
+    assert json.dumps(back.to_json(), sort_keys=True) == text
 
 
 def test_witness_float_is_held_to_the_chain_not_its_last_bit():
@@ -552,6 +569,17 @@ def test_complement_irrational_case():
     assert abs(float(t.filter.beta) - float(Endpoint(0, hp_sqrt(2))) / 2) < 1e-50
     # disjoint from the integers on a window
     assert all(f.denominator == 2 for f in res.lambda_prime.enumerate(300))
+
+
+def test_complement_small_beta_case():
+    # [1, 1 + sqrt(2)/200) at N = 2: its one extra level has density
+    # sqrt(2)/200 ~ 0.0071 < 1/64, and lambda' is a Riesz spectrum for it
+    a, b = Endpoint(1), Endpoint(1) + Endpoint(0, hp_sqrt(2)) * F(1, 200)
+    res = complement_integer_spectrum(2, [a], [b])
+    assert res.M == 1
+    report = rs.riesz_bounds_estimate(res.lambda_prime, IntervalSet([(a, b)]), [256, 512, 1024])
+    assert report.status == "PASS"
+    assert 0.0070 < report.lower_est < 0.0071
 
 
 def test_complement_wraparound_case():

@@ -723,6 +723,81 @@ def test_input_error_subclass_exits_2(kind, tmp_path, capsys):
 
 # The hand-written to_json bodies the result dataclasses had before their
 # reports became their fields; each report must serialize to the same bytes.
+# -- exits the other tests do not reach ---------------------------------------
+
+def test_verify_out_tees_the_report(tmp_path, capsys, plan_l1):
+    # without an artifact, --out holds the same bytes as stdout
+    out = tmp_path / "r.json"
+    code = main(["verify", "--plan", _plan_file(tmp_path, plan_l1), "--schedule", "32,64",
+                 "--out", str(out)])
+    stdout = capsys.readouterr().out
+    assert code == 0 and stdout and out.read_text() == stdout
+
+
+def test_bounds_duplicate_frequency_is_a_fail_report(tmp_path, capsys):
+    # 2Z u 4Z repeats every multiple of 4: a package error, so exit 1 with a
+    # FAIL report that carries the error
+    spec, half = tmp_path / "dup.json", tmp_path / "half.json"
+    spec.write_text(json.dumps(rs.integer_lattice(2).union(rs.integer_lattice(4)).to_json()))
+    half.write_text(json.dumps(IntervalSet([(0, Fraction(1, 2))]).to_json()))
+    code = main(["bounds", "--spectrum", str(spec), "--set", str(half), "--schedule", "8,16"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "failure: duplicate frequency -16 inside window\n"
+    report = json.loads(captured.out)
+    assert report["status"] == "FAIL"
+    assert report["result"] == {"error": "duplicate frequency -16 inside window"}
+
+
+@pytest.mark.parametrize("N", [2, 3, 7, 11])
+def test_plan_at_a_prime_without_its_hierarchy_is_input_error(N, tmp_path, capsys, plan_l1):
+    # plan_l1's interval at a prime other than 5, its levels padded to N
+    obj = plan_l1.to_json()
+    levels = obj["level_spectra"]
+    obj.update(witness=dict(obj["witness"], N=N), level_spectra=(levels * N)[:N])
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(obj))
+    code = main(["verify", "--plan", str(path), "--schedule", "8,16"])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert f"{path}: plan field 'N' gives no hierarchy" in err
+
+
+def test_complement_unsupported_level_exits_1(tmp_path, capsys):
+    # level 2 at N = 2 is two pieces of the 1/4099 grid, finer than the
+    # 1/4096 limit, with rational endpoints that no inner plan takes
+    one = Endpoint(1)
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(IntervalSet([
+        (one + Fraction(1, 4099), one + Fraction(2, 4099)),
+        (one + Fraction(3, 4099), one + Fraction(5, 4099)),
+    ]).to_json()))
+    code = main(["complement", "--N", "2", "--intervals", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "neither grid-aligned nor independent-constructible" in captured.err
+    assert json.loads(captured.out)["status"] == "FAIL"
+
+
+def test_probe_folding_without_trials_is_input_error(tmp_path, capsys, plan_l1):
+    _input_error(capsys, ["probe-folding", "--plan", _plan_file(tmp_path, plan_l1),
+                          "--trials", "0"])
+    # a level whose density is not its set's measure: 5Z as the boundary level
+    levels = list(plan_l1.level_spectra)
+    levels[plan_l1.K] = rs.integer_lattice(5)
+    with pytest.raises(rs.InvalidInput, match="does not match its set measure"):
+        rs.folding_probe(5, plan_l1.S, levels, [1, 2, 3, 4, 5], 3, 42)
+
+
+def test_construct_hierarchy_on_no_intervals_is_input_error(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"intervals": []}))
+    code = main(["construct-hierarchy", "--intervals", str(path), "--prime-limit", "10"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "input error: interval specification is empty\n"
+
+
 def _prime_search_json(r):
     return {
         "N": r.N,

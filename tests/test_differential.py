@@ -1911,12 +1911,17 @@ def _subsets(L):
     return [list(J) for r in range(1, L + 1) for J in combinations(range(1, L + 1), r)]
 
 
+def _sub_chain(a, b, J):
+    """The endpoint lists of the sub-union over J."""
+    return [a[ell - 1] for ell in J], [b[ell - 1] for ell in J]
+
+
 @pytest.mark.parametrize("name", ["plan_l1", "plan_l2", "plan_l3"])
 def test_geometry_of_every_subset_matches_level_pattern(name, request):
     plan = request.getfixturevalue(name)
     N, a, b = plan.N, plan.a, plan.b
     for J in _subsets(plan.L):
-        got = assembly._geometry(N, a, b, J)
+        got = assembly._geometry(N, *_sub_chain(a, b, J))
         assert got == _geometry_oracle(N, a, b, J)
         assert got[0] == tuple(plan.K_ell[ell - 1] for ell in J)
         assert subset_spectrum(plan, J).K_J == sum(got[0])
@@ -1929,8 +1934,9 @@ def test_geometry_matches_level_pattern_at_non_ordering_primes(plan_l1, plan_l2,
         a, b = plan.a, plan.b
         for N in filter(_is_prime, range(2, 80)):
             for J in _subsets(plan.L):
-                got = _result_or_error(assembly._geometry, N, a, b, J)
-                assert got == _result_or_error(_geometry_oracle, N, a, b, J)
+                a_J, b_J = _sub_chain(a, b, J)
+                got = _result_or_error(assembly._geometry, N, a_J, b_J)
+                assert got == _result_or_error(_geometry_oracle, N, a_J, b_J, range(1, len(J) + 1))
             build = lambda: construct_hierarchy_with_prime(a, b, N).to_json()  # noqa: E731
             got = _result_or_error(build)
             with monkeypatch.context() as mp:
@@ -1942,6 +1948,101 @@ def test_geometry_matches_level_pattern_at_non_ordering_primes(plan_l1, plan_l2,
     # the plans, both DegenerateCoverage messages, a boundary-piece mismatch
     # and a reversed boundary piece all occur
     assert seen == {dict, DegenerateCoverage, ConstructionError, InvalidInput}
+
+
+def _rederived_subset_spectrum(plan, J):
+    """The replaced subset_spectrum: omega and shifts from the plan's level
+    table, K_J and the boundary densities checked against the fiber-count
+    sets of S^J re-derived from its endpoints."""
+    J = sorted(set(int(ell) for ell in J))
+    owned = [entry for entry in plan._shifted_levels if entry[0] in J]
+    omega, shifts = tuple(s for _, _, s in owned), tuple(n for _, n, _ in owned)
+    K_ell, levels_J, _ = _geometry_oracle(plan.N, plan.a, plan.b, J)
+    K_J = sum(K_ell)
+    for spec, target in zip(omega[K_J:], levels_J[K_J:]):
+        if abs(float(spec.density()) - float(target.measure())) > assembly._DENSITY_TOL:
+            raise ConstructionError("omega ordering does not match the level sets")
+    return assembly.SubsetPlan(J=tuple(J), K_J=K_J, omega=omega, shifts=shifts)
+
+
+def _reference_plans(bits):
+    """plan_l1, plan_l2 and plan_l3 built from endpoints made at bits."""
+    def root(p, c):
+        return Endpoint(0, hp_sqrt(p, bits)) * c
+
+    l1 = ([root(2, 1) - 1], [root(3, 1) - 1], 5)
+    e2 = [Endpoint(Fraction(k, 7)) + root(p, c) for k, p, c in (
+        (1, 2, Fraction(101, 5000)), (2, 3, Fraction(33, 500)),
+        (4, 5, Fraction(13, 625)), (5, 7, Fraction(91, 2500)),
+    )]
+    e3 = [Endpoint(Fraction(k, 11)) + root(p, Fraction(1, 100))
+          for k, p in ((1, 2), (2, 3), (4, 5), (5, 7), (7, 11), (8, 13))]
+    chains = (l1, (e2[0::2], e2[1::2], 7), (e3[0::2], e3[1::2], 1933))
+    return [construct_hierarchy_with_prime(a, b, N) for a, b, N in chains]
+
+
+@pytest.mark.parametrize("bits", [64, 96, 200])
+def test_subset_spectrum_matches_rederived_oracle(bits):
+    # every sub-union of the L = 1, 2, 3 plans, built and loaded back at
+    # the bits their endpoints were made at
+    for plan in _reference_plans(bits):
+        back = HierarchyPlan.from_json(json.loads(json.dumps(plan.to_json())), bits=bits)
+        for p in (plan, back):
+            for J in _subsets(p.L):
+                assert subset_spectrum(p, J).to_json() == _rederived_subset_spectrum(p, J).to_json()
+
+
+@st.composite
+def _prime_and_chain(draw):
+    """A prime N and L = 1..3 intervals a_l < b_l in (0, 1), placed so that
+    the fractional parts {N a_l}, {N b_l} are often nested (the hierarchy
+    pattern) and otherwise permuted; a fractional part k/D may be 0."""
+    L = draw(st.integers(1, 3))
+    N = draw(st.sampled_from([p for p in primes_up_to(60) if p >= L]))
+    D = draw(st.integers(2 * L + 1, 60))
+    ks = sorted(draw(st.sets(st.integers(0, D - 1), min_size=2 * L, max_size=2 * L)))
+    fracs = []
+    for i, k in enumerate(ks):
+        s = draw(st.integers(0 if k == 0 else -1, 1))
+        fracs.append(Endpoint(Fraction(k, D)) + Endpoint(0, hp_sqrt((2, 3, 5, 7, 11, 13)[i]))
+                     * Fraction(s, 1000 * D))
+    nested = fracs[:L] + fracs[L:][::-1]  # {N a_1} < ... < {N a_L} < {N b_L} < ... < {N b_1}
+    order = draw(st.one_of(st.just(list(range(2 * L))), st.permutations(range(2 * L))))
+    fa, fb = [nested[i] for i in order[:L]], [nested[i] for i in order[L:]]
+    # integer parts A_1 <= B_1 < A_2 <= ... <= B_L <= N - 1 keep the chain increasing
+    cuts = sorted(draw(st.lists(st.integers(0, N - L), min_size=2 * L, max_size=2 * L)))
+    A, B = [c + i for i, c in enumerate(cuts[0::2])], [c + i for i, c in enumerate(cuts[1::2])]
+    cell = Fraction(1, N)
+    a = [(fa[i] + A[i]) * cell for i in range(L)]
+    b = [(fb[i] + B[i]) * cell for i in range(L)]
+    try:
+        interval_chain(a, b)
+    except InvalidInput:
+        reject()
+    return N, a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=_prime_and_chain())
+def test_accepted_geometry_bounds_counts_and_fixes_every_sub_union(instance):
+    # where _geometry accepts, no fiber count exceeds K + L, and every
+    # sub-union J has sum of K_l over J full levels, then the boundary
+    # pieces of J in order: what subset_spectrum reads off the plan
+    N, a, b = instance
+    try:
+        K_ell, a_sets, betas = assembly._geometry(N, a, b)
+    except RieszSpectraError:
+        return
+    K, L = sum(K_ell), len(a)
+    pattern = fold_pattern(N, IntervalSet(zip(a, b)))
+    assert max(len(ks) for _, _, ks in pattern) <= K + L
+    assert all(s.is_empty for s in a_sets[K + L:])
+    for J in _subsets(L):
+        K_ell_J, levels_J, betas_J = assembly._geometry(N, *_sub_chain(a, b, J))
+        assert K_ell_J == tuple(K_ell[ell - 1] for ell in J)
+        assert betas_J == [betas[ell - 1] for ell in J]
+        K_J = sum(K_ell_J)
+        assert levels_J[K_J:K_J + len(J)] == tuple(a_sets[K + ell - 1] for ell in J)
 
 
 def _shared_json(objs):

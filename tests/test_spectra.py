@@ -1,5 +1,6 @@
 """Coset spectra: enumeration, transforms, generators, serialization."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,6 @@ import rieszspectra as rs
 from rieszspectra import (
     AvdoninFilter,
     CosetTerm,
-    DegenerateBeta,
     Endpoint,
     IncompatibleShift,
     InvalidInput,
@@ -100,17 +100,19 @@ def test_avdonin_golden_ratio_prefix():
 
 
 def test_avdonin_density_and_deviation():
-    beta = Endpoint(0, hp_sqrt(2)) * F(1, 2)
-    bf = float(beta)
-    spec = avdonin_interval_spectrum(beta)
-    for T in (100, 1000, 10000):
-        count = len([m for m in spec.enumerate_integers(0, T)])
-        # count = ceil(beta*(T + 1/2)), so the offset is at most 1 + beta/2
-        assert abs(count - bf * T) <= 1.5 + 1e-9
-    # deviation of the n-th element from n/beta is at most 1/2
-    elems = spec.enumerate_integers(0, 200)
-    for idx, lam in enumerate(elems):
-        assert abs(lam - idx / bf) <= 0.5 + 1e-12
+    # the small densities are Kadec's easy case: deviation at most beta/2 < 1/4
+    root2 = Endpoint(0, hp_sqrt(2))
+    for beta in (root2 * F(1, 2), root2 * F(1, 200), F(1, 128)):
+        bf = float(beta)
+        spec = avdonin_interval_spectrum(beta)
+        for T in (100, 1000, 10000):
+            count = len([m for m in spec.enumerate_integers(0, T)])
+            # count = ceil(beta*(T + 1/2)), so the offset is at most 1 + beta/2
+            assert abs(count - bf * T) <= 1.5 + 1e-9
+        # deviation of the n-th element from n/beta is at most 1/2
+        elems = spec.enumerate_integers(0, math.ceil(200 / bf))
+        for idx, lam in enumerate(elems):
+            assert abs(lam - idx / bf) <= 0.5 + 1e-12
 
 
 def test_avdonin_rational_set_periodicity():
@@ -133,8 +135,9 @@ def test_avdonin_validation():
         obj = {"modulus": 1, "offset": 0, "filter": {"avdonin": {"beta": beta}}}
         with pytest.raises(InvalidInput):
             CosetTerm.from_json(obj)
-    with pytest.raises(DegenerateBeta):
-        avdonin_interval_spectrum(F(1, 128))
+    # a small beta is Kadec's easy case (deviation at most beta/2 < 1/4),
+    # not a degenerate one: every density in (0, 1) has a generator
+    assert avdonin_interval_spectrum(F(1, 128)).density() == F(1, 128)
 
 
 def test_rational_grid_examples():
