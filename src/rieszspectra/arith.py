@@ -221,26 +221,42 @@ def rational_relation_probe(
     threshold of all the values' generators, or exactly 1/10^9 when any
     value is a float.
 
-    Returns the coefficient vector of the first relation found on an
-    expanding max-norm shell scan, or None.  A returned relation disproves
-    rational independence.  None proves that no vector in the box is a
-    relation; it is evidence, not proof, of independence beyond the box.
+    Returns the coefficient vector of a relation, or None.  A returned
+    relation disproves rational independence.  None proves that no vector
+    in the box is a relation; it is evidence, not proof, of independence
+    beyond the box.
 
-    An exact lattice certificate (_no_relation_certified) runs first.  When
+    An exact lattice certificate (_reduced_relation_basis) runs first.  When
     it holds, None is returned without scanning.  Otherwise the shell scan
-    runs, and budget caps its (2*max_coeff+1)^m points.  With max_coeff =
-    10, the certificate holds on the endpoints k/(2L+1) + sqrt(p_k)/500
-    through L = 6 intervals at 200 bits (the default), 3 at 96 and 2 at 64;
-    one interval more, the scan runs and raises ResourceLimit.
+    returns the first relation on expanding max-norm shells, and budget caps
+    its (2*max_coeff+1)^m points.  Past the budget, the relation returned is
+    the first row of the certificate's LLL-reduced basis that the scan's own
+    test accepts; when no row passes, ResourceLimit is raised.  With
+    max_coeff = 10, the certificate holds on the endpoints k/(2L+1) +
+    sqrt(p_k)/500 through L = 6 intervals at 200 bits (the default), 3 at 96
+    and 2 at 64; one interval more, no reduced row is a relation and
+    ResourceLimit is raised.
     """
     if len(values) < 1:
         raise InvalidInput("need at least one value")
     if max_coeff < 1:
         raise InvalidInput("max_coeff must be at least 1")
     vs, tol = _scan_values(values)
-    if _no_relation_certified(vs, tol, max_coeff):
+    rows = _reduced_relation_basis(vs, tol, max_coeff)
+    if rows is None:
         return None
-    return _relation_scan(vs, tol, max_coeff, budget)
+    try:
+        return _relation_scan(vs, tol, max_coeff, budget)
+    except ResourceLimit:
+        # a short relation is a short lattice vector: try the reduced rows
+        for row in rows:
+            q = row[1 : len(vs) + 1]
+            if any(q) and max(abs(c) for c in q) <= max_coeff:
+                first = next(c for c in q if c != 0)
+                relation = _accepted([c if first > 0 else -c for c in q], vs, tol, max_coeff)
+                if relation is not None:
+                    return relation
+        raise
 
 
 def _scan_values(values: Sequence):
@@ -268,17 +284,25 @@ def _relation_scan(vs, tol, max_coeff: int, budget: int) -> Optional[tuple[int, 
             first = next(c for c in q if c != 0)
             if first < 0:
                 continue  # sign-normalized: mirror handled by its partner
-            s = sum((c * v for c, v in zip(q, vs) if c), Fraction(0))
-            q0 = -round(s)
-            if abs(q0) > max_coeff:
-                continue
-            if abs(s + q0) < tol:
-                return (q0, *q)
+            relation = _accepted(q, vs, tol, max_coeff)
+            if relation is not None:
+                return relation
     return None
 
 
-def _no_relation_certified(vs, tol: Fraction, max_coeff: int) -> bool:
-    """True only when _relation_scan(vs, tol, max_coeff, ...) returns None.
+def _accepted(q, vs, tol, max_coeff: int) -> Optional[tuple[int, ...]]:
+    """(q0, *q) when q0 = -round(sum q_i v_i) has |q0| <= max_coeff and
+    |q0 + sum q_i v_i| < tol, else None: the scan's test of one vector."""
+    s = sum((c * v for c, v in zip(q, vs) if c), Fraction(0))
+    q0 = -round(s)
+    if abs(q0) <= max_coeff and abs(s + q0) < tol:
+        return (q0, *q)
+    return None
+
+
+def _reduced_relation_basis(vs, tol: Fraction, max_coeff: int) -> Optional[list[list[int]]]:
+    """The LLL-reduced rows of the relation lattice below, or None only when
+    _relation_scan(vs, tol, max_coeff, ...) returns None.
 
     Take x_0 = 1 and x_i = vs[i-1], n = m+1, M = max_coeff, and the largest
     power of two C with C*tol <= 1.  The lattice spanned by the rows
@@ -290,7 +314,8 @@ def _no_relation_certified(vs, tol: Fraction, max_coeff: int) -> bool:
     1 + n*M/2 in magnitude, and norm^2 < R^2 = n*M^2 + (1 + n*M/2)^2.  Every
     nonzero lattice vector has norm >= min ||b*_i|| over the Gram-Schmidt
     vectors of any basis, so ||b*_i||^2 = d_{i+1}/d_i > R^2 for every i
-    leaves no such q.
+    leaves no such q; then None is returned.  Row i of the basis is (q, sum
+    q_i round(C*x_i)) for the coefficients q of its lattice vector.
     """
     xs = [Fraction(1), *vs]
     n, M = len(xs), max_coeff
@@ -298,7 +323,9 @@ def _no_relation_certified(vs, tol: Fraction, max_coeff: int) -> bool:
     R2 = n * M * M + (1 + Fraction(n * M, 2)) ** 2
     basis = [[int(i == j) for j in range(n)] + [round(C * x)] for i, x in enumerate(xs)]
     d = _lll_gram_dets(basis)
-    return all(d[i + 1] * R2.denominator > R2.numerator * d[i] for i in range(n))
+    if all(d[i + 1] * R2.denominator > R2.numerator * d[i] for i in range(n)):
+        return None
+    return basis
 
 
 def _lll_gram_dets(b: list[list[int]]) -> list[int]:

@@ -27,6 +27,7 @@ from .errors import (
     InvalidInput,
     NotFound,
     NotPrime,
+    ResourceLimit,
     UnsupportedASet,
 )
 from .intervals import Endpoint, IntervalSet, fold_pattern, geq_levels
@@ -43,6 +44,7 @@ from .spectra import (
 )
 
 INNER_PRIME_LIMIT = 10**6  # prime scan of a multi-interval complement level
+COMPLEMENT_N_LIMIT = 10**6  # largest complement N; its level tables hold N entries
 GRID_DENOMINATOR_LIMIT = 4096  # largest grid 1/q a rational complement level may use
 _DENSITY_TOL = 1e-12  # float gap allowed between a boundary spectrum's density and its set's
 
@@ -402,10 +404,14 @@ def complement_integer_spectrum(N: int, a: Sequence, b: Sequence) -> ComplementR
 
     Returns frequencies in (1/N)Z disjoint from Z whose exponentials span
     the extra intervals and, jointly with the integer exponentials, the
-    whole union.
+    whole union.  N is at most COMPLEMENT_N_LIMIT: the fiber-count level
+    tables hold N entries, so a larger N raises ResourceLimit before they
+    are built.
     """
     if N < 1:
         raise InvalidInput("N must be a positive integer")
+    if N > COMPLEMENT_N_LIMIT:
+        raise ResourceLimit(f"N={N} exceeds the complement limit {COMPLEMENT_N_LIMIT}")
     a = [Endpoint.coerce(x) for x in a]
     b = [Endpoint.coerce(y) for y in b]
     if len(a) != len(b) or not a:

@@ -6,16 +6,14 @@ therefore certify by trend (stable minimum eigenvalue across a doubling
 window schedule), and the folding probe reports empirical constants next to
 the minor-conditioning floor they are expected to respect.
 
-The Gram matrix of a schedule is built once, at its largest window; every
-smaller window is a principal block of it.  When S is a single interval the
-matrix is unitarily similar to a real symmetric sinc-kernel matrix (see
-_sinc_gram), and the bounds are solved on that; unions of intervals are
-solved on the complex Gram matrix.  The two give the same eigenvalues up to
-float rounding.  Both are solved densely with LAPACK ?syevd / ?heevd (through
-scipy), on a matrix of at most DENSE_GRAM_BYTES.  The largest window is
-solved in place and each smaller one on a copy of its block, so a schedule
-peaks at one matrix plus its next-smaller block: about 1.25 matrices when
-the windows double.
+The Gram symbol of a schedule (the entry for each frequency gap) is computed
+once; every window's matrix is expanded from it.  When S is a single
+interval the matrix is unitarily similar to a real symmetric sinc-kernel
+matrix (see _sinc_symbol), and the bounds are solved on that; unions of
+intervals are solved on the complex Gram matrix.  The two give the same
+eigenvalues up to float rounding.  Both are solved densely and in place
+with LAPACK ?syevd / ?heevd (through scipy), on a matrix of at most
+DENSE_GRAM_BYTES, one window at a time.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from .intervals import Endpoint, IntervalSet, _FieldJson, fold_pattern
 from .minors import _check_permutation, c_prime_bound
 from .spectra import Spectrum, _shift_levels
 
-DENSE_GRAM_BYTES = 2**30  # one Gram matrix; its solve adds a copy of the next-smaller block
+DENSE_GRAM_BYTES = 2**30  # one Gram matrix, the only one a schedule holds at a time
 PASS_FLOOR = 1e-3
 MAX_LAST_DROP = 0.10
 TAIL_THRESHOLD = 0.01
@@ -77,24 +75,26 @@ def _window_slice(spectrum: Spectrum, ms: np.ndarray, T) -> slice:
 
 
 def _toeplitz(sym: np.ndarray, ms: np.ndarray) -> np.ndarray:
-    """M[i, j] = sym[m_i - m_j], with sym[-d] = conj(sym[d]) for d > 0.
+    """M[i, j] = sym[m_i - m_j], with sym[-d] = conj(sym[d]) for d > 0, in
+    the Fortran order that LAPACK reads.
 
-    sym holds d = 0..ms[-1] - ms[0]; _window_integers has checked the size.
-    M is filled _BLOCK_ROWS rows at a time, so no n x n index matrix is built.
+    sym holds d = 0..dmax >= ms[-1] - ms[0]; _window_integers has checked
+    the size.  M is Hermitian, so conj(M) = M^T is gathered in C order,
+    _BLOCK_ROWS rows at a time, and returned transposed.
     """
+    off = len(sym) - 1
     signed = np.concatenate((np.conj(sym[:0:-1]), sym))
     out = np.empty((len(ms), len(ms)), dtype=signed.dtype)
     for i in range(0, len(ms), _BLOCK_ROWS):
         rows = slice(i, i + _BLOCK_ROWS)
-        out[rows] = signed[(ms[rows, None] + (len(sym) - 1)) - ms]
-    return out
+        # indices are in range; mode="raise" would gather through a buffer
+        np.take(signed, (ms + off) - ms[rows, None], out=out[rows], mode="clip")
+    return out.T
 
 
-def _complex_gram(spectrum: Spectrum, S: IntervalSet, ms: np.ndarray) -> np.ndarray:
-    """gram_matrix on the ascending integer window ms."""
-    dmax = int(ms[-1] - ms[0])
-
-    # g[d] = integral over S of e^{2 pi i (d*scale) x}, d = 0..dmax
+def _complex_symbol(spectrum: Spectrum, S: IntervalSet, dmax: int) -> np.ndarray:
+    """g[d] = integral over S of e^{2 pi i (d*scale) x}, d = 0..dmax: the
+    symbol of gram_matrix."""
     g = np.zeros(dmax + 1, dtype=np.complex128)
     g[0] = float(S.measure())
     if dmax >= 1:
@@ -106,7 +106,7 @@ def _complex_gram(spectrum: Spectrum, S: IntervalSet, ms: np.ndarray) -> np.ndar
                 theta = np.array((x * spectrum.scale).phases(ds))
                 acc += sign * np.exp(2j * np.pi * theta)
         g[1:] = acc / (2j * np.pi * deltas)
-    return _toeplitz(g, ms)
+    return g
 
 
 def gram_matrix(spectrum: Spectrum, S: IntervalSet, T) -> np.ndarray:
@@ -118,12 +118,13 @@ def gram_matrix(spectrum: Spectrum, S: IntervalSet, T) -> np.ndarray:
     gaps do not lose accuracy.
     """
     ms = _window_integers(spectrum, S, T)
-    return _complex_gram(spectrum, S, ms[_window_slice(spectrum, ms, T)])
+    ms = ms[_window_slice(spectrum, ms, T)]
+    return _toeplitz(_complex_symbol(spectrum, S, int(ms[-1] - ms[0])), ms)
 
 
-def _sinc_gram(spectrum: Spectrum, S: IntervalSet, ms: np.ndarray) -> np.ndarray:
-    """Real symmetric matrix with the eigenvalues of _complex_gram(spectrum,
-    S, ms) when S is a single interval [a, b).
+def _sinc_symbol(spectrum: Spectrum, S: IntervalSet, dmax: int) -> np.ndarray:
+    """Real symbol r[d], d = 0..dmax, whose Toeplitz matrix on a window has
+    the eigenvalues of gram_matrix on it when S is a single interval [a, b).
 
     With c = (a+b)/2, w = b-a and s the spectrum scale,
 
@@ -138,12 +139,10 @@ def _sinc_gram(spectrum: Spectrum, S: IntervalSet, ms: np.ndarray) -> np.ndarray
     G and R are unitarily similar, so their eigenvalues agree in exact
     arithmetic; R takes half the bytes and a real symmetric solve about a
     quarter of the flops.  The phase d s w / 2 is reduced mod 1 exactly, as
-    in gram_matrix, with one reduction per window instead of one per
-    endpoint.
+    in gram_matrix, with one reduction per gap d instead of one per
+    endpoint and gap.
     """
     ((left, right),) = S.pieces
-    dmax = int(ms[-1] - ms[0])
-
     r = np.empty(dmax + 1)
     r[0] = float(S.measure())
     if dmax >= 1:
@@ -151,7 +150,7 @@ def _sinc_gram(spectrum: Spectrum, S: IntervalSet, ms: np.ndarray) -> np.ndarray
         deltas = np.arange(1, dmax + 1) * float(spectrum.scale)
         theta = np.array(((right - left) * (spectrum.scale / 2)).phases(ds))
         r[1:] = np.sin(2 * np.pi * theta) / (np.pi * deltas)
-    return _toeplitz(r, ms)
+    return r
 
 
 def _extreme_eigenvalues(A: np.ndarray) -> tuple[float, float]:
@@ -192,12 +191,13 @@ def riesz_bounds_estimate(
 ) -> GramReport:
     """Extreme Gram eigenvalues at each window of an increasing schedule.
 
-    One matrix is built, at the largest window: the real similar matrix of
-    _sinc_gram for a single interval S, the complex Gram matrix for a union.
-    Each window is solved on its principal block, which is exactly the
-    matrix of that window.  PASS requires the final lower estimate to clear
-    PASS_FLOOR and the relative drop over the last schedule step to stay
-    under MAX_LAST_DROP.  The solves are multithreaded, and their last bits
+    One symbol is computed, for the largest window: the real one of
+    _sinc_symbol for a single interval S, the complex Gram symbol for a
+    union.  Each symbol value depends on its gap d alone, so each window's
+    matrix, expanded from it and solved in place, is exactly the matrix of
+    that window.  PASS requires the final lower estimate to clear PASS_FLOOR
+    and the relative drop over the last schedule step to stay under
+    MAX_LAST_DROP.  The solves are multithreaded, and their last bits
     depend on the BLAS thread count: the report repeats byte for byte at a
     fixed thread count, not across thread counts.
     """
@@ -206,20 +206,14 @@ def riesz_bounds_estimate(
         Fraction(t2) <= Fraction(t1) for t1, t2 in zip(schedule, schedule[1:])
     ):
         raise InvalidInput("schedule must be nonempty, positive and strictly increasing")
-    gram, itemsize = (_sinc_gram, 8) if len(S.pieces) == 1 else (_complex_gram, 16)
+    symbol, itemsize = (_sinc_symbol, 8) if len(S.pieces) == 1 else (_complex_symbol, 16)
     ms = _window_integers(spectrum, S, schedule[-1], itemsize)
     blocks = [_window_slice(spectrum, ms, T) for T in schedule]
-    G = gram(spectrum, S, ms)
-    # G is exactly Hermitian, so the transpose of its conjugate is G itself,
-    # held in the Fortran order that LAPACK reads without a copy
-    if G.dtype.kind == "c":
-        np.conj(G, out=G)
-    A = G.T
-    history = []
-    for T, block in zip(schedule[:-1], blocks):
-        history.append((float(T), *_extreme_eigenvalues(A[block, block].copy(order="F"))))
-    # the last window is all of ms: solved on G's own memory
-    history.append((float(schedule[-1]), *_extreme_eigenvalues(A)))
+    sym = symbol(spectrum, S, int(ms[-1] - ms[0]))
+    history = [
+        (float(T), *_extreme_eigenvalues(_toeplitz(sym, ms[block])))
+        for T, block in zip(schedule, blocks)
+    ]
     lower = history[-1][1]
     upper = history[-1][2]
     last_drop = None

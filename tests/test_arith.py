@@ -213,8 +213,11 @@ def test_relation_probe_rejects_nonfinite_value():
 
 
 def test_relation_probe_budget():
+    # 21^8 points are over the scan's budget; the relation v1 = v2 is read
+    # off the LLL-reduced basis instead
     with pytest.raises(ResourceLimit):
-        rational_relation_probe([0.1] * 8, 10)
+        _relation_scan(*_scan_values([0.1] * 8), 10, DEFAULT_PROBE_BUDGET)
+    assert rational_relation_probe([0.1] * 8, 10) == (0, 1, -1, 0, 0, 0, 0, 0, 0)
 
 
 def test_relation_probe_certifies_l4_endpoints():

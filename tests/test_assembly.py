@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from rieszspectra import (
     LevelNotInNZ,
     NotPermutation,
     NotPrime,
+    ResourceLimit,
     Spectrum,
     UnsupportedASet,
     combine_level_spectra,
@@ -658,6 +660,31 @@ def test_complement_validation():
         complement_integer_spectrum(2, [F(1, 2)], [F(3, 2)])  # a_1 < 1
     with pytest.raises(InvalidInput):
         complement_integer_spectrum(2, [1], [3])  # b_L > N
+
+
+def test_complement_over_the_n_limit_allocates_nothing_of_size_n(monkeypatch):
+    # the level tables hold N entries, so N is refused before they exist
+    N = assembly.COMPLEMENT_N_LIMIT + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit, match=f"^N={N} exceeds the complement limit"):
+            complement_integer_spectrum(N, [1], [2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16  # one list of N entries would take 8 MB
+    # the limit itself is accepted
+    monkeypatch.setattr(assembly, "COMPLEMENT_N_LIMIT", 3)
+    assert complement_integer_spectrum(3, [1], [F(5, 2)]).N == 3
+    with pytest.raises(ResourceLimit):
+        complement_integer_spectrum(4, [1], [F(5, 2)])
+
+
+def test_level_pattern_beyond_n_levels_is_refused():
+    # K = 4 full cells and L = 2 boundary pieces need 6 levels, and N = 5
+    # has 5; without the check a_sets[5] would raise IndexError
+    with pytest.raises(ConstructionError, match="^level pattern exceeds N levels$"):
+        construct_hierarchy_with_prime([F(1, 50), F(1, 2)], [F(23, 50), F(49, 50)], 5)
 
 
 def test_complement_json_serializes_shared_levels_once():

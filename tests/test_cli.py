@@ -763,6 +763,60 @@ def test_plan_at_a_prime_without_its_hierarchy_is_input_error(N, tmp_path, capsy
     assert f"{path}: plan field 'N' gives no hierarchy" in err
 
 
+def test_plan_claiming_fewer_levels_than_its_pattern_is_input_error(tmp_path, capsys):
+    # [1/50, 23/50) u [1/2, 49/50) builds at N = 13; at N = 5 its K = 4 full
+    # cells and L = 2 boundary pieces need 6 levels
+    a, b = [Fraction(1, 50), Fraction(1, 2)], [Fraction(23, 50), Fraction(49, 50)]
+    obj = rs.construct_hierarchy_with_prime(a, b, 13).to_json()
+    obj.update(witness=dict(obj["witness"], N=5), level_spectra=obj["level_spectra"][:5])
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(obj))
+    code = main(["verify", "--plan", str(path), "--schedule", "8,16"])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert (f"{path}: plan field 'N' gives no hierarchy for 'a' and 'b': "
+            "level pattern exceeds N levels") in err
+
+
+def test_verify_reads_a_construct_report_envelope(tmp_path, capsys, sqrt_interval_file):
+    # a plan file may be the bare --out artifact or the whole stdout report
+    artifact, envelope = tmp_path / "plan.json", tmp_path / "report.json"
+    code = main(["construct-hierarchy", "--intervals", sqrt_interval_file,
+                 "--prime-limit", "100", "--out", str(artifact)])
+    envelope.write_text(capsys.readouterr().out)
+    assert code == 0
+    reports = []
+    for path in (artifact, envelope):
+        assert main(["verify", "--plan", str(path), "--schedule", "32,64", "--all-subsets"]) == 0
+        reports.append(capsys.readouterr().out.replace(str(path), "PLAN"))
+    assert reports[0] == reports[1]
+
+
+def test_rational_l3_spec_is_a_relation_past_the_scan_budget(tmp_path, capsys):
+    # the shell scan of its 21^6 points is over budget; the relation
+    # 1 = 4/11 + 7/11 is a row of the reduced lattice basis
+    path = tmp_path / "rational3.json"
+    path.write_text(json.dumps(IntervalSet([
+        (Fraction(1, 11), Fraction(2, 11) + Fraction(1, 1000)),
+        (Fraction(4, 11), Fraction(5, 11)),
+        (Fraction(7, 11), Fraction(8, 11)),
+    ]).to_json()))
+    code = main(["construct-hierarchy", "--intervals", str(path), "--prime-limit", "100"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "input error: rational relation detected: (-1, 0, 1, 1, 0, 0, 0)\n"
+
+
+def test_complement_over_the_n_limit_exits_3(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(IntervalSet([(1, 2)]).to_json()))
+    N = rs.assembly.COMPLEMENT_N_LIMIT + 1
+    code = main(["complement", "--N", str(N), "--intervals", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith(f"resource limit: N={N} exceeds the complement limit")
+
+
 def test_complement_unsupported_level_exits_1(tmp_path, capsys):
     # level 2 at N = 2 is two pieces of the 1/4099 grid, finer than the
     # 1/4096 limit, with rational endpoints that no inner plan takes

@@ -54,8 +54,8 @@ import rieszspectra.verify as verify
 from rieszspectra.arith import (
     DEFAULT_PROBE_BUDGET,
     PrimeSearchResult,
-    _no_relation_certified,
     _ordering_chain,
+    _reduced_relation_basis,
     _relation_scan,
     _scan_values,
     interval_chain,
@@ -174,7 +174,7 @@ def spectra(draw):
 def test_sinc_gram_is_unitarily_similar_to_gram(spec, S, T):
     G = gram_matrix(spec, S, T)
     ms = verify._window_integers(spec, S, T)
-    R = verify._sinc_gram(spec, S, ms)
+    R = verify._toeplitz(verify._sinc_symbol(spec, S, int(ms[-1] - ms[0])), ms)
     assert R.dtype == np.float64 and R.shape == G.shape
     ((left, right),) = S.pieces
     center = (left + right) * F(1, 2)
@@ -203,7 +203,7 @@ def test_single_interval_path_skips_complex_gram(monkeypatch):
         raise AssertionError("complex Gram built for a single interval")
 
     monkeypatch.setattr(verify, "gram_matrix", refuse)
-    monkeypatch.setattr(verify, "_complex_gram", refuse)
+    monkeypatch.setattr(verify, "_complex_symbol", refuse)
     # criterion 11: the over-complete control still fails on the real path
     rep = riesz_bounds_estimate(integer_lattice(), HALF, [8, 16, 32, 64])
     assert rep.status == "FAIL_TREND"
@@ -214,25 +214,25 @@ def _count_builds(monkeypatch, name):
     sizes = []
     build = getattr(verify, name)
 
-    def counted(spectrum, S, ms):
-        sizes.append(len(ms))
-        return build(spectrum, S, ms)
+    def counted(spectrum, S, dmax):
+        sizes.append(dmax)
+        return build(spectrum, S, dmax)
 
     monkeypatch.setattr(verify, name, counted)
     return sizes
 
 
 def test_interval_union_keeps_complex_gram(monkeypatch):
-    sizes = _count_builds(monkeypatch, "_complex_gram")
+    sizes = _count_builds(monkeypatch, "_complex_symbol")
     S = IntervalSet([(0, F(1, 3)), (F(2, 3), 1)])
     riesz_bounds_estimate(integer_lattice(), S, [8, 16])
-    assert sizes == [33]
+    assert sizes == [32]
 
 
 def test_single_interval_builds_one_matrix(monkeypatch):
-    sizes = _count_builds(monkeypatch, "_sinc_gram")
+    sizes = _count_builds(monkeypatch, "_sinc_symbol")
     rep = riesz_bounds_estimate(integer_lattice(), HALF, [F(1, 2), 3, F(7, 2), 64])
-    assert sizes == [129] and rep.count == 129
+    assert sizes == [128] and rep.count == 129
 
 
 @st.composite
@@ -312,23 +312,19 @@ UNION = IntervalSet([(0, F(1, 4)), (F(1, 2), 1)])
 def test_toeplitz_row_blocks_match_one_shot_gather(spec, S, T):
     ms = verify._window_integers(spec, S, T)
     assume(len(ms) > 0)
-    calls = []
-    fill = verify._toeplitz
-
-    def spy(sym, ms):
-        M = fill(sym, ms)
-        calls.append((sym, ms, M))
-        return M
-
+    dmax = int(ms[-1] - ms[0])
     # the complex symbol for every set, the real sinc symbol for one interval
-    builds = [verify._complex_gram] + ([verify._sinc_gram] if len(S.pieces) == 1 else [])
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verify, "_toeplitz", spy)
-        for build in builds:
-            build(spec, S, ms)
-    assert [M.dtype for _, _, M in calls] == [np.complex128, np.float64][: len(builds)]
-    for sym, ms, M in calls:
-        assert np.array_equal(M, _one_shot_toeplitz(sym, ms))
+    syms = [verify._complex_symbol(spec, S, dmax)]
+    if len(S.pieces) == 1:
+        syms.append(verify._sinc_symbol(spec, S, dmax))
+    assert [sym.dtype for sym in syms] == [np.complex128, np.float64][: len(syms)]
+    inner = slice(len(ms) // 4, len(ms) - len(ms) // 4)
+    for sym in syms:
+        M = verify._toeplitz(sym, ms)
+        assert M.flags.f_contiguous and np.array_equal(M, _one_shot_toeplitz(sym, ms))
+        # a smaller window expanded from the same symbol is the block of M
+        B = verify._toeplitz(sym, ms[inner])
+        assert B.flags.f_contiguous and np.array_equal(B, M[inner, inner])
 
 
 @SETTINGS
@@ -345,7 +341,8 @@ def test_bounds_history_matches_evd_per_block(spec, S, schedule):
     except EmptyWindow:
         return
     ms = verify._window_integers(spec, S, schedule[-1])
-    G = (verify._sinc_gram if len(S.pieces) == 1 else verify._complex_gram)(spec, S, ms)
+    symbol = verify._sinc_symbol if len(S.pieces) == 1 else verify._complex_symbol
+    G = verify._toeplitz(symbol(spec, S, int(ms[-1] - ms[0])), ms)
     expected = []
     for T in schedule:
         block = verify._window_slice(spec, ms, T)
@@ -912,7 +909,7 @@ def test_relation_certificate_implies_empty_scan(instance, bits):
     values, M = instance
     vs, _ = _scan_values(values)
     tol = F(1, 2**bits)
-    if _no_relation_certified(vs, tol, M):
+    if _reduced_relation_basis(vs, tol, M) is None:
         assert _relation_scan(vs, tol, M, DEFAULT_PROBE_BUDGET) is None
 
 
@@ -921,9 +918,31 @@ def test_relation_certificate_decides_both_ways():
     # instances and fails on others
     s2, s3 = sqrt_multiple(2, F(1)), sqrt_multiple(3, F(1))
     vs, tol = _scan_values([s2 - 1, s3 - 1])
-    assert _no_relation_certified(vs, tol, 10)
+    assert _reduced_relation_basis(vs, tol, 10) is None
     vs, tol = _scan_values([s2 - 1, s2 * 2 - 2])
-    assert not _no_relation_certified(vs, tol, 3)
+    assert _reduced_relation_basis(vs, tol, 3) is not None
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=relation_instances())
+def test_relation_past_the_budget_is_one_the_scan_accepts(instance):
+    # a budget of 1 point leaves every uncertified instance to the reduced
+    # rows: what they return must pass the scan's exact test, sign
+    # normalized, and exist only where the scan finds a relation too
+    values, M = instance
+    vs, tol = _scan_values(values)
+    scanned = _relation_scan(vs, tol, M, DEFAULT_PROBE_BUDGET)
+    try:
+        relation = rational_relation_probe(values, M, budget=1)
+    except ResourceLimit:
+        return
+    if relation is None:
+        assert scanned is None
+        return
+    q0, *q = relation
+    assert scanned is not None
+    assert max(abs(c) for c in relation) <= M and next(c for c in q if c) > 0
+    assert abs(q0 + sum(c * v for c, v in zip(q, vs))) < tol
 
 
 def _exhaustive_chebotarev(
