@@ -69,7 +69,7 @@ class InvalidSubset(InvalidInput):
     """Coordinate subsets for the finite duality test are out of range."""
 
 
-class EmptyWindow(RieszSpectraError):
+class EmptyWindow(InvalidInput):
     """No frequencies fall inside the requested window."""
 
 

@@ -13,12 +13,15 @@ matrix (see _sinc_symbol), and the bounds are solved on that; unions of
 intervals are solved on the complex Gram matrix.  The two give the same
 eigenvalues up to float rounding.  Both are solved densely and in place
 with LAPACK ?syevd / ?heevd (through scipy), on a matrix of at most
-DENSE_GRAM_BYTES, one window at a time.
+DENSE_GRAM_BYTES, one window at a time.  The solvers read the lower
+triangle only, and only it is written, into a mapping of its own whose
+pages above the diagonal stay unbacked.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,20 +40,22 @@ from .intervals import Endpoint, IntervalSet, _FieldJson, fold_pattern
 from .minors import _check_permutation, c_prime_bound
 from .spectra import Spectrum, _shift_levels
 
-DENSE_GRAM_BYTES = 2**30  # one Gram matrix, the only one a schedule holds at a time
+# address space of one Gram matrix, the only one a schedule maps at a time;
+# about 0.7 of it is resident, since the pages above the diagonal are unbacked
+DENSE_GRAM_BYTES = 2**30
 PASS_FLOOR = 1e-3
 MAX_LAST_DROP = 0.10
 TAIL_THRESHOLD = 0.01
-_BLOCK_ROWS = 256  # rows of a Toeplitz or probe-kernel matrix computed at once
+_BLOCK_ROWS = 256  # rows of the probe's coefficient kernel computed at once
 _TRIAL_BLOCK = 8  # folding-probe trials evaluated at once; bounds its per-trial temporaries
 
 
-def _window_integers(spectrum: Spectrum, S: IntervalSet, T, itemsize: int = 16) -> np.ndarray:
-    """Underlying integers m of the spectrum with |scale*m| <= T, ascending.
+def _window_count(spectrum: Spectrum, S: IntervalSet, T, itemsize: int) -> int:
+    """Number n of underlying integers m of the spectrum with |scale*m| <= T,
+    counted exactly from the terms, each in O(1).
 
-    Raises ResourceLimit, before enumerating them, when a dense matrix of
-    itemsize-byte entries over them would exceed DENSE_GRAM_BYTES; the terms
-    count them exactly, each in O(1).
+    Raises ResourceLimit when a dense n x n matrix of itemsize-byte entries
+    would exceed DENSE_GRAM_BYTES.
     """
     if S.is_empty:
         raise InvalidInput("S must have positive measure")
@@ -62,33 +67,63 @@ def _window_integers(spectrum: Spectrum, S: IntervalSet, T, itemsize: int = 16) 
             f"dense Gram matrix of n={n} needs {nbytes} bytes, "
             f"over the limit of {DENSE_GRAM_BYTES}"
         )
+    return n
+
+
+def _window_integers(spectrum: Spectrum, S: IntervalSet, T, itemsize: int = 16) -> np.ndarray:
+    """Underlying integers m of the spectrum with |scale*m| <= T, ascending,
+    enumerated only once _window_count has sized their dense matrix."""
+    _window_count(spectrum, S, T, itemsize)
+    bound = Fraction(T) / spectrum.scale
     return np.asarray(spectrum.enumerate_integers(-bound, bound), dtype=np.int64)
 
 
 def _window_slice(spectrum: Spectrum, ms: np.ndarray, T) -> slice:
-    """Positions in the ascending ms of the integers with |scale*m| <= T."""
+    """Positions in the ascending ms of the integers with |scale*m| <= T.
+
+    ms are the integers of the largest window, so an empty window raises
+    EmptyWindow naming the least frequency magnitude among them: the least
+    window that holds one.
+    """
     m_max = math.floor(Fraction(T) / spectrum.scale)
     i, j = np.searchsorted(ms, [-m_max, m_max + 1])
     if j <= i:
-        raise EmptyWindow(f"no frequencies in [-{float(T)}, {float(T)}]")
+        if len(ms):
+            least = float(spectrum.scale * int(np.min(np.abs(ms))))
+            hint = f"the least |frequency| in the largest window is {least}"
+        else:
+            hint = "the largest window holds none either"
+        raise EmptyWindow(f"no frequencies in [-{float(T)}, {float(T)}]; {hint}")
     return slice(int(i), int(j))
 
 
+def _signed(sym: np.ndarray) -> np.ndarray:
+    """sym[d] at index d + dmax for d = -dmax..dmax, with sym[-d] = conj(sym[d])."""
+    return np.concatenate((np.conj(sym[:0:-1]), sym))
+
+
 def _toeplitz(sym: np.ndarray, ms: np.ndarray) -> np.ndarray:
-    """M[i, j] = sym[m_i - m_j], with sym[-d] = conj(sym[d]) for d > 0, in
-    the Fortran order that LAPACK reads.
+    """The lower triangle of M[i, j] = sym[m_i - m_j], in the Fortran order
+    that LAPACK reads; the entries above the diagonal are unspecified.
 
     sym holds d = 0..dmax >= ms[-1] - ms[0]; _window_integers has checked
     the size.  M is Hermitian, so conj(M) = M^T is gathered in C order,
-    _BLOCK_ROWS rows at a time, and returned transposed.
+    each row i from its diagonal entry on, straight into place, and
+    returned transposed.  The matrix lives in its own anonymous mapping on
+    4 KB pages, so a page that holds only entries above the diagonal is
+    never written and never backed; the mapping is unmapped with the last
+    view of the matrix.
     """
     off = len(sym) - 1
-    signed = np.concatenate((np.conj(sym[:0:-1]), sym))
-    out = np.empty((len(ms), len(ms)), dtype=signed.dtype)
-    for i in range(0, len(ms), _BLOCK_ROWS):
-        rows = slice(i, i + _BLOCK_ROWS)
+    signed = _signed(sym)
+    n = len(ms)
+    buf = mmap.mmap(-1, n * n * signed.itemsize, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    out = np.frombuffer(buf, dtype=signed.dtype).reshape(n, n)
+    for i in range(n):
         # indices are in range; mode="raise" would gather through a buffer
-        np.take(signed, (ms + off) - ms[rows, None], out=out[rows], mode="clip")
+        np.take(signed, ms[i:] + (off - ms[i]), out=out[i, i:], mode="clip")
     return out.T
 
 
@@ -119,7 +154,8 @@ def gram_matrix(spectrum: Spectrum, S: IntervalSet, T) -> np.ndarray:
     """
     ms = _window_integers(spectrum, S, T)
     ms = ms[_window_slice(spectrum, ms, T)]
-    return _toeplitz(_complex_symbol(spectrum, S, int(ms[-1] - ms[0])), ms)
+    sym = _complex_symbol(spectrum, S, int(ms[-1] - ms[0]))
+    return _signed(sym)[np.subtract.outer(ms, ms) + (len(sym) - 1)]
 
 
 def _sinc_symbol(spectrum: Spectrum, S: IntervalSet, dmax: int) -> np.ndarray:
@@ -168,6 +204,42 @@ def _extreme_eigenvalues(A: np.ndarray) -> tuple[float, float]:
     return float(vals[0]), float(vals[-1])
 
 
+def _checked_schedule(schedule: Sequence) -> list:
+    """schedule as a list, or InvalidInput unless it is nonempty, positive
+    and strictly increasing."""
+    schedule = list(schedule)
+    if not schedule or Fraction(schedule[0]) <= 0 or any(
+        Fraction(t2) <= Fraction(t1) for t1, t2 in zip(schedule, schedule[1:])
+    ):
+        raise InvalidInput("schedule must be nonempty, positive and strictly increasing")
+    return schedule
+
+
+def _bounds_symbol(S: IntervalSet):
+    """The symbol riesz_bounds_estimate expands on S and the entry size of
+    its matrix: _sinc_symbol (8 bytes) for one interval, _complex_symbol (16
+    bytes) for a union."""
+    return (_sinc_symbol, 8) if len(S.pieces) == 1 else (_complex_symbol, 16)
+
+
+def _check_bounds_windows(spectrum: Spectrum, S: IntervalSet, schedule: Sequence) -> None:
+    """Raise what riesz_bounds_estimate would raise on the sizes of its
+    windows, before it enumerates or solves anything.
+
+    The counts come from the terms in O(1) each: ResourceLimit when the
+    largest window's matrix is over DENSE_GRAM_BYTES, EmptyWindow when the
+    smallest window, the first one riesz_bounds_estimate would find empty,
+    holds no frequency.  Only the error path enumerates, to name the least
+    usable window.
+    """
+    schedule = _checked_schedule(schedule)
+    itemsize = _bounds_symbol(S)[1]
+    _window_count(spectrum, S, schedule[-1], itemsize)
+    if not _window_count(spectrum, S, schedule[0], itemsize):
+        ms = _window_integers(spectrum, S, schedule[-1], itemsize)
+        _window_slice(spectrum, ms, schedule[0])  # raises EmptyWindow
+
+
 @dataclass(frozen=True)
 class GramReport(_FieldJson):
     """Riesz-bound estimates from truncated Gram matrices on a window schedule."""
@@ -201,12 +273,8 @@ def riesz_bounds_estimate(
     depend on the BLAS thread count: the report repeats byte for byte at a
     fixed thread count, not across thread counts.
     """
-    schedule = list(schedule)
-    if not schedule or Fraction(schedule[0]) <= 0 or any(
-        Fraction(t2) <= Fraction(t1) for t1, t2 in zip(schedule, schedule[1:])
-    ):
-        raise InvalidInput("schedule must be nonempty, positive and strictly increasing")
-    symbol, itemsize = (_sinc_symbol, 8) if len(S.pieces) == 1 else (_complex_symbol, 16)
+    schedule = _checked_schedule(schedule)
+    symbol, itemsize = _bounds_symbol(S)
     ms = _window_integers(spectrum, S, schedule[-1], itemsize)
     blocks = [_window_slice(spectrum, ms, T) for T in schedule]
     sym = symbol(spectrum, S, int(ms[-1] - ms[0]))

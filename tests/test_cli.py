@@ -130,6 +130,50 @@ def test_bounds_dense_limit_exit_code(tmp_path, capsys, monkeypatch):
     assert "n=33" in capsys.readouterr().err
 
 
+def _refuse_solves(monkeypatch):
+    import rieszspectra.verify as verify_mod
+
+    solved = []
+    monkeypatch.setattr(verify_mod, "_extreme_eigenvalues", lambda A: solved.append(A) or (0, 1))
+    return solved
+
+
+def test_verify_sizes_every_subset_before_the_first_solve(tmp_path, capsys, monkeypatch, plan_l2):
+    import rieszspectra.verify as verify_mod
+
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(plan_l2.to_json()))
+    solved = _refuse_solves(monkeypatch)
+    # at T=64 J=[1] and J=[2] have real windows of n=30 and 24; the union
+    # J=[1,2], the last one verified, has a complex window of n=54
+    monkeypatch.setattr(verify_mod, "DENSE_GRAM_BYTES", 54 * 54 * 16 - 1)
+    argv = ["verify", "--plan", str(plan), "--all-subsets", "--schedule", "32,64"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and solved == []
+    assert "n=54 needs 46656 bytes" in captured.err and "J=[1, 2]" in captured.err
+    monkeypatch.setattr(verify_mod, "DENSE_GRAM_BYTES", 54 * 54 * 16)
+    main(argv)
+    assert [len(A) for A in solved] == [15, 30, 12, 24, 27, 54]
+
+
+def test_verify_empty_window_is_input_error_naming_the_least(
+    tmp_path, capsys, monkeypatch, plan_l3
+):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(plan_l3.to_json()))
+    solved = _refuse_solves(monkeypatch)
+    # the least |frequency| of J=[3] is 365, so the default schedule's
+    # T=256 holds none; J=[1], [2] and [1,2] come before it
+    assert main(["verify", "--plan", str(plan), "--all-subsets"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and solved == []
+    assert captured.err == (
+        "input error: no frequencies in [-256.0, 256.0]; the least |frequency| "
+        "in the largest window is 365.0 (sub-union J=[3])\n"
+    )
+
+
 def test_complement_command(tmp_path, capsys):
     iv = tmp_path / "v.json"
     iv.write_text(json.dumps(IntervalSet([(1, 2)]).to_json()))

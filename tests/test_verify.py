@@ -1,6 +1,7 @@
 """Gram matrices, bound trends, duality, density, and the folding probe."""
 
 import itertools
+import os
 import tracemalloc
 from fractions import Fraction
 
@@ -71,6 +72,19 @@ def test_gram_hermitian():
 def test_gram_empty_window():
     with pytest.raises(EmptyWindow):
         gram_matrix(Spectrum(F(1), (CosetTerm(100, 7),)), HALF, 3)
+
+
+def test_empty_window_is_input_error_naming_the_least_frequency():
+    # frequencies 7 + 100Z: an empty window is an input error (exit 2), and
+    # the message says which window would hold a frequency
+    spec = Spectrum(F(1), (CosetTerm(100, 7),))
+    assert issubclass(EmptyWindow, InvalidInput)
+    least = r"\[-3\.0, 3\.0\]; the least \|frequency\| in the largest window is 7\.0$"
+    with pytest.raises(EmptyWindow, match=least):
+        riesz_bounds_estimate(spec, HALF, [3, 8])
+    none = r"\[-2\.0, 2\.0\]; the largest window holds none either$"
+    with pytest.raises(EmptyWindow, match=none):
+        riesz_bounds_estimate(spec, HALF, [2, 3])
 
 
 # -- bounds ------------------------------------------------------------------
@@ -219,19 +233,52 @@ def test_largest_window_is_solved_in_place(monkeypatch, S, itemsize):
     # matrix in LAPACK's Fortran order, which shares memory with no other
     assert all(A.flags.f_contiguous and A.itemsize == itemsize for A in solved)
     assert not any(np.shares_memory(A, B) for A, B in itertools.combinations(solved, 2))
-    # each solve sees its central block of the full-window Gram matrix (of
-    # the real similar matrix for one interval), not of its conjugate
+    # each solve sees, in the lower triangle it reads, its central block of
+    # the full-window Gram matrix (of the real similar matrix for one
+    # interval), not of its conjugate
     ms = verify_mod._window_integers(integer_lattice(), S, 32)
     symbol = verify_mod._sinc_symbol if itemsize == 8 else verify_mod._complex_symbol
     sym, d = symbol(integer_lattice(), S, 64), np.subtract.outer(ms, ms)
     G = np.where(d >= 0, sym[np.abs(d)], np.conj(sym[np.abs(d)]))
     for A in seen:
         c = (65 - len(A)) // 2
-        assert np.array_equal(A, G[c : c + len(A), c : c + len(A)])
+        assert np.array_equal(np.tril(A), np.tril(G[c : c + len(A), c : c + len(A)]))
+
+
+@pytest.mark.parametrize("S, itemsize", SETS_BY_ITEMSIZE)
+def test_extreme_eigenvalues_read_only_the_lower_triangle(S, itemsize):
+    import rieszspectra.verify as verify_mod
+
+    # n = 129 is large enough for LAPACK's blocked tridiagonal reduction
+    ms = verify_mod._window_integers(integer_lattice(), S, 64, itemsize)
+    sym = verify_mod._bounds_symbol(S)[0](integer_lattice(), S, int(ms[-1] - ms[0]))
+    full = verify_mod._signed(sym)[np.subtract.outer(ms, ms) + (len(sym) - 1)]
+    assert len(ms) == 129 and full.itemsize == itemsize
+    poisoned = np.asfortranarray(full)
+    poisoned[np.triu_indices(len(ms), 1)] = np.nan
+    expected = verify_mod._extreme_eigenvalues(np.asfortranarray(full))
+    assert verify_mod._extreme_eigenvalues(poisoned) == expected
+
+
+def _mapping_rss(A: np.ndarray) -> int:
+    """Resident bytes of the /proc/self/smaps mapping that holds A's data."""
+    address = A.__array_interface__["data"][0]
+    inside = False
+    with open("/proc/self/smaps") as fh:
+        for line in fh:
+            fields = line.split()
+            if "-" in fields[0] and not fields[0].endswith(":"):
+                start, end = (int(x, 16) for x in fields[0].split("-"))
+                inside = start <= address < end
+            elif inside and fields[0] == "Rss:":
+                return int(fields[1]) * 1024
+    raise AssertionError("no mapping holds the matrix")
 
 
 @pytest.mark.parametrize("S, itemsize", SETS_BY_ITEMSIZE)
 def test_bounds_peak_memory_is_one_matrix_and_a_block(S, itemsize):
+    import rieszspectra.verify as verify_mod
+
     n = 2401
     riesz_bounds_estimate(integer_lattice(), S, [8])  # loads scipy outside the count
     tracemalloc.start()
@@ -241,11 +288,20 @@ def test_bounds_peak_memory_is_one_matrix_and_a_block(S, itemsize):
     finally:
         tracemalloc.stop()
     assert rep.count == n
-    # the n x n matrix and the index array of one 256-row block (measured:
-    # 1.111 matrices real, 1.056 complex); gathering a block into a buffer
-    # adds 0.107 matrices, and a smaller window's matrix held with it, the
-    # one-shot index matrix or a solver copy of the matrix at least 0.25
-    assert peak <= 1.15 * n * n * itemsize
+    # the matrix lives in its own mapping, which tracemalloc does not see,
+    # so the traced peak is the symbol, the window and one row's indices
+    # (measured: 0.016 matrices real, 0.015 complex); a matrix from numpy's
+    # heap traces at least 1, gathering blocks of 256 rows at least 0.14
+    assert peak <= 0.06 * n * n * itemsize
+    if not os.path.exists("/proc/self/smaps"):
+        pytest.skip("no /proc/self/smaps to read the matrix's resident pages from")
+    # the pages that hold only entries above the diagonal are never backed
+    # (measured: 0.69 matrices real, 0.60 complex; a full fill is 1.0)
+    ms = verify_mod._window_integers(integer_lattice(), S, 1200, itemsize)
+    sym = verify_mod._bounds_symbol(S)[0](integer_lattice(), S, int(ms[-1] - ms[0]))
+    A = verify_mod._toeplitz(sym, ms)
+    resident = {8: 0.75, 16: 0.65}[itemsize]
+    assert A.shape == (n, n) and _mapping_rss(A) <= resident * n * n * itemsize
 
 
 # -- density -----------------------------------------------------------------
