@@ -9,6 +9,7 @@ seed): JSON is emitted with sorted keys and no timestamps.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -207,12 +208,20 @@ def _cmd_check_chebotarev(args, bits: int) -> int:
     return _verdict(args, report.to_json(), report.worst_sigma > 0)
 
 
+def _parse_int(text: str, field: str) -> int:
+    """int(text), raising InvalidInput naming field when text is not an integer."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise InvalidInput(f"{field}: {text!r} is not an integer") from exc
+
+
 def _cmd_probe_folding(args, bits: int) -> int:
     plan = _load_artifact(args.plan, HierarchyPlan.from_json, bits)
-    if args.permutation:
-        shifts = [int(x) for x in args.permutation.split(",")]
-    else:
+    if args.permutation is None:
         shifts = list(range(1, plan.N + 1))
+    else:
+        shifts = [_parse_int(x, "--permutation") for x in args.permutation.split(",")]
     report = folding_probe(plan.N, plan.S, plan.level_spectra, shifts, args.trials, args.seed)
     return _verdict(args, report.to_json(), report.empirical_c > 0)
 
@@ -220,13 +229,16 @@ def _cmd_probe_folding(args, bits: int) -> int:
 def _parse_value_token(token: str, bits: int = DEFAULT_PRECISION_BITS) -> Endpoint:
     token = token.strip()
     if token.startswith("sqrt(") and token.endswith(")"):
-        radicand = int(token[5:-1])
+        radicand = _parse_int(token[5:-1], "--values")
         if radicand < 0:
             raise InvalidInput(f"--values: negative radicand in {token!r}")
         return Endpoint(0, hp_sqrt(radicand, bits))
     if "/" in token:
         return Endpoint(parse_fraction(token, "--values"))
-    return Endpoint(0, token, bits=bits)
+    try:
+        return Endpoint(0, token, bits=bits)
+    except InvalidInput as exc:
+        raise InvalidInput(f"--values: {exc}") from exc
 
 
 def _cmd_equidist(args, bits: int) -> int:
@@ -236,7 +248,11 @@ def _cmd_equidist(args, bits: int) -> int:
     return EXIT_PASS
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then returned
+    again: one parser is shared by every call in the process, so callers
+    must not mutate it."""
     parser = argparse.ArgumentParser(
         prog="rieszspectra",
         description="Constructive exponential Riesz spectra with numerical certification",

@@ -417,6 +417,8 @@ def folding_probe(
     shifted = _shift_levels(N, levels, shifts)
     if trials < 1:
         raise InvalidInput("need at least one trial")
+    if seed < 0:
+        raise InvalidInput("seed must be a non-negative integer")
     pieces = [(l, r, ks) for l, r, ks in fold_pattern(N, S) if ks]
     if not pieces:
         raise InvalidInput("S must have positive measure")

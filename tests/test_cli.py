@@ -35,14 +35,72 @@ def _run(capsys, argv):
     return code, json.loads(out) if out.strip().startswith("{") else out
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is loaded by the first Gram solve only: commands that solve none
-    # (construct-hierarchy, probe-folding, ...) do not pay for its import
+def _src_env() -> dict:
+    """os.environ with this checkout's package first on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(rs.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is loaded by the first Gram solve only: commands that solve none
+    # (construct-hierarchy, probe-folding, ...) do not pay for its import
     code = "import sys, rieszspectra.cli; sys.exit('scipy' in sys.modules)"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+    subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True, timeout=60)
+
+
+def test_main_builds_its_parser_once(capsys):
+    cli.build_parser.cache_clear()
+    argv = ["check-chebotarev", "--N", "5", "--max-size", "2"]
+    assert main(argv) == 0
+    with pytest.raises(SystemExit):
+        main(["check-chebotarev", "--N", "5"])
+    assert main(argv) == 0
+    capsys.readouterr()
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def _outcome(capsys, argv) -> tuple:
+    """(exit code, stdout, stderr) of main(argv) in this process."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_shared_parser_matches_fresh_processes(tmp_path, capsys, monkeypatch, plan_l1,
+                                               sqrt_interval_file):
+    # every call on the one shared parser prints what a fresh process prints,
+    # a usage error and a --precision-bits call among them
+    monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps usage at
+    grid, lattice, unit = (tmp_path / f"{name}.json" for name in ("grid", "lattice", "unit"))
+    grid.write_text(json.dumps(IntervalSet([(1, Fraction(5, 4))]).to_json()))
+    lattice.write_text(json.dumps(rs.integer_lattice().to_json()))
+    unit.write_text(json.dumps(IntervalSet.unit().to_json()))
+    plan = _plan_file(tmp_path, plan_l1)
+    construct = ["construct-hierarchy", "--intervals", sqrt_interval_file, "--prime-limit", "100"]
+    calls = [
+        construct,
+        ["--precision-bits", "96", *construct],
+        ["construct-hierarchy", "--intervals", sqrt_interval_file],
+        ["complement", "--N", "2", "--intervals", str(grid)],
+        ["bounds", "--spectrum", str(lattice), "--set", str(unit), "--schedule", "8,16"],
+        ["verify", "--plan", plan, "--schedule", "64,128"],
+        ["probe-folding", "--plan", plan, "--trials", "3"],
+        construct,
+    ]
+    outcomes = [_outcome(capsys, argv) for argv in calls]
+    assert outcomes[2][0] == 2 and "required: --prime-limit" in outcomes[2][2]
+    assert outcomes[0] == outcomes[-1]
+    env = _src_env()
+    for argv, got in zip(calls[:-1], outcomes):
+        fresh = subprocess.run([sys.executable, "-m", "rieszspectra.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 def test_find_prime(capsys, sqrt_interval_file):
@@ -499,6 +557,52 @@ def test_probe_folding_rejects_a_repeated_shift(tmp_path, capsys, plan_l1):
     _input_error(capsys, [
         "probe-folding", "--plan", _plan_file(tmp_path, plan_l1), "--permutation", "1,1,2,3,4",
     ])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["probe-folding", "--permutation", ""], "input error: --permutation: '' is not an integer\n"),
+    (["probe-folding", "--permutation", "a,b"], "input error: --permutation: 'a' is not an integer\n"),
+    (["equidist", "--values", "sqrt(x)", "--prime-limit", "100"],
+     "input error: --values: 'x' is not an integer\n"),
+    (["equidist", "--values", "abc", "--prime-limit", "100"],
+     "input error: --values: irrational part 'abc' is not a real number\n"),
+])
+def test_malformed_token_names_its_flag(argv, message, tmp_path, capsys, plan_l1):
+    # an empty --permutation once ran the identity shifts and exited 0, and
+    # the tokens int() refuses failed with its bare message
+    if argv[0] == "probe-folding":
+        argv = [*argv, "--plan", _plan_file(tmp_path, plan_l1), "--trials", "3"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == message
+
+
+def test_probe_folding_negative_seed_is_refused_before_any_work(
+    tmp_path, capsys, monkeypatch, plan_l1
+):
+    # numpy once refused a negative seed only at the first draw, after the
+    # fold pattern and the coefficient kernel were built
+    import rieszspectra.verify as verify_mod
+
+    calls = []
+
+    def spy(name):
+        real = getattr(verify_mod, name)
+        monkeypatch.setattr(verify_mod, name, lambda *a, **k: calls.append(name) or real(*a, **k))
+
+    spy("fold_pattern")
+    spy("_draw_test_function")
+    argv = ["probe-folding", "--plan", _plan_file(tmp_path, plan_l1), "--trials", "1"]
+    code = main([*argv, "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "input error: seed must be a non-negative integer\n"
+    assert calls == []
+    # the spies see both calls of a valid seed
+    assert main([*argv, "--seed", "0"]) == 0
+    capsys.readouterr()
+    assert set(calls) == {"fold_pattern", "_draw_test_function"}
 
 
 def test_probe_folding_permuted_report_is_unchanged(tmp_path, capsys, plan_l1):

@@ -76,6 +76,9 @@ CASES = [
     ("folding probe empty S",
      lambda: rs.folding_probe(2, IntervalSet.empty(), [integer_lattice(2)] * 2, [1, 2], 1, 0),
      rs.InvalidInput, "S must have positive measure"),
+    ("folding probe negative seed",
+     lambda: rs.folding_probe(2, HALF, [integer_lattice(2)] * 2, [1, 2], 1, -1),
+     rs.InvalidInput, "seed must be a non-negative integer"),
 ]
 
 
