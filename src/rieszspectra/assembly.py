@@ -25,6 +25,7 @@ from .errors import (
     EmptySubset,
     IndependenceSuspect,
     InvalidInput,
+    LevelNotInNZ,
     NotFound,
     NotPrime,
     ResourceLimit,
@@ -35,8 +36,10 @@ from .intervals import _FieldJson, _json_array, _json_field, _to_json
 from .minors import _check_permutation, _is_prime
 from .precision import DEFAULT_PRECISION_BITS, ambiguity_threshold
 from .spectra import (
+    CosetTerm,
     Spectrum,
     _shift_levels,
+    _term_sort_key,
     avdonin_interval_spectrum,
     empty_spectrum,
     integer_lattice,
@@ -74,7 +77,10 @@ def combine_level_spectra_permuted(
 class HierarchyPlan:
     """Complete bookkeeping of the hierarchical construction: the intervals,
     the prime witness (N is its prime), the L boundary level spectra and
-    what _geometry derives from them; everything else is derived on access."""
+    what _geometry derives from them; everything else is derived on access.
+    The spectra lambda_l come from the owned levels in closed form (K full
+    cosets N*Z + n and L shifted boundary levels), not from the N-level
+    table level_spectra that to_json and the folding probe read."""
 
     a: tuple[Endpoint, ...]
     b: tuple[Endpoint, ...]
@@ -111,21 +117,41 @@ class HierarchyPlan:
         return (integer_lattice(self.N, 0),) * self.K + self.boundary + empty
 
     @functools.cached_property
-    def _shifted_levels(self) -> tuple[tuple[int, int, Spectrum], ...]:
-        """(owner, n, level n shifted by n) for each owned level n, in level
-        order: full cells first, interval by interval, then the boundary
-        pieces.  Every spectrum derived from the plan picks from this table."""
-        owners, N = self.level_interval, self.N
-        return tuple(
-            (owners[n - 1], n, s) for n, s in _shift_levels(N, self.level_spectra, range(1, N + 1))
-        )
+    def _level_table(self) -> tuple[tuple[CosetTerm, ...], tuple[Spectrum, ...]]:
+        """The owned levels, level n shifted by n, in closed form: the terms
+        N*Z + n of the full levels n = 1..K (0 < n <= K < N), and the L
+        boundary levels K + l shifted by K + l, each first checked to lie
+        in N*Z.  The N - K - L empty levels are never visited.  Every
+        spectrum derived from the plan picks from this table."""
+        N, K = self.N, self.K
+        for n, spec in enumerate(self.boundary, start=K + 1):
+            if not spec.subset_of_lattice(N):
+                raise LevelNotInNZ(f"level {n} spectrum is not contained in {N}Z")
+        full = CosetTerm._cosets(N, range(1, K + 1))
+        return full, tuple(spec.shift(n) for n, spec in enumerate(self.boundary, start=K + 1))
+
+    def _full_levels(self, ell: int) -> range:
+        """The full levels interval ell owns: a block of K_ell[ell-1]."""
+        lo = sum(self.K_ell[: ell - 1]) + 1
+        return range(lo, lo + self.K_ell[ell - 1])
 
     @functools.cached_property
     def lambda_ell(self) -> tuple[Spectrum, ...]:
-        return tuple(
-            Spectrum().union(*(s for o, _, s in self._shifted_levels if o == ell)).sorted_terms()
-            for ell in range(1, self.L + 1)
-        )
+        """Interval l's full levels and boundary level, as terms sorted by
+        _term_sort_key.  The full terms (N, n) ascend in n.  A boundary term
+        in N*Z of modulus N has offset 0, so shifted by K + l <= N its
+        offset is 0 or K + l: every boundary term sorts wholly below or
+        above the block, and only the few boundary terms need a sort."""
+        full, boundary = self._level_table
+        out = []
+        for ell, spec in enumerate(boundary, start=1):
+            block = self._full_levels(ell)
+            terms = sorted(spec.terms, key=_term_sort_key)
+            cut = sum((t.modulus, t.offset) < (self.N, block.start) for t in terms)
+            out.append(Spectrum(Fraction(1), (
+                *terms[:cut], *full[block.start - 1 : block.stop - 1], *terms[cut:]
+            )))
+        return tuple(out)
 
     def full_union(self) -> Spectrum:
         return Spectrum().union(*self.lambda_ell)
@@ -309,8 +335,9 @@ def _build_plan(witness: PrimeSearchResult, a: Sequence[Endpoint], b: Sequence[E
 
 
 def _validate_plan(plan: HierarchyPlan) -> None:
-    # lambda_ell shifts the level table through _shift_levels, which checks
-    # it; each interval's spectrum must carry exactly that interval's density
+    # lambda_ell reads the closed-form level table, which checks that each
+    # boundary level lies in NZ; the full levels N*Z + n, 0 < n <= K < N,
+    # need no check.  Each interval's spectrum must carry exactly its density
     # (K_l + {N b} - {N a}) / N = b - a holds term by term, so exactly
     for ell, (lam, x, y) in enumerate(zip(plan.lambda_ell, plan.a, plan.b), start=1):
         if lam.density() != y - x:
@@ -335,21 +362,27 @@ def subset_spectrum(plan: HierarchyPlan, J: Sequence[int]) -> SubsetPlan:
 
     omega holds the plan's levels owned by J, each shifted by its level
     index, so its union is that of lambda_l over J; the indices are the
-    shifts, distinct in 1..N.  The fiber-count sets of S^J are read off the
-    validated plan, not re-derived.  At t = u/N, with N a_l not an integer,
-    interval l holds K_l + [u < {N b_l}] - [u < {N a_l}] points of the
-    fiber.  A plan _geometry accepted has level K + l equal to
-    P_l = [{N a_l}, {N b_l}), so the P_l are nested and miss u = 0, and
-    S^J has K_J = sum of K_l over J full levels, then the P_l of J in
-    order: the levels omega lists.
+    shifts, distinct in 1..N.  Only these levels are wrapped as spectra,
+    from the plan's closed-form level table.  The fiber-count sets of S^J
+    are read off the validated plan, not re-derived.  At t = u/N, with
+    N a_l not an integer, interval l holds K_l + [u < {N b_l}] -
+    [u < {N a_l}] points of the fiber.  A plan _geometry accepted has level
+    K + l equal to P_l = [{N a_l}, {N b_l}), so the P_l are nested and miss
+    u = 0, and S^J has K_J = sum of K_l over J full levels, then the P_l of
+    J in order: the levels omega lists.
     """
     J = sorted(set(int(ell) for ell in J))
     if not J:
         raise EmptySubset("J must be nonempty")
     if any(not 1 <= ell <= plan.L for ell in J):
         raise InvalidInput(f"J must be a subset of 1..{plan.L}")
-    owned = [entry for entry in plan._shifted_levels if entry[0] in J]
-    omega, shifts = tuple(s for _, _, s in owned), tuple(n for _, n, _ in owned)
+    full, boundary = plan._level_table
+    unit = empty_spectrum()
+    fulls = [n for ell in J for n in plan._full_levels(ell)]
+    owned = [ell for ell in J if boundary[ell - 1].terms]
+    omega = tuple(unit._with_terms((full[n - 1],)) for n in fulls)
+    omega += tuple(boundary[ell - 1] for ell in owned)
+    shifts = tuple(fulls) + tuple(plan.K + ell for ell in owned)
     K_J = sum(plan.K_ell[ell - 1] for ell in J)
     return SubsetPlan(J=tuple(J), K_J=K_J, omega=omega, shifts=shifts)
 

@@ -320,18 +320,26 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
     print(f"warning: {message}", file=sys.stderr)
 
 
+def _precision_bits(bits) -> int:
+    """The --precision-bits value, DEFAULT_PRECISION_BITS when absent; one
+    below 64 is an input error."""
+    try:
+        return checked_bits(DEFAULT_PRECISION_BITS if bits is None else bits)
+    except ValueError as exc:
+        raise InvalidInput(f"--precision-bits: {exc}") from exc
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     with warnings.catch_warnings():
         warnings.showwarning = _print_warning
         try:
-            bits = args.precision_bits
-            return args.func(args, checked_bits(DEFAULT_PRECISION_BITS if bits is None else bits))
+            return args.func(args, _precision_bits(args.precision_bits))
         except ResourceLimit as exc:
             print(f"resource limit: {exc}", file=sys.stderr)
             return EXIT_RESOURCE
-        except (InvalidInput, AmbiguousEndpoint, ValueError) as exc:
+        except (InvalidInput, AmbiguousEndpoint) as exc:
             print(f"input error: {exc}", file=sys.stderr)
             return EXIT_INPUT
         except NotFound as exc:

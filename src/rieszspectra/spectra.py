@@ -112,6 +112,19 @@ class CosetTerm:
         if not 0 <= self.offset < self.modulus:
             raise InvalidInput("offset must lie in 0..modulus-1")
 
+    @classmethod
+    def _cosets(cls, modulus: int, offsets) -> tuple["CosetTerm", ...]:
+        """The unfiltered terms modulus*Z + j for j in offsets, each already
+        in 0..modulus-1, without the checks of __post_init__."""
+        new, put, out = object.__new__, object.__setattr__, []
+        for j in offsets:
+            t = new(cls)
+            put(t, "modulus", modulus)
+            put(t, "offset", j)
+            put(t, "filter", None)
+            out.append(t)
+        return tuple(out)
+
     def integers_in(self, lo: Fraction, hi: Fraction) -> list[int]:
         M, j = self.modulus, self.offset
         k_lo = Fraction(lo - j, M)
@@ -337,9 +350,9 @@ def _shift_levels(
 ) -> list[tuple[int, Spectrum]]:
     """(n, level n shifted by shifts[n-1]) for each nonempty level n = 1..N.
 
-    The one check of a level table: exactly N levels, N shifts distinct mod
-    N, and every level a subset of N*Z, decided once per distinct level
-    object.  Levels in N*Z under shifts distinct mod N occupy distinct
+    The check of a generic level table (a plan derives its own in closed
+    form): exactly N levels, N shifts distinct mod N, and every level a
+    subset of N*Z, decided once per distinct level object.  Levels in N*Z under shifts distinct mod N occupy distinct
     residues, so the shifted levels are pairwise disjoint.
     """
     if len(levels) != N:

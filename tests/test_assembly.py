@@ -349,9 +349,11 @@ def test_plan_checks_enumerate_the_window_once(monkeypatch, spec_l3):
 
 
 def test_plan_shifts_each_owned_level_once(monkeypatch, spec_l3):
-    # one table of shifted levels serves lambda_l, the plan checks and every
-    # sub-union: K + L = 548 shifts per build or load, none per sub-union
-    calls = []
+    # one closed-form table serves lambda_l, the plan checks and every
+    # sub-union: the K = 545 full levels are the cosets N*Z + n, so a build
+    # or a load shifts only its L = 3 boundary levels, a sub-union none, and
+    # none of them walks the N-level table through _shift_levels
+    calls, walks = [], []
     real = Spectrum.shift
 
     def counting(self, a):
@@ -359,16 +361,18 @@ def test_plan_shifts_each_owned_level_once(monkeypatch, spec_l3):
         return real(self, a)
 
     monkeypatch.setattr(Spectrum, "shift", counting)
+    walk = assembly._shift_levels
+    monkeypatch.setattr(assembly, "_shift_levels", lambda *args: walks.append(args) or walk(*args))
     S = IntervalSet.from_json(spec_l3)
     plan = construct_hierarchy_with_prime([l for l, _ in S.pieces], [r for _, r in S.pieces], 1933)
-    assert len(calls) == plan.K + plan.L == 548
+    assert calls == [546, 547, 548] and plan.K + plan.L == 548
     calls.clear()
     back = rs.HierarchyPlan.from_json(plan.to_json())
-    assert len(calls) == 548
+    assert calls == [546, 547, 548]
     calls.clear()
     for mask in range(1, 2**plan.L):
         subset_spectrum(back, [ell for ell in range(1, plan.L + 1) if mask >> (ell - 1) & 1])
-    assert calls == []
+    assert calls == [] and walks == []
 
 
 def test_hierarchy_negative_prime_index():

@@ -316,6 +316,18 @@ def test_precision_bits_below_minimum_is_input_error(capsys, sqrt_interval_file,
     assert "at least 64 bits" in capsys.readouterr().err
 
 
+def test_library_value_error_is_not_an_input_error(monkeypatch, capsys, sqrt_interval_file):
+    # a ValueError raised inside a command is a library fault, not bad
+    # input: main lets it propagate instead of printing it with exit 2
+    def broken(*args, **kwargs):
+        raise ValueError("shapes (3,) and (4,) not aligned")
+
+    monkeypatch.setattr(cli, "find_ordering_prime", broken)
+    with pytest.raises(ValueError, match="not aligned"):
+        main(["find-prime", "--intervals", sqrt_interval_file, "--prime-limit", "100"])
+    assert "input error" not in capsys.readouterr().err
+
+
 def test_precision_bits_apply_to_one_call_only(monkeypatch, capsys, sqrt_interval_file):
     # the flag is a parse parameter: it reaches the generators of its own
     # call and touches neither mpmath's context nor the next call

@@ -27,6 +27,7 @@ replaced, and generators made and printed at explicit precision against the
 same steps in mpmath's shared context switched by workprec()."""
 
 import contextlib
+import dataclasses
 import itertools
 import json
 import math
@@ -1973,12 +1974,21 @@ def test_geometry_matches_level_pattern_at_non_ordering_primes(plan_l1, plan_l2,
     assert seen == {dict, DegenerateCoverage, ConstructionError, InvalidInput}
 
 
+def _generic_level_table(plan):
+    """(owner, n, level n shifted by n) for each owned level n, as the plan
+    derived them before its closed form: its N levels through the generic
+    _shift_levels, each picked by its owner."""
+    owners = plan.level_interval
+    return [(owners[n - 1], n, s)
+            for n, s in _shift_levels(plan.N, plan.level_spectra, range(1, plan.N + 1))]
+
+
 def _rederived_subset_spectrum(plan, J):
-    """The replaced subset_spectrum: omega and shifts from the plan's level
+    """The replaced subset_spectrum: omega and shifts from the generic level
     table, K_J and the boundary densities checked against the fiber-count
     sets of S^J re-derived from its endpoints."""
     J = sorted(set(int(ell) for ell in J))
-    owned = [entry for entry in plan._shifted_levels if entry[0] in J]
+    owned = [entry for entry in _generic_level_table(plan) if entry[0] in J]
     omega, shifts = tuple(s for _, _, s in owned), tuple(n for _, n, _ in owned)
     K_ell, levels_J, _ = _geometry_oracle(plan.N, plan.a, plan.b, J)
     K_J = sum(K_ell)
@@ -2066,6 +2076,97 @@ def test_accepted_geometry_bounds_counts_and_fixes_every_sub_union(instance):
         assert betas_J == [betas[ell - 1] for ell in J]
         K_J = sum(K_ell_J)
         assert levels_J[K_J:K_J + len(J)] == tuple(a_sets[K + ell - 1] for ell in J)
+
+
+def _generic_plan_views(plan):
+    """lambda_l for every l, then (omega, shifts, K_J) for every J, read off
+    the generic level table."""
+    table = _generic_level_table(plan)
+    lambdas = [Spectrum().union(*(s for o, _, s in table if o == ell)).sorted_terms()
+               for ell in range(1, plan.L + 1)]
+    subsets = []
+    for J in _subsets(plan.L):
+        owned = [(n, s) for o, n, s in table if o in J]
+        K_J = sum(plan.K_ell[ell - 1] for ell in J)
+        subsets.append((tuple(s for _, s in owned), tuple(n for n, _ in owned), K_J))
+    return lambdas, subsets
+
+
+def _closed_form_plan_views(plan):
+    """The same views read off the plan's closed-form level table."""
+    lambdas = list(plan.lambda_ell)
+    return lambdas, [(sp.omega, sp.shifts, sp.K_J)
+                     for sp in (subset_spectrum(plan, J) for J in _subsets(plan.L))]
+
+
+def _assert_closed_form_matches_generic(plan):
+    """Equal terms, omega, shifts and K_J, or the same error and message."""
+    got = _result_or_error(_closed_form_plan_views, plan)
+    want = _result_or_error(_generic_plan_views, plan)
+    assert got == want
+    if not isinstance(want[0], type):  # the plan's JSON prints the terms
+        assert [s.to_json() for s in got[0]] == [s.to_json() for s in want[0]]
+    return want
+
+
+@st.composite
+def _boundary_spectra(draw, N):
+    """A boundary level for a plan at N: a few terms drawn by lattice_terms
+    and scaled into N*Z (moduli above N, or N itself), the coset 1/N-filtered
+    at modulus 1 (in N*Z only for a phase divisible by N), or raw terms,
+    mostly outside N*Z."""
+    kind = draw(st.sampled_from(["scaled", "reciprocal", "raw"]))
+    if kind == "scaled":
+        return Spectrum(F(1), tuple(draw(st.lists(lattice_terms(), min_size=1, max_size=3))))\
+            .scale_integers(N)
+    if kind == "reciprocal" and N > 1:
+        phase = N * draw(st.integers(-2, 2)) + draw(st.sampled_from([0, 0, 1]))
+        return Spectrum(F(1), (CosetTerm(1, 0, AvdoninFilter(Endpoint(F(1, N)), phase)),))
+    return Spectrum(F(1), tuple(draw(st.lists(lattice_terms(), max_size=3))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=_prime_and_chain(), data=st.data())
+def test_closed_form_plan_levels_match_generic_shift(instance, data):
+    # small-prime plans (K + L = N among them), as built and with one
+    # boundary level replaced, against the N-level table shifted by the
+    # generic _shift_levels: the same lambda_l terms, the same omega, shifts
+    # and K_J for every J, or LevelNotInNZ with the same message
+    N, a, b = instance
+    try:
+        plan = construct_hierarchy_with_prime(a, b, N)
+    except RieszSpectraError:
+        reject()
+    _assert_closed_form_matches_generic(plan)
+    boundary = list(plan.boundary)
+    boundary[data.draw(st.integers(0, plan.L - 1))] = data.draw(_boundary_spectra(N))
+    _assert_closed_form_matches_generic(dataclasses.replace(plan, boundary=tuple(boundary)))
+
+
+def test_closed_form_sorts_a_wrapped_boundary_first(sq):
+    # N = 2, K = L = 1: the boundary level 2 shifted by 2 wraps to offset 0
+    # (phase 1) and sorts before the full level 1
+    a, b = Endpoint(F(1, 10)) + sq[2] * F(1, 1000), Endpoint(F(9, 10)) + sq[3] * F(1, 1000)
+    plan = construct_hierarchy_with_prime([a], [b], 2)
+    assert plan.K + plan.L == plan.N == 2
+    (lam,) = _assert_closed_form_matches_generic(plan)[0]
+    assert [(t.modulus, t.offset, t.filter is None) for t in lam.terms] == [(2, 0, False), (2, 1, True)]
+    assert lam.terms[0].filter.phase == 1
+
+
+@pytest.mark.parametrize("bits", [64, 96, 200])
+def test_closed_form_reference_plans_match_generic_shift(bits):
+    # the L = 1, 2, 3 plans, built and loaded back at the bits their
+    # endpoints were made at; a boundary moved off N*Z raises the generic
+    # table's LevelNotInNZ, for lambda_l and for every sub-union
+    for plan in _reference_plans(bits):
+        back = HierarchyPlan.from_json(json.loads(json.dumps(plan.to_json())), bits=bits)
+        for p in (plan, back):
+            _assert_closed_form_matches_generic(p)
+        off = tuple(s.shift(1) for s in plan.boundary[:1]) + plan.boundary[1:]
+        bad = dataclasses.replace(plan, boundary=off)
+        err = _assert_closed_form_matches_generic(bad)
+        assert err == (LevelNotInNZ, f"level {plan.K + 1} spectrum is not contained in {plan.N}Z")
 
 
 def _shared_json(objs):
