@@ -36,7 +36,7 @@ from .intervals import Endpoint, IntervalSet, parse_fraction
 from .minors import chebotarev_check
 from .precision import DEFAULT_PRECISION_BITS, checked_bits, hp_sqrt
 from .spectra import Spectrum
-from .verify import _check_bounds_windows, density_check, folding_probe, riesz_bounds_estimate
+from .verify import _gram_solve, _gram_windows, density_check, folding_probe, riesz_bounds_estimate
 
 SCHEMA = "riesz-spectra/1"
 
@@ -178,25 +178,20 @@ def _cmd_verify(args, bits: int) -> int:
     L = plan.L
     masks = range(1, 2**L) if args.all_subsets else [2**L - 1]
     subsets = [[ell for ell in range(1, L + 1) if mask >> (ell - 1) & 1] for mask in masks]
-    unions = [
-        (
-            J,
-            subset_spectrum(plan, J).union(),
-            IntervalSet((plan.a[ell - 1], plan.b[ell - 1]) for ell in J),
-        )
-        for J in subsets
-    ]
-    # every sub-union's windows are sized from its terms before the first
-    # solve, so an oversized or empty window is refused before any work,
-    # and before density_check enumerates four times the largest window
-    for J, spec, S_J in unions:
+    # every sub-union is sized by the first half of riesz_bounds_estimate
+    # before the first solve, so an oversized or empty window is refused
+    # before any solve and before density_check enumerates 4x the window
+    sized = []
+    for J in subsets:
+        spec = subset_spectrum(plan, J).union()
+        S_J = IntervalSet((plan.a[ell - 1], plan.b[ell - 1]) for ell in J)
         try:
-            _check_bounds_windows(spec, S_J, schedule)
+            sized.append((J, spec, S_J, _gram_windows(spec, S_J, schedule)))
         except (ResourceLimit, EmptyWindow) as exc:
             raise type(exc)(f"{exc} (sub-union J={J})") from exc
     rows = []
-    for J, spec, S_J in unions:
-        gram = riesz_bounds_estimate(spec, S_J, schedule)
+    for J, spec, S_J, windows in sized:
+        gram = _gram_solve(spec, S_J, windows)
         dens = density_check(spec, S_J, density_windows)
         status = "PASS" if dens.passed and gram.passed else "FAIL"
         rows.append({"J": J, "density": dens.to_json(), "gram": gram.to_json(), "status": status})

@@ -6,6 +6,11 @@ therefore certify by trend (stable minimum eigenvalue across a doubling
 window schedule), and the folding probe reports empirical constants next to
 the minor-conditioning floor they are expected to respect.
 
+A schedule is sized before it is solved: _gram_windows checks it, counts
+its largest window from the terms and enumerates that window once, and
+_gram_solve solves the windows sliced from it.  `verify` sizes every
+sub-union before its first solve.
+
 The Gram symbol of a schedule (the entry for each frequency gap) is computed
 once; every window's matrix is expanded from it.  When S is a single
 interval the matrix is unitarily similar to a real symmetric sinc-kernel
@@ -41,7 +46,9 @@ from .minors import _check_permutation, c_prime_bound
 from .spectra import Spectrum, _shift_levels
 
 # address space of one Gram matrix, the only one a schedule maps at a time;
-# about 0.7 of it is resident, since the pages above the diagonal are unbacked
+# about 0.7 of it is resident, since the pages above the diagonal are unbacked.
+# It also caps the folding probe's coefficient kernel and its folding weights
+# each, refused from the cell count before the cells are built
 DENSE_GRAM_BYTES = 2**30
 PASS_FLOOR = 1e-3
 MAX_LAST_DROP = 0.10
@@ -50,12 +57,13 @@ _BLOCK_ROWS = 256  # rows of the probe's coefficient kernel computed at once
 _TRIAL_BLOCK = 8  # folding-probe trials evaluated at once; bounds its per-trial temporaries
 
 
-def _window_count(spectrum: Spectrum, S: IntervalSet, T, itemsize: int) -> int:
-    """Number n of underlying integers m of the spectrum with |scale*m| <= T,
-    counted exactly from the terms, each in O(1).
+def _window_integers(spectrum: Spectrum, S: IntervalSet, T, itemsize: int = 16) -> np.ndarray:
+    """Underlying integers m of the spectrum with |scale*m| <= T, ascending.
 
-    Raises ResourceLimit when a dense n x n matrix of itemsize-byte entries
-    would exceed DENSE_GRAM_BYTES.
+    They are counted first, exactly from the terms, each in O(1), and
+    enumerated only when a dense n x n matrix of itemsize-byte entries
+    fits in DENSE_GRAM_BYTES; otherwise ResourceLimit, before enumerating
+    any.
     """
     if S.is_empty:
         raise InvalidInput("S must have positive measure")
@@ -67,14 +75,6 @@ def _window_count(spectrum: Spectrum, S: IntervalSet, T, itemsize: int) -> int:
             f"dense Gram matrix of n={n} needs {nbytes} bytes, "
             f"over the limit of {DENSE_GRAM_BYTES}"
         )
-    return n
-
-
-def _window_integers(spectrum: Spectrum, S: IntervalSet, T, itemsize: int = 16) -> np.ndarray:
-    """Underlying integers m of the spectrum with |scale*m| <= T, ascending,
-    enumerated only once _window_count has sized their dense matrix."""
-    _window_count(spectrum, S, T, itemsize)
-    bound = Fraction(T) / spectrum.scale
     return np.asarray(spectrum.enumerate_integers(-bound, bound), dtype=np.int64)
 
 
@@ -215,29 +215,20 @@ def _checked_schedule(schedule: Sequence) -> list:
     return schedule
 
 
-def _bounds_symbol(S: IntervalSet):
-    """The symbol riesz_bounds_estimate expands on S and the entry size of
-    its matrix: _sinc_symbol (8 bytes) for one interval, _complex_symbol (16
-    bytes) for a union."""
-    return (_sinc_symbol, 8) if len(S.pieces) == 1 else (_complex_symbol, 16)
+def _gram_windows(spectrum: Spectrum, S: IntervalSet, schedule: Sequence) -> tuple:
+    """The sizing half of riesz_bounds_estimate: (schedule, symbol, ms,
+    blocks), or the error that refuses the schedule, before any solve.
 
-
-def _check_bounds_windows(spectrum: Spectrum, S: IntervalSet, schedule: Sequence) -> None:
-    """Raise what riesz_bounds_estimate would raise on the sizes of its
-    windows, before it enumerates or solves anything.
-
-    The counts come from the terms in O(1) each: ResourceLimit when the
-    largest window's matrix is over DENSE_GRAM_BYTES, EmptyWindow when the
-    smallest window, the first one riesz_bounds_estimate would find empty,
-    holds no frequency.  Only the error path enumerates, to name the least
-    usable window.
+    The schedule and S are checked; the symbol is _sinc_symbol (8-byte
+    entries) for one interval, _complex_symbol (16) for a union; the
+    largest window is counted, then enumerated once as ms; each window is
+    sliced from ms, the smallest first, so EmptyWindow names it.
     """
     schedule = _checked_schedule(schedule)
-    itemsize = _bounds_symbol(S)[1]
-    _window_count(spectrum, S, schedule[-1], itemsize)
-    if not _window_count(spectrum, S, schedule[0], itemsize):
-        ms = _window_integers(spectrum, S, schedule[-1], itemsize)
-        _window_slice(spectrum, ms, schedule[0])  # raises EmptyWindow
+    symbol, itemsize = (_sinc_symbol, 8) if len(S.pieces) == 1 else (_complex_symbol, 16)
+    ms = _window_integers(spectrum, S, schedule[-1], itemsize)
+    blocks = [_window_slice(spectrum, ms, T) for T in schedule]
+    return schedule, symbol, ms, blocks
 
 
 @dataclass(frozen=True)
@@ -273,10 +264,12 @@ def riesz_bounds_estimate(
     depend on the BLAS thread count: the report repeats byte for byte at a
     fixed thread count, not across thread counts.
     """
-    schedule = _checked_schedule(schedule)
-    symbol, itemsize = _bounds_symbol(S)
-    ms = _window_integers(spectrum, S, schedule[-1], itemsize)
-    blocks = [_window_slice(spectrum, ms, T) for T in schedule]
+    return _gram_solve(spectrum, S, _gram_windows(spectrum, S, schedule))
+
+
+def _gram_solve(spectrum: Spectrum, S: IntervalSet, windows: tuple) -> GramReport:
+    """The solve half of riesz_bounds_estimate, on what _gram_windows sized."""
+    schedule, symbol, ms, blocks = windows
     sym = symbol(spectrum, S, int(ms[-1] - ms[0]))
     history = [
         (float(T), *_extreme_eigenvalues(_toeplitz(sym, ms[block])))
@@ -413,15 +406,24 @@ def folding_probe(
     folded-frame ratio per level, and sigma_min_used is the worst minor
     singular value over the fiber patterns that actually occur.
     """
-    _check_permutation(N, shifts)
-    shifted = _shift_levels(N, levels, shifts)
     if trials < 1:
         raise InvalidInput("need at least one trial")
     if seed < 0:
         raise InvalidInput("seed must be a non-negative integer")
+    _check_permutation(N, shifts)
+    shifted = _shift_levels(N, levels, shifts)
     pieces = [(l, r, ks) for l, r, ks in fold_pattern(N, S) if ks]
     if not pieces:
         raise InvalidInput("S must have positive measure")
+    # the coefficient kernel and the folding weights, sized as allocated below
+    n_cells, n_lambdas = sum(len(ks) for _, _, ks in pieces), 2 * trunc_window + 1
+    ker_bytes, fold_bytes = n_cells * n_lambdas * 16, N * N * 16
+    if max(ker_bytes, fold_bytes) > DENSE_GRAM_BYTES:
+        raise ResourceLimit(
+            f"folding probe needs a {n_cells} x {n_lambdas} coefficient kernel of "
+            f"{ker_bytes} bytes and {N} x {N} folding weights of {fold_bytes} bytes; "
+            f"each must fit the limit of {DENSE_GRAM_BYTES}"
+        )
     cellw = Fraction(1, N)
     n_pieces = len(pieces)
     piece_lens = np.array([float(r - l) for l, r, _ in pieces])
@@ -446,7 +448,6 @@ def folding_probe(
             cells.append((left + k * cellw, right + k * cellw))
             cell_piece.append(p_idx)
             cell_k.append(k)
-    n_cells = len(cells)
     cell_piece_arr = np.asarray(cell_piece)
     cell_k_arr = np.asarray(cell_k)
     cell_lens = piece_lens[cell_piece_arr]

@@ -215,6 +215,29 @@ def test_verify_sizes_every_subset_before_the_first_solve(tmp_path, capsys, monk
     assert [len(A) for A in solved] == [15, 30, 12, 24, 27, 54]
 
 
+def test_verify_counts_and_enumerates_each_subset_once(tmp_path, capsys, monkeypatch, plan_l2):
+    # one sizing pass per sub-union: its largest Gram window is counted from
+    # its terms once and enumerated once, and the solve takes what it sized;
+    # density_check enumerates its own 4x window
+    terms = [len(rs.subset_spectrum(plan_l2, J).union().terms) for J in ([1], [2], [1, 2])]
+    counted, enumerated = [], []
+    count, enumerate_integers = rs.CosetTerm._count_in, rs.Spectrum.enumerate_integers
+    monkeypatch.setattr(
+        rs.CosetTerm, "_count_in", lambda t, lo, hi: counted.append(hi) or count(t, lo, hi)
+    )
+    monkeypatch.setattr(
+        rs.Spectrum,
+        "enumerate_integers",
+        lambda s, lo, hi: enumerated.append((s.terms, hi)) or enumerate_integers(s, lo, hi),
+    )
+    plan = _plan_file(tmp_path, plan_l2)
+    assert main(["verify", "--plan", plan, "--all-subsets", "--schedule", "32,64"]) == 1
+    assert capsys.readouterr().err == ""
+    assert counted == [64] * sum(terms)
+    assert [len(ts) for ts, hi in enumerated if hi == 64] == terms
+    assert [hi for _, hi in enumerated if hi != 64] == [256] * 3
+
+
 def test_verify_empty_window_is_input_error_naming_the_least(
     tmp_path, capsys, monkeypatch, plan_l3
 ):
@@ -603,6 +626,7 @@ def test_probe_folding_negative_seed_is_refused_before_any_work(
         real = getattr(verify_mod, name)
         monkeypatch.setattr(verify_mod, name, lambda *a, **k: calls.append(name) or real(*a, **k))
 
+    spy("_shift_levels")
     spy("fold_pattern")
     spy("_draw_test_function")
     argv = ["probe-folding", "--plan", _plan_file(tmp_path, plan_l1), "--trials", "1"]
@@ -614,7 +638,38 @@ def test_probe_folding_negative_seed_is_refused_before_any_work(
     # the spies see both calls of a valid seed
     assert main([*argv, "--seed", "0"]) == 0
     capsys.readouterr()
-    assert set(calls) == {"fold_pattern", "_draw_test_function"}
+    assert set(calls) == {"_shift_levels", "fold_pattern", "_draw_test_function"}
+
+
+def test_probe_folding_refuses_an_oversized_kernel_before_any_draw(
+    tmp_path, capsys, monkeypatch, plan_l1
+):
+    # the kernel of n cells by 4097 frequencies and the N x N folding weights
+    # are sized from the fold pattern, before any cell is built; the L=4
+    # plan's would take 42.9 GB and 422.6 GB
+    import rieszspectra.verify as verify_mod
+
+    n = sum(len(ks) for _, _, ks in rs.fold_pattern(plan_l1.N, plan_l1.S))
+    nbytes = n * 4097 * 16
+    drawn = []
+    draw = verify_mod._draw_test_function
+    monkeypatch.setattr(verify_mod, "_draw_test_function", lambda *a: drawn.append(a) or draw(*a))
+    monkeypatch.setattr(verify_mod, "DENSE_GRAM_BYTES", nbytes - 1)
+    argv = ["probe-folding", "--plan", _plan_file(tmp_path, plan_l1), "--trials", "1"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and drawn == []
+    assert captured.err == (
+        f"resource limit: folding probe needs a {n} x 4097 coefficient kernel of {nbytes} "
+        f"bytes and 5 x 5 folding weights of 400 bytes; each must fit the limit of {nbytes - 1}\n"
+    )
+    monkeypatch.setattr(verify_mod, "DENSE_GRAM_BYTES", nbytes)
+    assert main(argv) == 0 and len(drawn) == 1
+    # the weights alone: a one-frequency kernel takes n * 16 < 400 bytes
+    monkeypatch.setattr(verify_mod, "DENSE_GRAM_BYTES", 399)
+    with pytest.raises(rs.ResourceLimit, match="5 x 5 folding weights of 400 bytes"):
+        rs.folding_probe(5, plan_l1.S, plan_l1.level_spectra, [1, 2, 3, 4, 5], 1, 0, trunc_window=0)
+    assert len(drawn) == 1
 
 
 def test_probe_folding_permuted_report_is_unchanged(tmp_path, capsys, plan_l1):

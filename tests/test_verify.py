@@ -250,8 +250,8 @@ def test_extreme_eigenvalues_read_only_the_lower_triangle(S, itemsize):
     import rieszspectra.verify as verify_mod
 
     # n = 129 is large enough for LAPACK's blocked tridiagonal reduction
-    ms = verify_mod._window_integers(integer_lattice(), S, 64, itemsize)
-    sym = verify_mod._bounds_symbol(S)[0](integer_lattice(), S, int(ms[-1] - ms[0]))
+    _, symbol, ms, _ = verify_mod._gram_windows(integer_lattice(), S, [64])
+    sym = symbol(integer_lattice(), S, int(ms[-1] - ms[0]))
     full = verify_mod._signed(sym)[np.subtract.outer(ms, ms) + (len(sym) - 1)]
     assert len(ms) == 129 and full.itemsize == itemsize
     poisoned = np.asfortranarray(full)
@@ -297,8 +297,8 @@ def test_bounds_peak_memory_is_one_matrix_and_a_block(S, itemsize):
         pytest.skip("no /proc/self/smaps to read the matrix's resident pages from")
     # the pages that hold only entries above the diagonal are never backed
     # (measured: 0.69 matrices real, 0.60 complex; a full fill is 1.0)
-    ms = verify_mod._window_integers(integer_lattice(), S, 1200, itemsize)
-    sym = verify_mod._bounds_symbol(S)[0](integer_lattice(), S, int(ms[-1] - ms[0]))
+    _, symbol, ms, _ = verify_mod._gram_windows(integer_lattice(), S, [1200])
+    sym = symbol(integer_lattice(), S, int(ms[-1] - ms[0]))
     A = verify_mod._toeplitz(sym, ms)
     resident = {8: 0.75, 16: 0.65}[itemsize]
     assert A.shape == (n, n) and _mapping_rss(A) <= resident * n * n * itemsize
