@@ -36,7 +36,15 @@ from .intervals import Endpoint, IntervalSet, parse_fraction
 from .minors import chebotarev_check
 from .precision import DEFAULT_PRECISION_BITS, checked_bits, hp_sqrt
 from .spectra import Spectrum
-from .verify import _gram_solve, _gram_windows, density_check, folding_probe, riesz_bounds_estimate
+from .verify import (
+    _density_rows,
+    _enumerated,
+    _gram_blocks,
+    _gram_sizes,
+    _gram_solve,
+    folding_probe,
+    riesz_bounds_estimate,
+)
 
 SCHEMA = "riesz-spectra/1"
 
@@ -171,6 +179,14 @@ def _parse_schedule(text: str) -> list[Fraction]:
     return [parse_fraction(x, "--schedule") for x in text.split(",")]
 
 
+def _naming_subset(J, size, *args):
+    """size(*args), with a ResourceLimit or EmptyWindow naming the sub-union J."""
+    try:
+        return size(*args)
+    except (ResourceLimit, EmptyWindow) as exc:
+        raise type(exc)(f"{exc} (sub-union J={J})") from exc
+
+
 def _cmd_verify(args, bits: int) -> int:
     plan = _load_artifact(args.plan, HierarchyPlan.from_json, bits)
     schedule = _parse_schedule(args.schedule)
@@ -178,21 +194,24 @@ def _cmd_verify(args, bits: int) -> int:
     L = plan.L
     masks = range(1, 2**L) if args.all_subsets else [2**L - 1]
     subsets = [[ell for ell in range(1, L + 1) if mask >> (ell - 1) & 1] for mask in masks]
-    # every sub-union is sized by the first half of riesz_bounds_estimate
-    # before the first solve, so an oversized or empty window is refused
-    # before any solve and before density_check enumerates 4x the window
-    sized = []
+    # every sub-union's largest Gram window is counted from its terms, and an
+    # oversized one refused, before any sub-union is enumerated; each is then
+    # enumerated once, at the largest density window, and its Gram windows
+    # (an empty one refused) and density rows are sliced from that array,
+    # all before the first solve
+    counted = []
     for J in subsets:
         spec = subset_spectrum(plan, J).union()
         S_J = IntervalSet((plan.a[ell - 1], plan.b[ell - 1]) for ell in J)
-        try:
-            sized.append((J, spec, S_J, _gram_windows(spec, S_J, schedule)))
-        except (ResourceLimit, EmptyWindow) as exc:
-            raise type(exc)(f"{exc} (sub-union J={J})") from exc
+        counted.append((J, spec, S_J, _naming_subset(J, _gram_sizes, spec, S_J, schedule)))
+    sized = []
+    for J, spec, S_J, sizes in counted:
+        ms = _enumerated(spec, density_windows[-1])
+        windows = _naming_subset(J, _gram_blocks, spec, sizes, ms)
+        sized.append((J, spec, S_J, windows, _density_rows(spec, S_J, density_windows, ms)))
     rows = []
-    for J, spec, S_J, windows in sized:
+    for J, spec, S_J, windows, dens in sized:
         gram = _gram_solve(spec, S_J, windows)
-        dens = density_check(spec, S_J, density_windows)
         status = "PASS" if dens.passed and gram.passed else "FAIL"
         rows.append({"J": J, "density": dens.to_json(), "gram": gram.to_json(), "status": status})
     return _verdict(args, {"subsets": rows}, all(row["status"] == "PASS" for row in rows))

@@ -6,10 +6,12 @@ therefore certify by trend (stable minimum eigenvalue across a doubling
 window schedule), and the folding probe reports empirical constants next to
 the minor-conditioning floor they are expected to respect.
 
-A schedule is sized before it is solved: _gram_windows checks it, counts
-its largest window from the terms and enumerates that window once, and
-_gram_solve solves the windows sliced from it.  `verify` sizes every
-sub-union before its first solve.
+A schedule is sized before it is solved: _gram_sizes checks it and counts
+its largest window from the terms, _gram_blocks slices every window from
+one enumeration that holds the largest, and _gram_solve solves them.
+`verify` counts every sub-union before it enumerates any, and enumerates
+each once, for its Gram windows and its density rows, before its first
+solve.
 
 The Gram symbol of a schedule (the entry for each frequency gap) is computed
 once; every window's matrix is expanded from it.  When S is a single
@@ -17,16 +19,22 @@ interval the matrix is unitarily similar to a real symmetric sinc-kernel
 matrix (see _sinc_symbol), and the bounds are solved on that; unions of
 intervals are solved on the complex Gram matrix.  The two give the same
 eigenvalues up to float rounding.  Both are solved densely and in place
-with LAPACK ?syevd / ?heevd (through scipy), on a matrix of at most
-DENSE_GRAM_BYTES, one window at a time.  The solvers read the lower
-triangle only, and only it is written, into a mapping of its own whose
-pages above the diagonal stay unbacked.
+with LAPACK dsyevd / zheevd, through scipy's f2py LAPACK wrapper
+scipy.linalg._flapack alone: the scipy.linalg package is never imported.
+Each solve takes one window, on a matrix of at most DENSE_GRAM_BYTES.  The
+solvers read the lower triangle only, and only it is written, into a
+mapping of its own whose pages above the diagonal stay unbacked.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
 import mmap
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,14 +65,11 @@ _BLOCK_ROWS = 256  # rows of the probe's coefficient kernel computed at once
 _TRIAL_BLOCK = 8  # folding-probe trials evaluated at once; bounds its per-trial temporaries
 
 
-def _window_integers(spectrum: Spectrum, S: IntervalSet, T, itemsize: int = 16) -> np.ndarray:
-    """Underlying integers m of the spectrum with |scale*m| <= T, ascending.
-
-    They are counted first, exactly from the terms, each in O(1), and
-    enumerated only when a dense n x n matrix of itemsize-byte entries
-    fits in DENSE_GRAM_BYTES; otherwise ResourceLimit, before enumerating
-    any.
-    """
+def _refuse_oversized(spectrum: Spectrum, S: IntervalSet, T, itemsize: int) -> None:
+    """ResourceLimit unless a dense n x n matrix of itemsize-byte entries, n
+    the integers m of the spectrum with |scale*m| <= T, fits in
+    DENSE_GRAM_BYTES; n is counted exactly from the terms, each in O(1),
+    and nothing is enumerated."""
     if S.is_empty:
         raise InvalidInput("S must have positive measure")
     bound = Fraction(T) / spectrum.scale
@@ -75,7 +80,18 @@ def _window_integers(spectrum: Spectrum, S: IntervalSet, T, itemsize: int = 16) 
             f"dense Gram matrix of n={n} needs {nbytes} bytes, "
             f"over the limit of {DENSE_GRAM_BYTES}"
         )
+
+
+def _enumerated(spectrum: Spectrum, T) -> np.ndarray:
+    """Underlying integers m of the spectrum with |scale*m| <= T, ascending."""
+    bound = Fraction(T) / spectrum.scale
     return np.asarray(spectrum.enumerate_integers(-bound, bound), dtype=np.int64)
+
+
+def _window_integers(spectrum: Spectrum, S: IntervalSet, T, itemsize: int = 16) -> np.ndarray:
+    """_enumerated(spectrum, T), once _refuse_oversized has counted them."""
+    _refuse_oversized(spectrum, S, T, itemsize)
+    return _enumerated(spectrum, T)
 
 
 def _window_slice(spectrum: Spectrum, ms: np.ndarray, T) -> slice:
@@ -106,7 +122,7 @@ def _toeplitz(sym: np.ndarray, ms: np.ndarray) -> np.ndarray:
     """The lower triangle of M[i, j] = sym[m_i - m_j], in the Fortran order
     that LAPACK reads; the entries above the diagonal are unspecified.
 
-    sym holds d = 0..dmax >= ms[-1] - ms[0]; _window_integers has checked
+    sym holds d = 0..dmax >= ms[-1] - ms[0]; _refuse_oversized has checked
     the size.  M is Hermitian, so conj(M) = M^T is gathered in C order,
     each row i from its diagonal entry on, straight into place, and
     returned transposed.  The matrix lives in its own anonymous mapping on
@@ -189,18 +205,53 @@ def _sinc_symbol(spectrum: Spectrum, S: IntervalSet, dmax: int) -> np.ndarray:
     return r
 
 
+@functools.cache
+def _flapack():
+    """scipy's f2py LAPACK wrapper, loaded once from its file under its own
+    name, scipy.linalg._flapack, without running scipy/linalg/__init__.py.
+
+    The top-level scipy is imported first, for the platform set-up the
+    extension loads against.  The module is registered in sys.modules, as an
+    import registers it, and Python keeps one module object per single-phase
+    extension, so scipy.linalg, imported before or after, uses this one.
+    """
+    import scipy
+
+    name = "scipy.linalg._flapack"
+    finder = importlib.machinery.FileFinder(
+        os.path.join(os.path.dirname(scipy.__file__), "linalg"),
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+    )
+    spec = finder.find_spec(name)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 def _extreme_eigenvalues(A: np.ndarray) -> tuple[float, float]:
     """Least and greatest eigenvalue of the Hermitian matrix held in the lower
-    triangle of the Fortran-ordered A, by LAPACK ?syevd / ?heevd.
+    triangle of the Fortran-ordered A, by LAPACK dsyevd (real A) or zheevd
+    (complex A) from _flapack, eigenvalues only.
 
-    A is overwritten.  scipy is imported here, not at module top, so that
-    commands which solve no Gram matrix never load it.
+    A is overwritten.  The workspace sizes are LAPACK's own answer to the
+    workspace query, int(x.real) of each, in the order lwork, liwork(,
+    lrwork): the call scipy.linalg.eigh(A, eigvals_only=True,
+    driver="evd", lower=True) makes.  A nonzero info raises LinAlgError.
+    scipy is loaded at the first call, not at module top, so that commands
+    which solve no Gram matrix never load it.
     """
-    from scipy.linalg import eigh
-
-    vals = eigh(
-        A, eigvals_only=True, driver="evd", overwrite_a=True, check_finite=False, lower=True
-    )
+    lapack = _flapack()
+    if np.iscomplexobj(A):
+        name, sizes = "zheevd", ("lwork", "liwork", "lrwork")
+    else:
+        name, sizes = "dsyevd", ("lwork", "liwork")
+    *work, info = getattr(lapack, name + "_lwork")(len(A), compute_v=0, lower=1)
+    if info == 0:  # else the workspace query failed, and nothing is solved
+        work = {size: int(x.real) for size, x in zip(sizes, work)}
+        vals, _, info = getattr(lapack, name)(A, compute_v=0, lower=1, overwrite_a=1, **work)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {name} of order {len(A)} failed with info {info}")
     return float(vals[0]), float(vals[-1])
 
 
@@ -215,20 +266,40 @@ def _checked_schedule(schedule: Sequence) -> list:
     return schedule
 
 
-def _gram_windows(spectrum: Spectrum, S: IntervalSet, schedule: Sequence) -> tuple:
-    """The sizing half of riesz_bounds_estimate: (schedule, symbol, ms,
-    blocks), or the error that refuses the schedule, before any solve.
+def _gram_sizes(spectrum: Spectrum, S: IntervalSet, schedule: Sequence) -> tuple:
+    """The counting half of the sizing: (schedule, symbol), or the error
+    that refuses the schedule, before anything is enumerated.
 
     The schedule and S are checked; the symbol is _sinc_symbol (8-byte
     entries) for one interval, _complex_symbol (16) for a union; the
-    largest window is counted, then enumerated once as ms; each window is
-    sliced from ms, the smallest first, so EmptyWindow names it.
+    largest window is counted from the terms.
     """
     schedule = _checked_schedule(schedule)
     symbol, itemsize = (_sinc_symbol, 8) if len(S.pieces) == 1 else (_complex_symbol, 16)
-    ms = _window_integers(spectrum, S, schedule[-1], itemsize)
-    blocks = [_window_slice(spectrum, ms, T) for T in schedule]
-    return schedule, symbol, ms, blocks
+    _refuse_oversized(spectrum, S, schedule[-1], itemsize)
+    return schedule, symbol
+
+
+def _gram_blocks(spectrum: Spectrum, sizes: tuple, ms: np.ndarray) -> tuple:
+    """The slicing half of the sizing: (schedule, symbol, ms, blocks) from
+    what _gram_sizes counted and the ascending integers ms of a window that
+    holds the largest.
+
+    ms is cut to the largest window, and each window is sliced from it, the
+    smallest first, so EmptyWindow names it.
+    """
+    schedule, symbol = sizes
+    m_max = math.floor(Fraction(schedule[-1]) / spectrum.scale)
+    i, j = np.searchsorted(ms, [-m_max, m_max + 1])
+    ms = ms[i:j]
+    return schedule, symbol, ms, [_window_slice(spectrum, ms, T) for T in schedule]
+
+
+def _gram_windows(spectrum: Spectrum, S: IntervalSet, schedule: Sequence) -> tuple:
+    """The sizing half of riesz_bounds_estimate: _gram_sizes, then
+    _gram_blocks on the largest window, enumerated once."""
+    sizes = _gram_sizes(spectrum, S, schedule)
+    return _gram_blocks(spectrum, sizes, _enumerated(spectrum, sizes[0][-1]))
 
 
 @dataclass(frozen=True)
@@ -316,18 +387,22 @@ def density_check(
     window is read off the sorted integers.
     """
     T_list = list(T_list)
-    windows = [Fraction(T) for T in T_list]
-    if any(T < 0 for T in windows):
+    if any(Fraction(T) < 0 for T in T_list):
         raise InvalidInput("window must be nonnegative")
-    ms = np.asarray([], dtype=np.int64)
-    if windows:
-        bound = max(windows) / spectrum.scale
-        ms = np.asarray(spectrum.enumerate_integers(-bound, bound), dtype=np.int64)
+    ms = _enumerated(spectrum, max(map(Fraction, T_list))) if T_list else np.empty(0, np.int64)
+    return _density_rows(spectrum, S, T_list, ms, tolerance)
+
+
+def _density_rows(
+    spectrum: Spectrum, S: IntervalSet, T_list: list, ms: np.ndarray, tolerance: float = 4.0
+) -> DensityReport:
+    """density_check on the ascending integers ms of a window that holds
+    every window of T_list."""
     meas = float(S.measure())
     rows = []
     ok = True
-    for T, T_exact in zip(T_list, windows):
-        m_max = math.floor(T_exact / spectrum.scale)
+    for T in T_list:
+        m_max = math.floor(Fraction(T) / spectrum.scale)
         count = int(
             np.searchsorted(ms, m_max, side="right")
             - np.searchsorted(ms, -m_max, side="left")

@@ -50,6 +50,28 @@ def test_cli_import_leaves_scipy_unloaded():
     subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True, timeout=60)
 
 
+def test_gram_solves_leave_scipy_linalg_unloaded(tmp_path, plan_l2):
+    # bounds (one interval: dsyevd) and verify (its union J=[1,2]: zheevd)
+    # solve through LAPACK's f2py wrapper alone, loaded from its file, so
+    # the scipy.linalg package never runs
+    spec, unit, plan = (tmp_path / f"{name}.json" for name in ("lattice", "unit", "plan"))
+    spec.write_text(json.dumps(rs.integer_lattice().to_json()))
+    unit.write_text(json.dumps(IntervalSet.unit().to_json()))
+    plan.write_text(json.dumps(plan_l2.to_json()))
+    bounds = ["bounds", "--spectrum", str(spec), "--set", str(unit), "--schedule", "8,16"]
+    verify = ["verify", "--plan", str(plan), "--all-subsets", "--schedule", "32,64"]
+    code = (
+        "import sys; from rieszspectra.cli import main; "
+        f"codes = main({bounds!r}), main({verify!r}); "
+        "sys.exit(codes != (0, 1) or 'scipy.linalg' in sys.modules "
+        "or 'scipy.linalg._flapack' not in sys.modules)"
+    )
+    subprocess.run(
+        [sys.executable, "-c", code], env=_src_env(), check=True, timeout=60,
+        stdout=subprocess.DEVNULL,
+    )
+
+
 def test_main_builds_its_parser_once(capsys):
     cli.build_parser.cache_clear()
     argv = ["check-chebotarev", "--N", "5", "--max-size", "2"]
@@ -217,8 +239,8 @@ def test_verify_sizes_every_subset_before_the_first_solve(tmp_path, capsys, monk
 
 def test_verify_counts_and_enumerates_each_subset_once(tmp_path, capsys, monkeypatch, plan_l2):
     # one sizing pass per sub-union: its largest Gram window is counted from
-    # its terms once and enumerated once, and the solve takes what it sized;
-    # density_check enumerates its own 4x window
+    # its terms once, every sub-union before any is enumerated, and each is
+    # enumerated once, at the 4x density window that holds its Gram windows
     terms = [len(rs.subset_spectrum(plan_l2, J).union().terms) for J in ([1], [2], [1, 2])]
     counted, enumerated = [], []
     count, enumerate_integers = rs.CosetTerm._count_in, rs.Spectrum.enumerate_integers
@@ -228,14 +250,17 @@ def test_verify_counts_and_enumerates_each_subset_once(tmp_path, capsys, monkeyp
     monkeypatch.setattr(
         rs.Spectrum,
         "enumerate_integers",
-        lambda s, lo, hi: enumerated.append((s.terms, hi)) or enumerate_integers(s, lo, hi),
+        lambda s, lo, hi: enumerated.append((s.terms, hi, len(counted)))
+        or enumerate_integers(s, lo, hi),
     )
     plan = _plan_file(tmp_path, plan_l2)
     assert main(["verify", "--plan", plan, "--all-subsets", "--schedule", "32,64"]) == 1
     assert capsys.readouterr().err == ""
     assert counted == [64] * sum(terms)
-    assert [len(ts) for ts, hi in enumerated if hi == 64] == terms
-    assert [hi for _, hi in enumerated if hi != 64] == [256] * 3
+    # every term of every sub-union was counted before the first enumeration
+    assert [(len(ts), hi, seen) for ts, hi, seen in enumerated] == [
+        (n, 256, sum(terms)) for n in terms
+    ]
 
 
 def test_verify_empty_window_is_input_error_naming_the_least(

@@ -2,7 +2,10 @@
 
 import itertools
 import os
+import subprocess
+import sys
 import tracemalloc
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -258,6 +261,53 @@ def test_extreme_eigenvalues_read_only_the_lower_triangle(S, itemsize):
     poisoned[np.triu_indices(len(ms), 1)] = np.nan
     expected = verify_mod._extreme_eigenvalues(np.asfortranarray(full))
     assert verify_mod._extreme_eigenvalues(poisoned) == expected
+
+
+
+# scipy.linalg imported before the solver or after its first solve, the
+# solver's _extreme_eigenvalues is scipy.linalg.eigh's evd call, bit for bit,
+# through the one module object sys.modules holds
+_EVD_ORACLE = """
+import sys
+import numpy as np
+if sys.argv[1] == "scipy.linalg first":
+    import scipy.linalg
+from rieszspectra import verify
+rng = np.random.default_rng(5)
+for dtype in (np.float64, np.complex128):
+    X = rng.standard_normal((300, 300)).astype(dtype)
+    if dtype == np.complex128:
+        X += 1j * rng.standard_normal((300, 300))
+    H = X + X.conj().T
+    got = verify._extreme_eigenvalues(np.asfortranarray(H))
+    import scipy.linalg
+    vals = scipy.linalg.eigh(H, eigvals_only=True, driver="evd", lower=True)
+    assert got == (float(vals[0]), float(vals[-1])), (dtype, got, vals[[0, -1]])
+assert sys.modules["scipy.linalg._flapack"] is verify._flapack()
+"""
+
+
+@pytest.mark.parametrize("order", ["solver first", "scipy.linalg first"])
+def test_extreme_eigenvalues_are_evd_eigh_in_either_import_order(order):
+    src = os.path.dirname(os.path.dirname(rs.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    subprocess.run([sys.executable, "-c", _EVD_ORACLE, order], env=env, check=True, timeout=120)
+
+
+@pytest.mark.parametrize("name", ["dsyevd", "zheevd"])
+def test_extreme_eigenvalues_raise_on_lapack_failure(monkeypatch, name):
+    import rieszspectra.verify as verify_mod
+
+    dtype = np.complex128 if name == "zheevd" else np.float64
+    sizes = (1.0, 1, 1.0, 0) if name == "zheevd" else (1.0, 1, 0)
+    stub = types.SimpleNamespace(**{
+        name + "_lwork": lambda n, compute_v, lower: sizes,
+        name: lambda a, **kwargs: (np.zeros(len(a)), None, 1),
+    })
+    monkeypatch.setattr(verify_mod, "_flapack", lambda: stub)
+    with pytest.raises(np.linalg.LinAlgError, match=f"{name} of order 3 failed with info 1"):
+        verify_mod._extreme_eigenvalues(np.eye(3, dtype=dtype, order="F"))
 
 
 def _mapping_rss(A: np.ndarray) -> int:
