@@ -218,14 +218,18 @@ class Spectrum:
                 raise OverlappingTerms(f"duplicate frequency {u} inside window")
         return out
 
-    def enumerate(self, T) -> list[Fraction]:
-        """Frequencies scale*m inside [-T, T], ascending."""
-        T = Fraction(T)
+    def _window_bound(self, T) -> Fraction:
+        """T/scale, the bound on |m| in the window |scale*m| <= T: the one
+        reading of a window, InvalidInput unless T is a finite rational >= 0."""
+        T = parse_fraction(T, "window")
         if T < 0:
             raise InvalidInput("window must be nonnegative")
-        bound = T / self.scale
-        ms = self.enumerate_integers(-bound, bound)
-        return [self.scale * m for m in ms]
+        return T / self.scale
+
+    def enumerate(self, T) -> list[Fraction]:
+        """Frequencies scale*m inside [-T, T], ascending."""
+        bound = self._window_bound(T)
+        return [self.scale * m for m in self.enumerate_integers(-bound, bound)]
 
     # -- transformations -------------------------------------------------
 

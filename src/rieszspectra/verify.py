@@ -6,12 +6,12 @@ therefore certify by trend (stable minimum eigenvalue across a doubling
 window schedule), and the folding probe reports empirical constants next to
 the minor-conditioning floor they are expected to respect.
 
+Every window is read by Spectrum._window_bound and located by _positions.
 A schedule is sized before it is solved: _gram_sizes checks it and counts
 its largest window from the terms, _gram_blocks slices every window from
 one enumeration that holds the largest, and _gram_solve solves them.
-`verify` counts every sub-union before it enumerates any, and enumerates
-each once, for its Gram windows and its density rows, before its first
-solve.
+_union_reports runs `verify`'s sub-unions: it counts every one before it
+enumerates any, and enumerates each once, before its first solve.
 
 The Gram symbol of a schedule (the entry for each frequency gap) is computed
 once; every window's matrix is expanded from it.  When S is a single
@@ -49,7 +49,7 @@ from .errors import (
     ResourceLimit,
     TruncationWarning,
 )
-from .intervals import Endpoint, IntervalSet, _FieldJson, fold_pattern
+from .intervals import Endpoint, IntervalSet, _FieldJson, fold_pattern, parse_fraction
 from .minors import _check_permutation, c_prime_bound
 from .spectra import Spectrum, _shift_levels
 
@@ -60,6 +60,7 @@ from .spectra import Spectrum, _shift_levels
 DENSE_GRAM_BYTES = 2**30
 PASS_FLOOR = 1e-3
 MAX_LAST_DROP = 0.10
+_DENSITY_TOLERANCE = 4.0  # density_check's default, also the one verify reports
 TAIL_THRESHOLD = 0.01
 _BLOCK_ROWS = 256  # rows of the probe's coefficient kernel computed at once
 _TRIAL_BLOCK = 8  # folding-probe trials evaluated at once; bounds its per-trial temporaries
@@ -72,7 +73,7 @@ def _refuse_oversized(spectrum: Spectrum, S: IntervalSet, T, itemsize: int) -> N
     and nothing is enumerated."""
     if S.is_empty:
         raise InvalidInput("S must have positive measure")
-    bound = Fraction(T) / spectrum.scale
+    bound = spectrum._window_bound(T)
     n = sum(t._count_in(-bound, bound) for t in spectrum.terms)
     nbytes = n * n * itemsize
     if nbytes > DENSE_GRAM_BYTES:
@@ -84,25 +85,25 @@ def _refuse_oversized(spectrum: Spectrum, S: IntervalSet, T, itemsize: int) -> N
 
 def _enumerated(spectrum: Spectrum, T) -> np.ndarray:
     """Underlying integers m of the spectrum with |scale*m| <= T, ascending."""
-    bound = Fraction(T) / spectrum.scale
+    bound = spectrum._window_bound(T)
     return np.asarray(spectrum.enumerate_integers(-bound, bound), dtype=np.int64)
 
 
-def _window_integers(spectrum: Spectrum, S: IntervalSet, T, itemsize: int = 16) -> np.ndarray:
-    """_enumerated(spectrum, T), once _refuse_oversized has counted them."""
-    _refuse_oversized(spectrum, S, T, itemsize)
-    return _enumerated(spectrum, T)
+def _positions(spectrum: Spectrum, ms: np.ndarray, T) -> tuple[int, int]:
+    """(i, j) with ms[i:j] the integers of the ascending ms with |scale*m| <= T."""
+    m_max = math.floor(spectrum._window_bound(T))
+    i, j = np.searchsorted(ms, [-m_max, m_max + 1])
+    return int(i), int(j)
 
 
-def _window_slice(spectrum: Spectrum, ms: np.ndarray, T) -> slice:
-    """Positions in the ascending ms of the integers with |scale*m| <= T.
+def _window_slice(spectrum: Spectrum, ms: np.ndarray, T: Fraction) -> slice:
+    """ms[_window_slice(spectrum, ms, T)] are the integers with |scale*m| <= T.
 
     ms are the integers of the largest window, so an empty window raises
     EmptyWindow naming the least frequency magnitude among them: the least
     window that holds one.
     """
-    m_max = math.floor(Fraction(T) / spectrum.scale)
-    i, j = np.searchsorted(ms, [-m_max, m_max + 1])
+    i, j = _positions(spectrum, ms, T)
     if j <= i:
         if len(ms):
             least = float(spectrum.scale * int(np.min(np.abs(ms))))
@@ -110,7 +111,7 @@ def _window_slice(spectrum: Spectrum, ms: np.ndarray, T) -> slice:
         else:
             hint = "the largest window holds none either"
         raise EmptyWindow(f"no frequencies in [-{float(T)}, {float(T)}]; {hint}")
-    return slice(int(i), int(j))
+    return slice(i, j)
 
 
 def _signed(sym: np.ndarray) -> np.ndarray:
@@ -168,7 +169,9 @@ def gram_matrix(spectrum: Spectrum, S: IntervalSet, T) -> np.ndarray:
     (Endpoint.phases) before trigonometric evaluation, so large frequency
     gaps do not lose accuracy.
     """
-    ms = _window_integers(spectrum, S, T)
+    T = parse_fraction(T, "window")
+    _refuse_oversized(spectrum, S, T, 16)
+    ms = _enumerated(spectrum, T)
     ms = ms[_window_slice(spectrum, ms, T)]
     sym = _complex_symbol(spectrum, S, int(ms[-1] - ms[0]))
     return _signed(sym)[np.subtract.outer(ms, ms) + (len(sym) - 1)]
@@ -255,26 +258,17 @@ def _extreme_eigenvalues(A: np.ndarray) -> tuple[float, float]:
     return float(vals[0]), float(vals[-1])
 
 
-def _checked_schedule(schedule: Sequence) -> list:
-    """schedule as a list, or InvalidInput unless it is nonempty, positive
-    and strictly increasing."""
-    schedule = list(schedule)
-    if not schedule or Fraction(schedule[0]) <= 0 or any(
-        Fraction(t2) <= Fraction(t1) for t1, t2 in zip(schedule, schedule[1:])
-    ):
-        raise InvalidInput("schedule must be nonempty, positive and strictly increasing")
-    return schedule
-
-
 def _gram_sizes(spectrum: Spectrum, S: IntervalSet, schedule: Sequence) -> tuple:
     """The counting half of the sizing: (schedule, symbol), or the error
     that refuses the schedule, before anything is enumerated.
 
-    The schedule and S are checked; the symbol is _sinc_symbol (8-byte
-    entries) for one interval, _complex_symbol (16) for a union; the
-    largest window is counted from the terms.
+    The schedule (parsed to Fractions) and S are checked; the symbol is
+    _sinc_symbol (8-byte entries) for one interval, _complex_symbol (16) for
+    a union; the largest window is counted from the terms.
     """
-    schedule = _checked_schedule(schedule)
+    schedule = [parse_fraction(T, "window") for T in schedule]
+    if not schedule or schedule[0] <= 0 or any(t2 <= t1 for t1, t2 in zip(schedule, schedule[1:])):
+        raise InvalidInput("schedule must be nonempty, positive and strictly increasing")
     symbol, itemsize = (_sinc_symbol, 8) if len(S.pieces) == 1 else (_complex_symbol, 16)
     _refuse_oversized(spectrum, S, schedule[-1], itemsize)
     return schedule, symbol
@@ -289,9 +283,7 @@ def _gram_blocks(spectrum: Spectrum, sizes: tuple, ms: np.ndarray) -> tuple:
     smallest first, so EmptyWindow names it.
     """
     schedule, symbol = sizes
-    m_max = math.floor(Fraction(schedule[-1]) / spectrum.scale)
-    i, j = np.searchsorted(ms, [-m_max, m_max + 1])
-    ms = ms[i:j]
+    ms = ms[slice(*_positions(spectrum, ms, schedule[-1]))]
     return schedule, symbol, ms, [_window_slice(spectrum, ms, T) for T in schedule]
 
 
@@ -379,40 +371,59 @@ class DensityReport(_FieldJson):
 
 
 def density_check(
-    spectrum: Spectrum, S: IntervalSet, T_list: Sequence, tolerance: float = 4.0
+    spectrum: Spectrum, S: IntervalSet, T_list: Sequence, tolerance: float = _DENSITY_TOLERANCE
 ) -> DensityReport:
     """Window counts against the measure-based expectation 2*T*|S|.
 
     The spectrum is enumerated once, at the largest window; the count of each
     window is read off the sorted integers.
     """
-    T_list = list(T_list)
-    if any(Fraction(T) < 0 for T in T_list):
-        raise InvalidInput("window must be nonnegative")
-    ms = _enumerated(spectrum, max(map(Fraction, T_list))) if T_list else np.empty(0, np.int64)
+    T_list = [parse_fraction(T, "window") for T in T_list]
+    ms = np.empty(0, np.int64)
+    if T_list:
+        spectrum._window_bound(min(T_list))  # a negative window is refused first
+        ms = _enumerated(spectrum, max(T_list))
     return _density_rows(spectrum, S, T_list, ms, tolerance)
 
 
 def _density_rows(
-    spectrum: Spectrum, S: IntervalSet, T_list: list, ms: np.ndarray, tolerance: float = 4.0
+    spectrum: Spectrum, S: IntervalSet, T_list: list, ms: np.ndarray, tolerance: float
 ) -> DensityReport:
     """density_check on the ascending integers ms of a window that holds
-    every window of T_list."""
+    every window of the parsed T_list."""
     meas = float(S.measure())
     rows = []
-    ok = True
     for T in T_list:
-        m_max = math.floor(Fraction(T) / spectrum.scale)
-        count = int(
-            np.searchsorted(ms, m_max, side="right")
-            - np.searchsorted(ms, -m_max, side="left")
-        )
+        i, j = _positions(spectrum, ms, T)
         expected = 2.0 * float(T) * meas
-        residual = count - expected
-        rows.append((float(T), count, expected, residual))
-        if abs(residual) > tolerance:
-            ok = False
+        rows.append((float(T), j - i, expected, j - i - expected))
+    ok = not any(abs(residual) > tolerance for *_, residual in rows)
     return DensityReport(rows=tuple(rows), tolerance=float(tolerance), passed=ok)
+
+
+def _union_reports(unions: Sequence[tuple], schedule: Sequence) -> list[tuple]:
+    """(density_check(spectrum, S_J, [T, 2T, 4T]), riesz_bounds_estimate(
+    spectrum, S_J, schedule)) of each (J, spectrum, S_J) in unions, T the
+    largest window.  Every union is counted, and an oversized one refused,
+    before any is enumerated; each is then enumerated once, at 4T, for its
+    Gram windows (an empty one refused) and its density rows, all before
+    the first solve.  A refusal names its sub-union J."""
+    sizes, sized = [], []
+    try:
+        for J, spectrum, S_J in unions:
+            sizes.append(_gram_sizes(spectrum, S_J, schedule))
+        T = sizes[0][0][-1]  # the largest window, as _gram_sizes parsed it
+        windows = [T, 2 * T, 4 * T]
+        for (J, spectrum, S_J), size in zip(unions, sizes):
+            ms = _enumerated(spectrum, windows[-1])
+            dens = _density_rows(spectrum, S_J, windows, ms, _DENSITY_TOLERANCE)
+            sized.append((_gram_blocks(spectrum, size, ms), dens))
+    except (ResourceLimit, EmptyWindow) as exc:
+        raise type(exc)(f"{exc} (sub-union J={J})") from exc
+    return [
+        (dens, _gram_solve(spectrum, S_J, blocks))
+        for (_, spectrum, S_J), (blocks, dens) in zip(unions, sized)
+    ]
 
 
 def duality_finite_test(N: int, J: Sequence[int], M_dim: Sequence[int]) -> dict:
@@ -485,6 +496,8 @@ def folding_probe(
         raise InvalidInput("need at least one trial")
     if seed < 0:
         raise InvalidInput("seed must be a non-negative integer")
+    if trunc_window < 0:
+        raise InvalidInput("window must be nonnegative")
     _check_permutation(N, shifts)
     shifted = _shift_levels(N, levels, shifts)
     pieces = [(l, r, ks) for l, r, ks in fold_pattern(N, S) if ks]

@@ -1156,6 +1156,24 @@ def _verify_row(plan, J, schedule):
     return rs.density_check(spec, S_J, windows), rs.riesz_bounds_estimate(spec, S_J, schedule)
 
 
+@pytest.mark.parametrize("plan_name, schedule", [
+    ("plan_l1", "32,64"), ("plan_l1", "128,256"), ("plan_l2", "32,64"), ("plan_l2", "128,256"),
+    ("plan_l3", "512,1024"),
+])
+def test_verify_rows_are_the_public_reports(plan_name, schedule, request, tmp_path, capsys):
+    # verify sizes every sub-union before its first solve; each row must
+    # still be density_check at T, 2T, 4T and riesz_bounds_estimate, exactly
+    plan = request.getfixturevalue(plan_name)
+    argv = ["verify", "--plan", _plan_file(tmp_path, plan), "--all-subsets", "--schedule", schedule]
+    main(argv)
+    rows = json.loads(capsys.readouterr().out)["result"]["subsets"]
+    assert len(rows) == 2**plan.L - 1
+    for row in rows:
+        dens, gram = _verify_row(plan, row["J"], [Fraction(T) for T in schedule.split(",")])
+        assert row["density"] == json.loads(json.dumps(dens.to_json()))
+        assert row["gram"] == json.loads(json.dumps(gram.to_json()))
+
+
 def _reports(plan_l1, plan_l2):
     """(report, its old to_json body) on real fixtures: verify rows passing
     and failing the trend (a one-window schedule has no last drop or

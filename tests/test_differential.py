@@ -174,7 +174,7 @@ def spectra(draw):
 @given(spec=spectra(), S=single_intervals(), T=st.integers(2, 100))
 def test_sinc_gram_is_unitarily_similar_to_gram(spec, S, T):
     G = gram_matrix(spec, S, T)
-    ms = verify._window_integers(spec, S, T)
+    ms = verify._enumerated(spec, T)
     R = verify._toeplitz(verify._sinc_symbol(spec, S, int(ms[-1] - ms[0])), ms)
     assert R.dtype == np.float64 and R.shape == G.shape
     ((left, right),) = S.pieces
@@ -312,7 +312,7 @@ UNION = IntervalSet([(0, F(1, 4)), (F(1, 2), 1)])
 @example(spec=integer_lattice(), S=HALF, T=300)  # n = 601
 @example(spec=integer_lattice(), S=UNION, T=128)  # n = 257
 def test_toeplitz_row_blocks_match_one_shot_gather(spec, S, T):
-    ms = verify._window_integers(spec, S, T)
+    ms = verify._enumerated(spec, T)
     assume(len(ms) > 0)
     dmax = int(ms[-1] - ms[0])
     # the complex symbol for every set, the real sinc symbol for one interval
@@ -345,7 +345,7 @@ def test_bounds_history_matches_evd_per_block(spec, S, schedule):
         rep = riesz_bounds_estimate(spec, S, schedule)
     except EmptyWindow:
         return
-    ms = verify._window_integers(spec, S, schedule[-1])
+    ms = verify._enumerated(spec, schedule[-1])
     symbol = verify._sinc_symbol if len(S.pieces) == 1 else verify._complex_symbol
     G = verify._toeplitz(symbol(spec, S, int(ms[-1] - ms[0])), ms)
     expected = []

@@ -4,6 +4,7 @@ reach: each call must raise its exception type with its message."""
 import re
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 import rieszspectra as rs
@@ -79,6 +80,27 @@ CASES = [
     ("folding probe negative seed",
      lambda: rs.folding_probe(2, HALF, [integer_lattice(2)] * 2, [1, 2], 1, -1),
      rs.InvalidInput, "seed must be a non-negative integer"),
+    ("folding probe negative window",
+     lambda: rs.folding_probe(2, HALF, [integer_lattice(2)] * 2, [1, 2], 1, 0, trunc_window=-1),
+     rs.InvalidInput, "window must be nonnegative"),
+    ("gram negative window", lambda: rs.gram_matrix(integer_lattice(), HALF, -1),
+     rs.InvalidInput, "window must be nonnegative"),
+    ("density negative window", lambda: rs.density_check(integer_lattice(), HALF, [-1, 4]),
+     rs.InvalidInput, "window must be nonnegative"),
+]
+
+# a window that is not a finite rational, read by each public entry point
+WINDOW_READERS = [
+    ("bounds", lambda T: rs.riesz_bounds_estimate(integer_lattice(), HALF, [1, T])),
+    ("density", lambda T: rs.density_check(integer_lattice(), HALF, [1, T])),
+    ("gram", lambda T: rs.gram_matrix(integer_lattice(), HALF, T)),
+    ("enumerate", lambda T: integer_lattice().enumerate(T)),
+]
+CASES += [
+    (f"{name} window {T!r}", lambda read=read, T=T: read(T),
+     rs.InvalidInput, f"window: {T!r} is not a finite rational")
+    for name, read in WINDOW_READERS
+    for T in (float("nan"), float("inf"), "1/x")
 ]
 
 
@@ -87,3 +109,13 @@ CASES = [
 def test_argument_check(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_string_windows_read_as_their_fractions():
+    spec = integer_lattice().dilate(F(1, 4))
+    strings, fractions = ["1/4", "1/2", "3"], [F(1, 4), F(1, 2), F(3)]
+    bounds = rs.riesz_bounds_estimate(spec, HALF, strings)
+    assert bounds == rs.riesz_bounds_estimate(spec, HALF, fractions)
+    assert [h[0] for h in bounds.history] == [0.25, 0.5, 3.0]
+    assert rs.density_check(spec, HALF, strings) == rs.density_check(spec, HALF, fractions)
+    assert np.array_equal(rs.gram_matrix(spec, HALF, "1/2"), rs.gram_matrix(spec, HALF, F(1, 2)))

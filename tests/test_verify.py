@@ -239,7 +239,7 @@ def test_largest_window_is_solved_in_place(monkeypatch, S, itemsize):
     # each solve sees, in the lower triangle it reads, its central block of
     # the full-window Gram matrix (of the real similar matrix for one
     # interval), not of its conjugate
-    ms = verify_mod._window_integers(integer_lattice(), S, 32)
+    ms = verify_mod._enumerated(integer_lattice(), 32)
     symbol = verify_mod._sinc_symbol if itemsize == 8 else verify_mod._complex_symbol
     sym, d = symbol(integer_lattice(), S, 64), np.subtract.outer(ms, ms)
     G = np.where(d >= 0, sym[np.abs(d)], np.conj(sym[np.abs(d)]))
